@@ -33,6 +33,6 @@ for target in (2.0, 4.0, 6.0, 7.0, 8.0, 9.0):
     )
 print("each row was confirmed by exhaustive enumeration.")
 
-print("\ncertifying on 100 random instances (4..14 layers):")
+print("\ncertifying on 100 random instances (4..14 layers, half with float costs):")
 report = certify(instances=100, max_n=14, seed=1)
 print(f"  {report.matches}/{report.instances} match in {report.elapsed_s:.2f}s")

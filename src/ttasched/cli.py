@@ -102,7 +102,7 @@ def cmd_schedule(args) -> int:
         except json.JSONDecodeError as exc:
             raise InputError(f"{args.profile}: invalid JSON ({exc})") from None
     profile = profile_from_document(profile_doc)
-    config = SchedulerConfig(sigma=args.sigma, resolution=args.resolution)
+    config = SchedulerConfig(sigma=args.sigma)
     result = solve_dp(importance, profile, config)
     if result.budget_clipped:
         print(
@@ -111,8 +111,6 @@ def cmd_schedule(args) -> int:
             file=sys.stderr,
         )
     if args.oracle:
-        if profile.n_layers > 20:
-            raise InputError("--oracle supports at most 20 layers")
         oracle = brute_force(importance, profile, result.budget_ms)
         match = (
             oracle.strategy.selected == result.strategy.selected
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--importance", required=True, help="importance file from assess")
     p.add_argument("--profile", required=True, help="runtime profile from predict")
     p.add_argument("--sigma", type=float, default=0.33, help="acceleration factor")
-    p.add_argument("--resolution", type=int, default=500, help="budget grid units")
     p.add_argument("--oracle", action="store_true", help="cross-check against enumeration")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_schedule)

@@ -227,14 +227,17 @@ class OfflineProfile:
         return len(self.t_f) - 1
 
 
+_LATENCIES = ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re")
+
+
 @dataclass(frozen=True)
 class LatencyProfile:
     """Runtime per-layer latencies, backward-indexed 1..N (slot 0 is 0).
 
     ``t_b[b] == t_dw[b] + t_dx[b]`` exactly for every layer, and
     ``t_total == t_f_total + t_b_total + t_re_total``. ``cum_dx``/``cum_re``
-    are prefix sums over backward indices, shared by the cost closed form
-    and the scheduler's incremental recursion so both see identical values.
+    are prefix sums over backward indices, read by the cost closed form.
+    Every latency must be finite and non-negative.
     """
 
     t_f: np.ndarray
@@ -251,11 +254,21 @@ class LatencyProfile:
 
     def __post_init__(self):
         n = len(self.t_f) - 1
-        for name in ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re", "eta"):
+        for name in _LATENCIES + ("eta",):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (n + 1,):
                 raise InputError("profile arrays must share one shape")
             object.__setattr__(self, name, arr)
+        # the scheduler's cuts assume costs only grow along a chain; one
+        # pass over all latencies keeps this cheap per batch, and NaN fails
+        # both comparisons
+        latencies = np.concatenate([getattr(self, name) for name in _LATENCIES])
+        if not (latencies.min() >= 0.0 and latencies.max() < math.inf):
+            i = int(np.flatnonzero(~((latencies >= 0.0) & (latencies < math.inf)))[0])
+            raise InputError(
+                f"profile {_LATENCIES[i // (n + 1)]}[{i % (n + 1)}] must be "
+                f"finite and non-negative, got {latencies[i]}"
+            )
         object.__setattr__(
             self, "selectable", np.asarray(self.selectable, dtype=bool)
         )

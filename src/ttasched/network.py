@@ -9,8 +9,9 @@ two coordinate systems:
   coordinate for backpropagation-chain costs. All scheduling math uses
   backward indices.
 
-``strategy_cost`` is the ground-truth latency of a sparse update strategy and
-is the oracle against which the scheduler is certified.
+``closed_form_cost`` is the ground-truth latency of a sparse update strategy;
+the scheduler's search and its enumeration oracle both price strategies
+with it.
 """
 
 from __future__ import annotations
@@ -273,8 +274,29 @@ class StrategyCost:
         return self.t_backward + self.t_reforward
 
 
+def closed_form_cost(profile, selected: tuple[int, ...]) -> StrategyCost:
+    """Cost of an ascending selection of backward indices under ``profile``.
+
+    A selection's cost is set by its deepest layer ``d``: the weight-gradient
+    times of the selected layers, summed in ascending order, plus the
+    activation-gradient prefix ``cum_dx[d - 1]`` and the reforward prefix
+    ``cum_re[d]``. The search, the oracle and the reports all price
+    strategies here, so they round identically.
+    """
+    if not selected:
+        return StrategyCost(0.0, 0.0)
+    d = selected[-1]
+    t_dw_sum = 0.0
+    for b in selected:
+        t_dw_sum += float(profile.t_dw[b])
+    return StrategyCost(
+        t_backward=t_dw_sum + float(profile.cum_dx[d - 1]),
+        t_reforward=float(profile.cum_re[d]),
+    )
+
+
 def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> StrategyCost:
-    """Closed-form cost of a strategy under a latency profile.
+    """Closed-form cost of a strategy, validated against its network.
 
     Backward time is the weight-gradient time of every selected layer plus
     the activation-gradient chain down to (but excluding) the deepest
@@ -288,15 +310,7 @@ def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> Strate
             f"profile covers {profile.n_layers} layers, network has {n}"
         )
     strategy.validate_against(network)
-    if strategy.is_empty:
-        return StrategyCost(0.0, 0.0)
-    d = strategy.deepest
-    t_dw_sum = 0.0
-    for b in strategy.selected:
-        t_dw_sum += float(profile.t_dw[b])
-    t_backward = t_dw_sum + float(profile.cum_dx[d - 1])
-    t_reforward = float(profile.cum_re[d])
-    return StrategyCost(t_backward, t_reforward)
+    return closed_form_cost(profile, strategy.selected)
 
 
 def load_network(document: dict, lenient: bool = False) -> Network:

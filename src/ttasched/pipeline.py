@@ -443,7 +443,6 @@ class Scenario:
     device: DeviceSpec
     trace: StateTrace
     sigma: float = 0.33
-    resolution: int = 500
     alpha: float = 0.1
     kl_mode: str = "gaussian"
     adaptation_gain: float = 1.0
@@ -607,11 +606,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
 
         state = scenario.trace.state_at(start)
         profile = build_profile(network, scenario.offline, scenario.device, state)
-        sched = solve_dp(
-            vector,
-            profile,
-            SchedulerConfig(sigma=sigma, resolution=scenario.resolution),
-        )
+        sched = solve_dp(vector, profile, SchedulerConfig(sigma=sigma))
         plan = reuse_plan(sched.strategy, network)
         execd = execute_ground_truth(
             network,
@@ -766,6 +761,7 @@ _SCENARIO_FIELDS = frozenset(
         "controller", "environment",
     }
 )
+_SCHEDULER_FIELDS = frozenset({"sigma"})
 _ENV_FIELDS = frozenset({"base_mean", "base_var", "positions", "shifts"})
 
 
@@ -835,6 +831,15 @@ def load_scenario_file(path) -> Scenario:
     device = load_device_file(base / require("device"))
     trace = load_trace_file(base / require("state_trace"))
     sched_cfg = cfg.get("scheduler", {})
+    if not isinstance(sched_cfg, dict):
+        raise InputError(f"{path}: scheduler must be an object")
+    unknown = set(sched_cfg) - _SCHEDULER_FIELDS
+    if unknown:
+        raise InputError(f"{path}: scheduler: unknown fields {sorted(unknown)}")
+    try:
+        sigma = float(sched_cfg.get("sigma", 0.33))
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: scheduler.sigma must be a number") from None
     controller_cfg = cfg.get("controller")
     controller = ControllerConfig()
     if controller_cfg is not None:
@@ -856,8 +861,7 @@ def load_scenario_file(path) -> Scenario:
         offline=offline,
         device=device,
         trace=trace,
-        sigma=float(sched_cfg.get("sigma", 0.33)),
-        resolution=int(sched_cfg.get("resolution", 500)),
+        sigma=sigma,
         alpha=float(cfg.get("alpha", 0.1)),
         kl_mode=str(cfg.get("kl_mode", "gaussian")),
         adaptation_gain=float(cfg.get("adaptation_gain", 1.0)),

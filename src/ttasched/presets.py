@@ -317,7 +317,6 @@ def drift_scenario(seed: int = 7) -> Scenario:
         device=device,
         trace=static_trace(resource_conditions()["offline"]),
         sigma=0.33,
-        resolution=500,
         alpha=0.1,
         adaptation_gain=1.0,
         jitter_eps=0.02,
@@ -349,7 +348,6 @@ def zero_shift_scenario(seed: int = 3) -> Scenario:
         device=device,
         trace=static_trace(resource_conditions()["offline"]),
         sigma=0.16,
-        resolution=500,
         alpha=0.1,
         adaptation_gain=1.0,
         jitter_eps=0.0,
@@ -374,7 +372,6 @@ def controller_scenario(seed: int = 11) -> Scenario:
         device=base.device,
         trace=static_trace(resource_conditions()["contended"]),
         sigma=0.8,
-        resolution=base.resolution,
         alpha=base.alpha,
         adaptation_gain=base.adaptation_gain,
         jitter_eps=base.jitter_eps,
@@ -549,7 +546,7 @@ def scenario_to_document(scenario: Scenario, refs: dict) -> dict:
         "offline_profile": refs["offline_profile"],
         "device": refs["device"],
         "state_trace": refs["state_trace"],
-        "scheduler": {"sigma": scenario.sigma, "resolution": scenario.resolution},
+        "scheduler": {"sigma": scenario.sigma},
         "alpha": scenario.alpha,
         "kl_mode": scenario.kl_mode,
         "adaptation_gain": scenario.adaptation_gain,

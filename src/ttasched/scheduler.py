@@ -2,19 +2,18 @@
 
 Solves: maximize the summed importance of the selected layers subject to the
 strategy's backward-plus-reforward latency staying within the budget
-``sigma * T - T_f``. The search walks layers in backward order and chains
-incremental costs: selecting layer ``l`` after nearest-selection ``l_k``
-adds ``l``'s weight-gradient time, the activation-gradient chain between
-them, and the reforward span they newly expose.
+``sigma * T - T_f``. A selection's cost is set by its deepest layer ``d``:
+``sum(t_dw[sel]) + cum_dx[d - 1] + cum_re[d]``
+(``network.closed_form_cost``). The search therefore decomposes by deepest
+layer. It walks the layers in backward order, keeping one Pareto staircase
+of prefix selections over (summed weight-gradient time, importance), the
+Pareto-list method for 0/1 knapsack (Nemhauser & Ullmann, 1969). At each
+selectable layer every staircase entry is scored as a strategy whose deepest
+layer is that one, then the feasible extensions are merged back in.
 
-The dynamic program keeps, per deepest-selected layer, a cost/importance
-Pareto staircase of partial chains with their exact real-valued costs, so a
-feasible optimum is never lost to grid rounding: a chain is discarded only
-when another chain over the same deepest layer is at least as good on both
-axes, and such a chain extends everywhere the discarded one could. Costs are
-discretized (rounding up, so the real constraint can never be violated) only
-for the diagnostic table view and for reporting. An exhaustive enumeration
-oracle certifies the search on small instances.
+Feasibility is decided on the very sums the oracle and the reports compute,
+so the search is exact in floating point, not only on a dyadic grid. An
+exhaustive enumeration oracle certifies it on small instances.
 """
 
 from __future__ import annotations
@@ -31,33 +30,23 @@ import numpy as np
 from .errors import InputError
 from .importance import ImportanceVector
 from .latency import LatencyProfile
-from .network import StrategyCost, UpdateStrategy
+from .network import StrategyCost, UpdateStrategy, closed_form_cost
 
 BRUTE_FORCE_MAX_LAYERS = 20
-
-# a layer's Pareto staircase is thinned to the per-cell best entries only
-# beyond this multiple of the resolution; a guard against pathological
-# frontier growth, not reached at realistic sizes
-_FRONTIER_SLACK = 4
 
 
 @dataclass(frozen=True)
 class SchedulerConfig:
     sigma: float = 0.33
-    resolution: int = 500
-    oracle: bool = False
-    keep_table: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.sigma <= 1.0):
             raise InputError("sigma must lie in (0, 1]")
-        if self.resolution < 1:
-            raise InputError("resolution must be >= 1")
 
 
 class Budget(NamedTuple):
     ms: float
-    clipped: bool  # sigma * T fell below T_f; only the empty strategy fits
+    clipped: bool  # sigma * T fell to T_f or below; only zero-cost strategies fit
 
 
 def budget(t_total: float, t_forward: float, sigma: float) -> Budget:
@@ -72,18 +61,6 @@ def budget(t_total: float, t_forward: float, sigma: float) -> Budget:
     return Budget(raw, False)
 
 
-def discretize(t: float, budget_ms: float, resolution: int) -> int:
-    """Cost in grid units, rounded up so feasibility is never overstated.
-
-    ``t == budget_ms`` maps to exactly ``resolution`` units.
-    """
-    if budget_ms <= 0:
-        raise InputError("budget must be positive to discretize against")
-    if t <= 0:
-        return 0
-    return math.ceil((t / budget_ms) * resolution)
-
-
 def delta_t(l: int, l_k: int, profile: LatencyProfile) -> float:
     """Incremental cost of selecting backward layer ``l`` when the nearest
     shallower selection is ``l_k`` (0 when none).
@@ -91,6 +68,8 @@ def delta_t(l: int, l_k: int, profile: LatencyProfile) -> float:
     Charges the weight gradient of ``l``, the activation-gradient chain over
     the layers strictly between the two selections (work not yet paid when
     ``l_k`` was selected), and the reforward of the newly covered span.
+    Summed along a selection, the increments telescope to the closed form
+    in exact arithmetic; the search itself prices with the closed form.
     """
     n = profile.n_layers
     if not (0 <= l_k < l <= n):
@@ -102,16 +81,6 @@ def delta_t(l: int, l_k: int, profile: LatencyProfile) -> float:
 
 
 @dataclass(frozen=True)
-class DPTable:
-    """Diagnostic view of the search: best achievable importance per
-    (layer, discretized budget) cell."""
-
-    p: np.ndarray  # shape (N+1, resolution+1)
-    explored: int
-    pruned_count: int
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     strategy: UpdateStrategy
     achieved_importance: float
@@ -119,9 +88,8 @@ class ScheduleResult:
     budget_ms: float
     slack_ms: float
     budget_clipped: bool
-    explored: int
-    pruned: int
-    table: DPTable | None = None
+    explored: int  # search: staircase entries scored; oracle: subsets priced
+    pruned: int  # search: entries scored over budget or cut by the prefix
 
     def to_document(self) -> dict:
         return {
@@ -133,30 +101,6 @@ class ScheduleResult:
             "slack_ms": self.slack_ms,
             "subproblems": {"explored": self.explored, "pruned": self.pruned},
         }
-
-
-class _Chain:
-    """A partial selection chain: deepest layer, exact cost, exact gain."""
-
-    __slots__ = ("cost", "gain", "layer", "parent")
-
-    def __init__(self, cost, gain, layer, parent):
-        self.cost = cost
-        self.gain = gain
-        self.layer = layer
-        self.parent = parent
-
-    def selected(self) -> tuple[int, ...]:
-        out = []
-        node = self
-        while node.layer:
-            out.append(node.layer)
-            node = node.parent
-        out.reverse()
-        return tuple(out)
-
-
-_ROOT = _Chain(0.0, 0.0, 0, None)
 
 
 def _exact_gain(selected: tuple[int, ...], a: np.ndarray) -> float:
@@ -203,77 +147,37 @@ def _better(cand, best) -> bool:
     return _vector_key(sel_c) < _vector_key(sel_b)
 
 
-def _pareto(chains: list[_Chain]) -> list[_Chain]:
-    """Keep the cost-ascending, gain-ascending staircase.
+def _staircase(entries: list, cost_slack: float, gain_slack: float) -> list:
+    """Cost-sorted Pareto staircase of ``(t_dw_sum, gain, selected)`` entries.
 
-    Exact (cost, gain) duplicates collapse to the chain with the
-    lexicographically smaller selection, keeping tie-breaks reproducible.
+    An entry is dropped when the current leader (the most important entry
+    no more expensive) is at least as good on both axes and one of: the
+    leader's selection vector is smaller, so it also wins every exact tie
+    after extension; or the leader is cheaper by more than ``cost_slack`` or
+    more important by more than ``gain_slack``, gaps that no rounding along
+    an extension can close. Otherwise the dominated entry stays, since the
+    same deeper layers added to both could round the two to an exact tie
+    that its smaller vector wins. Exact (cost, gain) duplicates collapse to
+    the smaller vector.
     """
-    if not chains:
-        return chains
-    chains.sort(key=lambda s: (s.cost, -s.gain))
-    kept: list[_Chain] = []
-    i = 0
-    while i < len(chains):
-        node = chains[i]
-        j = i + 1
-        while (
-            j < len(chains)
-            and chains[j].cost == node.cost
-            and chains[j].gain == node.gain
+    entries.sort(key=lambda e: (e[0], -e[1]))
+    kept: list = []
+    lead = None
+    for entry in entries:
+        if lead is None or entry[1] > lead[1]:
+            kept.append(entry)
+            lead = entry
+            continue
+        if entry[0] == lead[0] and entry[1] == lead[1]:
+            if _vector_key(entry[2]) < _vector_key(lead[2]):
+                kept[-1] = lead = entry  # duplicates of the leader sort next to it
+        elif (
+            entry[0] - lead[0] <= cost_slack
+            and lead[1] - entry[1] <= gain_slack
+            and _vector_key(entry[2]) < _vector_key(lead[2])
         ):
-            if _vector_key(chains[j].selected()) < _vector_key(node.selected()):
-                node = chains[j]
-            j += 1
-        if not kept or node.gain > kept[-1].gain:
-            kept.append(node)
-        i = j
+            kept.append(entry)
     return kept
-
-
-def _thin(chains: list[_Chain], budget_ms: float, resolution: int) -> list[_Chain]:
-    cap = max(_FRONTIER_SLACK * resolution, 4096)
-    if len(chains) <= cap:
-        return chains
-    best_by_cell: dict[int, _Chain] = {}
-    for node in chains:
-        cell = discretize(node.cost, budget_ms, resolution)
-        cur = best_by_cell.get(cell)
-        if cur is None or node.gain > cur.gain:
-            best_by_cell[cell] = node
-    return _pareto(list(best_by_cell.values()))
-
-
-def _empty_result(budget_value: Budget, n: int, config: SchedulerConfig) -> ScheduleResult:
-    table = None
-    if config.keep_table:
-        table = DPTable(
-            p=np.zeros((n + 1, config.resolution + 1)), explored=0, pruned_count=0
-        )
-    return ScheduleResult(
-        strategy=UpdateStrategy(n_layers=n, selected=()),
-        achieved_importance=0.0,
-        predicted_extra=StrategyCost(0.0, 0.0),
-        budget_ms=budget_value.ms,
-        slack_ms=budget_value.ms,
-        budget_clipped=budget_value.clipped,
-        explored=0,
-        pruned=0,
-        table=table,
-    )
-
-
-def _closed_form_cost(profile: LatencyProfile, selected: tuple[int, ...]) -> StrategyCost:
-    if not selected:
-        return StrategyCost(0.0, 0.0)
-    d = selected[-1]
-    t_dw_sum = 0.0
-    for b in selected:
-        t_dw_sum += float(profile.t_dw[b])
-    return StrategyCost(
-        t_backward=t_dw_sum + float(profile.cum_dx[d - 1]),
-        t_reforward=float(profile.cum_re[d]),
-    )
 
 
 def solve_dp(
@@ -283,11 +187,14 @@ def solve_dp(
 ) -> ScheduleResult:
     """Search the maximum-importance feasible strategy.
 
-    Layers are visited in backward order; each selectable layer extends the
-    chains of every shallower predecessor. Two prunes cut the space: chains
-    whose cost exceeds the budget die with all their descendants, and a
-    layer whose activation-gradient prefix alone exceeds the budget is
-    skipped along with everything deeper.
+    Layers are visited in backward order over one staircase of prefix
+    selections. At a selectable layer ``l`` each entry, extended by ``l``,
+    is priced as a strategy whose deepest layer is ``l``; the staircase is
+    cost-sorted, so the scan stops at the first entry over budget. The
+    feasible extensions are merged back in. Once the activation-gradient
+    prefix ``cum_dx[l - 1]`` alone exceeds the budget, no strategy reaching
+    ``l`` or deeper fits and the walk stops. Both cuts rely on latencies
+    being finite and non-negative, which ``LatencyProfile`` enforces.
     """
     config = config or SchedulerConfig()
     n = profile.n_layers
@@ -295,84 +202,57 @@ def solve_dp(
         raise InputError(
             f"importance covers {importance.n_layers} layers, profile has {n}"
         )
+    # a clipped budget is 0 ms, which still admits zero-cost selections,
+    # exactly as the oracle sees it
     bud = budget(profile.t_total, profile.t_f_total, config.sigma)
-    if bud.ms <= 0:
-        return _empty_result(bud, n, config)
+    a = importance.a.tolist()
+    t_dw = profile.t_dw.tolist()
+    cum_dx = profile.cum_dx.tolist()
+    cum_re = profile.cum_re.tolist()
+    layers = [l for l in range(1, n + 1) if profile.selectable[l]]
+    # An extension adds at most n terms to a sum and two more to a cost;
+    # each rounding moves a value by at most half an ulp of the largest
+    # feasible cost (or of the total importance), so gaps beyond these
+    # slacks survive every extension.
+    cost_slack = (n + 2) * math.ulp(2.0 * bud.ms)
+    gain_slack = (n + 2) * math.ulp(2.0 * _exact_gain(tuple(layers), a))
 
-    a = importance.a
-    frontiers: dict[int, list[_Chain]] = {0: [_ROOT]}
+    stairs = [(0.0, 0.0, ())]  # (t_dw_sum, gain, selected), cost-sorted
+    best = (0.0, 0.0, ())  # (gain, cost, selection) of the empty strategy
     explored = 0
     pruned = 0
-    predecessors = [0]  # 0 plus selectable layers seen so far, ascending
-
-    for l in range(1, n + 1):
-        if not profile.selectable[l]:
-            continue
-        if float(profile.cum_dx[l - 1]) > bud.ms:
-            # no chain reaching this depth (or deeper) can fit: the
-            # activation-gradient prefix alone overruns the budget
-            remaining = [
-                m for m in range(l, n + 1) if profile.selectable[m]
-            ]
-            frontier_total = sum(len(frontiers[p]) for p in predecessors)
-            pruned += len(remaining) * frontier_total
+    for l in layers:
+        dx_l = cum_dx[l - 1]
+        if dx_l > bud.ms:
+            pruned += len(stairs)
             break
-        gain_l = float(a[l])
-        candidates: list[_Chain] = []
-        for l_k in reversed(predecessors):
-            inc = delta_t(l, l_k, profile)
-            for node in frontiers[l_k]:
-                explored += 1
-                cost = node.cost + inc
-                if cost > bud.ms:
-                    pruned += 1
-                    continue
-                candidates.append(_Chain(cost, node.gain + gain_l, l, node))
-        frontiers[l] = _thin(
-            _pareto(candidates), bud.ms, config.resolution
-        )
-        predecessors.append(l)
-
-    best_selected: tuple[int, ...] = ()
-    best = (0.0, 0.0, ())  # (gain, cost, selection) of the empty strategy
-    for l, chains in frontiers.items():
-        if l == 0 or not chains:
-            continue
-        for node in chains:
-            cand_sel = node.selected()
-            cand = (_exact_gain(cand_sel, a), node.cost, cand_sel)
+        dw_l, re_l, a_l = t_dw[l], cum_re[l], a[l]
+        extended = []
+        for t_dw_sum, gain, selected in stairs:
+            explored += 1
+            grown = t_dw_sum + dw_l
+            cost = (grown + dx_l) + re_l  # the order of closed_form_cost
+            if cost > bud.ms:
+                pruned += 1
+                break
+            cand = (gain + a_l, cost, selected + (l,))
             if _better(cand, best):
                 best = cand
-                best_selected = cand_sel
+            extended.append((grown, cand[0], cand[2]))
+        stairs = _staircase(stairs + extended, cost_slack, gain_slack)
 
-    strategy = UpdateStrategy(n_layers=n, selected=best_selected)
-    extra = _closed_form_cost(profile, best_selected)
-    table = None
-    if config.keep_table:
-        table = _build_table(frontiers, bud.ms, config.resolution, n, explored, pruned)
+    gain, _, selected = best
+    extra = closed_form_cost(profile, selected)
     return ScheduleResult(
-        strategy=strategy,
-        achieved_importance=best[0],
+        strategy=UpdateStrategy(n_layers=n, selected=selected),
+        achieved_importance=gain,
         predicted_extra=extra,
         budget_ms=bud.ms,
         slack_ms=bud.ms - extra.t_total_extra,
         budget_clipped=bud.clipped,
         explored=explored,
         pruned=pruned,
-        table=table,
     )
-
-
-def _build_table(frontiers, budget_ms, resolution, n, explored, pruned) -> DPTable:
-    p = np.zeros((n + 1, resolution + 1))
-    for l in range(1, n + 1):
-        p[l, :] = p[l - 1, :]
-        for node in frontiers.get(l, ()):
-            cell = discretize(node.cost, budget_ms, resolution)
-            if cell <= resolution and node.gain > p[l, cell]:
-                p[l, cell] = node.gain
-        np.maximum.accumulate(p[l, :], out=p[l, :])
-    return DPTable(p=p, explored=explored, pruned_count=pruned)
 
 
 def brute_force(
@@ -402,14 +282,14 @@ def brute_force(
     for r in range(len(selectable) + 1):
         for combo in itertools.combinations(selectable, r):
             explored += 1
-            cost = _closed_form_cost(profile, combo)
+            cost = closed_form_cost(profile, combo)
             if cost.t_total_extra > budget_ms:
                 pruned += 1
                 continue
             cand = (_exact_gain(combo, a), cost.t_total_extra, combo)
             if _better(cand, best):
                 best = cand
-    extra = _closed_form_cost(profile, best[2])
+    extra = closed_form_cost(profile, best[2])
     return ScheduleResult(
         strategy=UpdateStrategy(n_layers=n, selected=best[2]),
         achieved_importance=best[0],
@@ -422,24 +302,34 @@ def brute_force(
     )
 
 
-def _quantized(rng: np.random.Generator, low: float, high: float, size, grid: int = 1024):
-    """Uniform draws snapped to a binary grid, so cost sums stay float-exact."""
+def _draw(rng: np.random.Generator, low: float, high: float, size, dyadic: bool):
+    """Uniform draws, snapped to a 1/1024 grid when ``dyadic`` so cost sums
+    stay float-exact."""
     raw = rng.uniform(low, high, size)
-    return np.round(raw * grid) / grid
+    return np.round(raw * 1024) / 1024 if dyadic else raw
 
 
-def random_instance(rng: np.random.Generator, n_min: int = 4, n_max: int = 14) -> dict:
-    """One random scheduling instance for certification runs."""
+def random_instance(
+    rng: np.random.Generator, n_min: int = 4, n_max: int = 14, dyadic: bool = True
+) -> dict:
+    """One random scheduling instance for certification runs.
+
+    Dyadic instances snap every latency to a 1/1024 grid, so cost sums are
+    exact, and take the budget as a random share of the full extra time.
+    Float instances keep the raw draws and pin the budget to the closed-form
+    cost of a randomly drawn strategy, so the optimum often sits exactly on
+    the budget, where rounding decides feasibility.
+    """
     n = int(rng.integers(n_min, n_max + 1))
     selectable = rng.random(n) < 0.85
     if not selectable.any():
         selectable[int(rng.integers(0, n))] = True
     pad = lambda arr: np.concatenate(([0.0], arr))
-    t_dw = _quantized(rng, 0.05, 2.0, n)
+    t_dw = _draw(rng, 0.05, 2.0, n, dyadic)
     t_dw[~selectable] = 0.0
-    t_dx = _quantized(rng, 0.05, 2.0, n)
-    t_re = _quantized(rng, 0.05, 2.0, n)
-    t_f = _quantized(rng, 0.05, 1.0, n)
+    t_dx = _draw(rng, 0.05, 2.0, n, dyadic)
+    t_re = _draw(rng, 0.05, 2.0, n, dyadic)
+    t_f = _draw(rng, 0.05, 1.0, n, dyadic)
     a = rng.uniform(0.0, 10.0, n)
     a[~selectable] = 0.0
     profile = LatencyProfile.from_components(
@@ -450,9 +340,13 @@ def random_instance(rng: np.random.Generator, n_min: int = 4, n_max: int = 14) -
         selectable=np.concatenate(([False], selectable)),
     )
     importance = ImportanceVector(a=pad(a))
-    frac = float(rng.uniform(0.05, 1.0))
-    extra_total = profile.t_b_total + profile.t_re_total
-    sigma = (frac * extra_total + profile.t_f_total) / profile.t_total
+    if dyadic:
+        extra = float(rng.uniform(0.05, 1.0)) * (profile.t_b_total + profile.t_re_total)
+    else:
+        layers = np.flatnonzero(selectable) + 1
+        chosen = tuple(int(b) for b in layers[rng.random(layers.size) < 0.5])
+        extra = closed_form_cost(profile, chosen or (int(layers[0]),)).t_total_extra
+    sigma = (extra + profile.t_f_total) / profile.t_total
     sigma = min(max(sigma, 1e-9), 1.0)
     return {"importance": importance, "profile": profile, "sigma": sigma}
 
@@ -484,7 +378,8 @@ class CertificationReport:
 
 def certify(instances: int, max_n: int = 14, seed: int = 0) -> CertificationReport:
     """Cross-check the search against the enumeration oracle on random
-    instances; any mismatch is serialized for replay."""
+    instances, alternating dyadic and float ones; any mismatch is
+    serialized for replay."""
     if instances < 1:
         raise InputError("need at least one instance")
     if max_n > BRUTE_FORCE_MAX_LAYERS:
@@ -494,8 +389,8 @@ def certify(instances: int, max_n: int = 14, seed: int = 0) -> CertificationRepo
     failures = []
     started = time.perf_counter()
     for index in range(instances):
-        instance = random_instance(rng, n_min=4, n_max=max_n)
-        config = SchedulerConfig(sigma=instance["sigma"], resolution=10_000)
+        instance = random_instance(rng, n_min=4, n_max=max_n, dyadic=index % 2 == 0)
+        config = SchedulerConfig(sigma=instance["sigma"])
         dp = solve_dp(instance["importance"], instance["profile"], config)
         bf = brute_force(instance["importance"], instance["profile"], dp.budget_ms)
         if (
@@ -529,6 +424,6 @@ def load_importance_file(path) -> ImportanceVector:
             raise InputError(f"{path}: invalid JSON ({exc})") from None
     try:
         values = [float(x) for x in document["a"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"importance file malformed: {exc}") from None
     return ImportanceVector(a=np.concatenate(([0.0], values)))

@@ -34,7 +34,6 @@ class TestParser:
             ["schedule", "--importance", "a.json", "--profile", "p.json"]
         )
         assert args.sigma == 0.33
-        assert args.resolution == 500
         assert not args.oracle
 
 
@@ -200,6 +199,45 @@ class TestScheduleCommand:
         assert doc["budget_ms"] == 0.0
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -50.0])
+    def test_unusable_latency_exits_2(self, tmp_path, capsys, bad):
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        doc = json.loads(profile_path.read_text())
+        doc["layers"][0]["t_dw_ms"] = bad
+        profile_path.write_text(json.dumps(doc))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--sigma", "0.5"]
+        )
+        assert rc == 2
+        assert "t_dw[3] must be finite and non-negative" in capsys.readouterr().err
+
+    def test_non_numeric_importance_exits_2(self, tmp_path, capsys):
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        imp_path.write_text(json.dumps({"a": "xyz"}))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path)]
+        )
+        assert rc == 2
+        assert "importance file malformed" in capsys.readouterr().err
+
+    def test_oracle_beyond_enumeration_cap_exits_2(self, tmp_path, capsys):
+        from ttasched.presets import recovery_network
+
+        imp_path = tmp_path / "importance.json"
+        imp_path.write_text(json.dumps({"a": [1.0] * 21}))
+        profile_path = tmp_path / "profile.json"
+        doc = profile_to_document(recovery_network(21), uniform_profile(21))
+        profile_path.write_text(json.dumps(doc))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--oracle"]
+        )
+        assert rc == 2
+        assert "capped at 20 layers" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_byte_identical_reports(self, fixtures_dir, tmp_path):
         scenario = fixtures_dir / "scenario_drift.json"
@@ -268,6 +306,26 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", str(bad)]) == 2
         assert "controller" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, named",
+        [
+            (5, "scheduler must be an object"),
+            ({"sigam": 0.9}, "sigam"),
+            ({"sigma": "fast"}, "scheduler.sigma must be a number"),
+        ],
+    )
+    def test_scenario_malformed_scheduler_exits_2(
+        self, fixtures_dir, tmp_path, capsys, block, named
+    ):
+        scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
+        scenario["scheduler"] = block
+        for key in ("network", "offline_profile", "device", "state_trace"):
+            scenario[key] = str(fixtures_dir / scenario[key])
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", str(bad)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestOracleCheckCommand:

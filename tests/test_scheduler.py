@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ttasched.errors import InputError
 from ttasched.importance import ImportanceVector
 from ttasched.latency import LatencyProfile
+from ttasched.network import closed_form_cost
 from ttasched.presets import uniform_profile, worked_instance
 from ttasched.scheduler import (
     SchedulerConfig,
@@ -11,7 +13,6 @@ from ttasched.scheduler import (
     budget,
     certify,
     delta_t,
-    discretize,
     random_instance,
     solve_dp,
 )
@@ -25,15 +26,9 @@ class TestSchedulerConfig:
             SchedulerConfig(sigma=1.5)
         assert SchedulerConfig(sigma=1.0).sigma == 1.0
 
-    def test_resolution_bound(self):
-        with pytest.raises(InputError):
-            SchedulerConfig(resolution=0)
-
     def test_shipped_defaults(self):
         cfg = SchedulerConfig()
         assert cfg.sigma == 0.33
-        assert cfg.resolution == 500
-        assert not cfg.oracle
 
 
 class TestImportanceFile:
@@ -71,22 +66,6 @@ class TestBudget:
         assert got.ms == 0.0 and got.clipped
 
 
-class TestDiscretize:
-    def test_budget_maps_to_resolution_exactly(self):
-        for bud in (0.1, 7.0, 45.8, 123.456):
-            assert discretize(bud, bud, 500) == 500
-
-    def test_zero_is_zero(self):
-        assert discretize(0.0, 100.0, 500) == 0
-
-    def test_rounds_up(self):
-        assert discretize(0.3, 100.0, 500) == 2  # 1.5 units -> 2
-
-    def test_requires_positive_budget(self):
-        with pytest.raises(InputError):
-            discretize(1.0, 0.0, 500)
-
-
 class TestDeltaT:
     def test_first_selection_from_root(self):
         assert delta_t(1, 0, uniform_profile(3)) == 2.0
@@ -107,9 +86,9 @@ class TestDeltaT:
             delta_t(4, 0, profile)
 
 
-def config_for_budget(profile, target_ms, resolution=500, **kw):
+def config_for_budget(profile, target_ms):
     sigma = (target_ms + profile.t_f_total) / profile.t_total
-    return SchedulerConfig(sigma=sigma, resolution=resolution, **kw)
+    return SchedulerConfig(sigma=sigma)
 
 
 class TestWorkedInstance:
@@ -140,14 +119,6 @@ class TestWorkedInstance:
         assert oracle.strategy.selected == result.strategy.selected
         assert oracle.achieved_importance == result.achieved_importance
 
-    def test_resolution_independent(self):
-        imp, profile = worked_instance()
-        for resolution in (1, 10, 500, 10_000):
-            result = solve_dp(
-                imp, profile, config_for_budget(profile, 7.0, resolution=resolution)
-            )
-            assert result.strategy.selected == (1, 3)
-
 
 class TestBruteForce:
     def test_zero_budget_empty(self):
@@ -176,6 +147,18 @@ class TestSolveDpEdges:
         assert result.strategy.is_empty
         assert result.budget_clipped
         assert result.budget_ms == 0.0
+
+    def test_clipped_budget_still_admits_zero_cost_layers(self):
+        # backward layer 1 costs nothing to update, so it fits a 0 ms budget
+        # and the search must take it, as the oracle does
+        profile = LatencyProfile.from_components(
+            [0.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
+        )
+        imp = ImportanceVector(a=np.array([0.0, 3.0, 5.0]))
+        result = solve_dp(imp, profile, SchedulerConfig(sigma=0.1))
+        assert result.budget_clipped and result.budget_ms == 0.0
+        assert result.strategy.selected == (1,)
+        assert brute_force(imp, profile, 0.0).strategy.selected == (1,)
 
     def test_unselectable_layers_never_selected_but_cost(self):
         # layer 2 (backward) is frozen; selecting 3 must still pay its dx
@@ -236,11 +219,67 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(77)
         for _ in range(50):
             inst = random_instance(rng, n_min=4, n_max=12)
-            cfg = SchedulerConfig(sigma=inst["sigma"], resolution=100_000)
+            cfg = SchedulerConfig(sigma=inst["sigma"])
             dp = solve_dp(inst["importance"], inst["profile"], cfg)
             bf = brute_force(inst["importance"], inst["profile"], dp.budget_ms)
             assert dp.strategy.selected == bf.strategy.selected
             assert dp.achieved_importance == bf.achieved_importance
+
+
+    def test_rounding_coincident_prefixes_keep_the_smaller_vector(self):
+        # 0.3 and 0.1 + 0.2 differ by an ulp, but both round to 1.3 once the
+        # deep layer's 1.0 is added, so (1, 3) and (2, 3) tie exactly and
+        # the smaller vector (2, 3) must win even though (1,) is the
+        # cheaper prefix
+        pad = lambda arr: np.concatenate(([0.0], arr))
+        profile = LatencyProfile.from_components(
+            pad(np.ones(3)), pad([0.3, 0.1 + 0.2, 1.0]), pad(np.zeros(3)),
+            pad(np.zeros(3)),
+        )
+        imp = ImportanceVector(a=pad([1.0, 1.0, 10.0]))
+        dp = solve_dp(imp, profile, config_for_budget(profile, 1.4))
+        assert dp.strategy.selected == (2, 3)
+        assert brute_force(imp, profile, dp.budget_ms).strategy.selected == (2, 3)
+
+
+_FINITE = dict(min_value=0.0, max_value=100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_instances(draw, max_layers=12):
+    """A profile of arbitrary non-negative floats up to 100 and a sigma that is
+    either free or pinned to some strategy's exact closed-form cost."""
+    n = draw(st.integers(1, max_layers))
+    column = lambda: np.concatenate(
+        ([0.0], draw(st.lists(st.floats(**_FINITE), min_size=n, max_size=n)))
+    )
+    mask = lambda: [False] + draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    profile = LatencyProfile.from_components(
+        column(), column(), column(), column(), selectable=mask()
+    )
+    importance = ImportanceVector(a=column())
+    assume(profile.t_total > 0)
+    pin = mask()
+    if draw(st.booleans()):
+        chosen = tuple(b for b in range(1, n + 1) if pin[b] and profile.selectable[b])
+        extra = closed_form_cost(profile, chosen).t_total_extra
+        sigma = min((extra + profile.t_f_total) / profile.t_total, 1.0)
+    else:
+        sigma = draw(st.floats(min_value=0.0, max_value=1.0))
+    assume(sigma > 0.0)
+    return importance, profile, sigma
+
+
+class TestFloatOracleProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(float_instances())
+    def test_search_equals_oracle_on_arbitrary_floats(self, instance):
+        importance, profile, sigma = instance
+        dp = solve_dp(importance, profile, SchedulerConfig(sigma=sigma))
+        bf = brute_force(importance, profile, dp.budget_ms)
+        assert dp.strategy.selected == bf.strategy.selected
+        assert dp.achieved_importance == bf.achieved_importance
+        assert dp.predicted_extra.t_total_extra <= dp.budget_ms
 
 
 class TestFeasibility:
@@ -274,16 +313,6 @@ class TestMonotonicity:
                 )
             assert all(a <= b + 1e-12 for a, b in zip(gains, gains[1:]))
 
-    def test_resolution_refinement_never_loses_importance(self):
-        rng = np.random.default_rng(42)
-        for _ in range(40):
-            inst = random_instance(rng, n_min=4, n_max=10)
-            cfg_lo = SchedulerConfig(sigma=inst["sigma"], resolution=50)
-            cfg_hi = SchedulerConfig(sigma=inst["sigma"], resolution=5000)
-            lo = solve_dp(inst["importance"], inst["profile"], cfg_lo)
-            hi = solve_dp(inst["importance"], inst["profile"], cfg_hi)
-            assert hi.achieved_importance >= lo.achieved_importance
-
 
 class TestChainConsistency:
     def test_backtracked_strategy_cost_equals_chain_exhaustive(self):
@@ -310,27 +339,6 @@ class TestChainConsistency:
                 closed = strategy_cost(net, result.strategy, profile)
                 assert chained == closed.t_total_extra
                 assert result.predicted_extra.t_total_extra == closed.t_total_extra
-
-
-class TestDPTable:
-    def test_table_monotone_in_both_axes(self):
-        rng = np.random.default_rng(44)
-        for _ in range(10):
-            inst = random_instance(rng, n_min=4, n_max=8)
-            cfg = SchedulerConfig(
-                sigma=inst["sigma"], resolution=64, keep_table=True
-            )
-            result = solve_dp(inst["importance"], inst["profile"], cfg)
-            p = result.table.p
-            assert np.all(p[0, :] == 0.0)
-            assert np.all(np.diff(p, axis=0) >= 0.0)  # deeper never loses
-            assert np.all(np.diff(p, axis=1) >= 0.0)  # more budget never loses
-
-    def test_table_corner_equals_result(self):
-        imp, profile = worked_instance()
-        cfg = config_for_budget(profile, 7.0, keep_table=True)
-        result = solve_dp(imp, profile, cfg)
-        assert result.table.p[-1, -1] == result.achieved_importance
 
 
 class TestTieStress:
@@ -398,21 +406,6 @@ class TestScale:
         assert time.perf_counter() - started < 5.0
         assert not result.strategy.is_empty
         assert result.predicted_extra.t_total_extra <= result.budget_ms
-
-    def test_frontier_thinning_keeps_best_per_cell(self):
-        from ttasched.scheduler import _Chain, _thin
-
-        chains = [
-            _Chain(cost=float(i) / 10_000, gain=float(i % 97), layer=1, parent=None)
-            for i in range(30_000)
-        ]
-        thinned = _thin(chains, budget_ms=4.0, resolution=16)
-        assert len(thinned) < len(chains)
-        costs = [c.cost for c in thinned]
-        gains = [c.gain for c in thinned]
-        assert costs == sorted(costs)
-        assert gains == sorted(gains)  # still a Pareto staircase
-        assert max(gains) == 96.0
 
 
 class TestTieBreaks:
