@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,28 +377,30 @@ class StateTrace:
 
     records: tuple[tuple[float, SystemState], ...]
     horizon_ms: float
+    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.records:
             raise InputError("state trace must contain at least one record")
         recs = tuple(sorted(self.records, key=lambda r: r[0]))
         object.__setattr__(self, "records", recs)
+        # times of every record but the first: bisecting them gives the index
+        # of the record in force, and 0 before the second record's time
+        object.__setattr__(self, "_times", tuple(ts for ts, _ in recs[1:]))
         if self.horizon_ms < recs[-1][0]:
             raise InputError("trace horizon precedes its last record")
 
     def state_at(self, t_ms: float) -> SystemState:
-        if t_ms > self.horizon_ms:
+        """State of the last record at or before ``t_ms`` (of the last one
+        among equal timestamps); before the first record, the first state."""
+        if not t_ms <= self.horizon_ms:
+            if math.isnan(t_ms):
+                raise InputError("trace time must be a number, got nan")
             raise TraceExhausted(
                 f"trace exhausted: t={t_ms:.3f} ms beyond horizon "
                 f"{self.horizon_ms:.3f} ms"
             )
-        current = self.records[0][1]
-        for ts, state in self.records:
-            if ts <= t_ms:
-                current = state
-            else:
-                break
-        return current
+        return self.records[bisect_right(self._times, t_ms)][1]
 
     @classmethod
     def constant(cls, state: SystemState, horizon_ms: float = math.inf) -> "StateTrace":
@@ -406,17 +409,20 @@ class StateTrace:
 
 def load_device(document: dict) -> DeviceSpec:
     try:
-        return DeviceSpec(
+        fields = dict(
             peak_flops=float(document["peak_flops"]),
             b_cache=float(document["b_cache"]),
             b_dram=float(document["b_dram"]),
-            dvfs=tuple((d["tem_c"], d["freq_hz"]) for d in document["dvfs"]),
+            dvfs=tuple(
+                (float(d["tem_c"]), float(d["freq_hz"])) for d in document["dvfs"]
+            ),
             proc_overhead_k=float(document["proc_overhead_k"]),
             tem_off=float(document["tem_off"]),
             phi_off=float(document.get("phi_off", 1.0)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"device document malformed: {exc}") from None
+    return DeviceSpec(**fields)
 
 
 def load_device_file(path) -> DeviceSpec:
@@ -430,16 +436,16 @@ def load_device_file(path) -> DeviceSpec:
 
 def load_trace(document: dict) -> StateTrace:
     try:
-        records = tuple(
-            (
-                float(r["t_ms"]),
-                SystemState(n=int(r["n"]), tem_on=float(r["tem_c"]), phi=float(r["phi"])),
-            )
+        rows = [
+            (float(r["t_ms"]), int(r["n"]), float(r["tem_c"]), float(r["phi"]))
             for r in document["records"]
-        )
+        ]
         horizon = float(document["horizon_ms"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"trace document malformed: {exc}") from None
+    records = tuple(
+        (t_ms, SystemState(n=n, tem_on=tem_c, phi=phi)) for t_ms, n, tem_c, phi in rows
+    )
     return StateTrace(records=records, horizon_ms=horizon)
 
 
@@ -456,7 +462,7 @@ def load_offline_profile(document: dict, n_layers: int) -> OfflineProfile:
     """Read forward-order per-layer offline measurements into backward arrays."""
     try:
         entries = {int(r["layer_id"]): r for r in document["layers"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"offline profile malformed: {exc}") from None
     t_f = np.zeros(n_layers + 1)
     t_b = np.zeros(n_layers + 1)
@@ -474,6 +480,8 @@ def load_offline_profile(document: dict, n_layers: int) -> OfflineProfile:
             raise InputError(
                 f"offline profile layer {layer_id} missing {exc.args[0]!r}"
             ) from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"offline profile layer {layer_id} malformed: {exc}") from None
     return OfflineProfile(t_f=t_f, t_b=t_b, t_re=t_re)
 
 
@@ -519,7 +527,7 @@ def profile_from_document(document: dict) -> LatencyProfile:
     """Rebuild a runtime profile from its file schema."""
     try:
         entries = {int(r["layer_id"]): r for r in document["layers"]}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"runtime profile malformed: {exc}") from None
     n = len(entries)
     if set(entries) != set(range(n)):
@@ -545,6 +553,8 @@ def profile_from_document(document: dict) -> LatencyProfile:
             raise InputError(
                 f"runtime profile layer {layer_id} missing {exc.args[0]!r}"
             ) from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"runtime profile layer {layer_id} malformed: {exc}") from None
     return LatencyProfile(
         t_f=t_f,
         t_b_off=t_b.copy(),

@@ -202,6 +202,15 @@ def generate_batch(
 ) -> list[FeatureStats]:
     """Sample one batch's per-layer channel statistics.
 
+    Each channel of a layer sees ``n = batch_size * positions`` Gaussian
+    samples, but only their mean and population variance are reported, so
+    those two are drawn from their exact joint sampling distribution and no
+    per-sample draws are made: the mean is ``N(mu, var / n)`` and, independent
+    of it (Cochran's theorem), the variance is ``var * chi2(n - 1) / n``,
+    exactly 0 when ``n == 1``. Layers are drawn in forward order; per layer,
+    one standard normal per channel, then (if ``n > 1``) one chi-square per
+    channel.
+
     ``exact`` skips sampling and reports the underlying distribution
     parameters directly (the infinite-batch limit).
     """
@@ -220,14 +229,12 @@ def generate_batch(
                 )
             )
             continue
-        std = np.sqrt(varis[layer])
-        draws = rng.normal(
-            loc=means[layer][:, None],
-            scale=std[:, None],
-            size=(env.channels[layer], n_samples),
-        )
-        mu = draws.mean(axis=1)
-        var = np.mean((draws - mu[:, None]) ** 2, axis=1)
+        c = env.channels[layer]
+        mu = means[layer] + np.sqrt(varis[layer] / n_samples) * rng.standard_normal(c)
+        if n_samples > 1:
+            var = varis[layer] * rng.chisquare(n_samples - 1, c) / n_samples
+        else:
+            var = np.zeros(c)
         stats.append(FeatureStats(means=mu, variances=var, sample_count=n_samples))
     return stats
 
@@ -314,6 +321,12 @@ def execute_ground_truth(
     state at each layer's own execution instant and applies multiplicative
     jitter Uniform(1-eps, 1+eps), so prediction error is exactly zero only
     for a static state with eps=0.
+
+    Layers run in this order: forward from backward index n down to 1; then,
+    for each backward index b up to the deepest selected layer d, the
+    activation gradient (if b < d) and the weight gradient (if b is
+    selected); then the reforward over ``plan.executed``. With an ``rng``,
+    one jitter value per run is drawn up front, in that order.
     """
     if not (0.0 <= jitter_eps < 1.0):
         raise InputError("jitter_eps must lie in [0, 1)")
@@ -325,40 +338,37 @@ def execute_ground_truth(
     dw_exec = np.zeros(n + 1)
     dx_exec = np.zeros(n + 1)
     re_exec = np.zeros(n + 1)
-    now = t_start_ms
 
-    def jitter() -> float:
-        if rng is None:
-            return 1.0
-        return float(rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps))
-
-    def run(b: int, t_off: float) -> float:
-        nonlocal now
-        layer = network.layer_by_backward(b)
-        factors = expansion_factors(device, state_at(now))
-        lat = predict_layer_latency(t_off, layer_eta(layer, device), factors) * jitter()
-        now += lat
-        return lat
-
-    # forward: input side to output side
-    for b in range(n, 0, -1):
-        f_exec[b] = run(b, float(offline.t_f[b]))
-
-    # backward: output side down to the deepest selected layer
+    # (output array, backward index, offline latency), in execution order
+    steps = [(f_exec, b, float(offline.t_f[b])) for b in range(n, 0, -1)]
     d = strategy.deepest
     selected = set(strategy.selected)
     for b in range(1, d + 1):
-        layer = network.layer_by_backward(b)
-        dw_off, dx_off = split_backward(float(offline.t_b[b]), layer)
+        dw_off, dx_off = split_backward(float(offline.t_b[b]), network.layer_by_backward(b))
         if b < d:
-            dx_exec[b] = run(b, dx_off)
+            steps.append((dx_exec, b, dx_off))
         if b in selected:
-            dw_exec[b] = run(b, dw_off)
-
-    # reforward: only the layers the reuse plan exposes
+            steps.append((dw_exec, b, dw_off))
     for forward_id in plan.executed:
         b = network.backward_index(forward_id)
-        re_exec[b] = run(b, float(offline.t_re[b]))
+        steps.append((re_exec, b, float(offline.t_re[b])))
+
+    etas = [0.0] + [layer_eta(network.layer_by_backward(b), device) for b in range(1, n + 1)]
+    if rng is None:
+        jitters = [1.0] * len(steps)
+    else:
+        jitters = rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps, len(steps)).tolist()
+
+    now = t_start_ms
+    state = factors = None
+    for (out, b, t_off), jit in zip(steps, jitters):
+        current = state_at(now)
+        if current is not state:
+            state = current
+            factors = expansion_factors(device, state)
+        lat = predict_layer_latency(t_off, etas[b], factors) * jit
+        out[b] = lat
+        now += lat
 
     return ExecutionResult(
         f_exec=f_exec,
@@ -765,21 +775,36 @@ _SCHEDULER_FIELDS = frozenset({"sigma"})
 _ENV_FIELDS = frozenset({"base_mean", "base_var", "positions", "shifts"})
 
 
+def _number(kind, value, field: str):
+    """``kind(value)`` for a configuration field; a value that ``kind``
+    cannot convert is an InputError naming ``field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise InputError(f"{field} must be {noun}, got {value!r}") from None
+
+
 def environment_from_config(network: Network, cfg: dict, batch_size: int) -> EnvironmentSpec:
+    if not isinstance(cfg, dict):
+        raise InputError("environment must be an object")
     unknown = set(cfg) - _ENV_FIELDS
     if unknown:
         raise InputError(f"environment: unknown fields {sorted(unknown)}")
     n = network.n_layers
-    base_mean = cfg.get("base_mean", 0.0)
-    base_var = cfg.get("base_var", 1.0)
+    base_mean = _number(float, cfg.get("base_mean", 0.0), "environment.base_mean")
+    base_var = _number(float, cfg.get("base_var", 1.0), "environment.base_var")
     positions = cfg.get("positions", 1)
     if isinstance(positions, (int, float)):
-        positions = [int(positions)] * n
-    if len(positions) != n:
+        positions = [positions] * n
+    if not isinstance(positions, (list, tuple)) or len(positions) != n:
         raise InputError(f"environment.positions must cover {n} layers")
+    positions = tuple(
+        _number(int, p, f"environment.positions[{i}]") for i, p in enumerate(positions)
+    )
     channels = tuple(layer.channels for layer in network.layers)
-    means = tuple(np.full(c, float(base_mean)) for c in channels)
-    varis = tuple(np.full(c, float(base_var)) for c in channels)
+    means = tuple(np.full(c, base_mean) for c in channels)
+    varis = tuple(np.full(c, base_var) for c in channels)
     shifts = []
     for k, raw in enumerate(cfg.get("shifts", [])):
         try:
@@ -791,11 +816,11 @@ def environment_from_config(network: Network, cfg: dict, batch_size: int) -> Env
                     var_scale=float(raw.get("var_scale", 1.0)),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"environment.shifts[{k}] malformed: {exc}") from None
     return EnvironmentSpec(
         channels=channels,
-        positions=tuple(int(p) for p in positions),
+        positions=positions,
         base_means=means,
         base_vars=varis,
         shifts=tuple(shifts),
@@ -836,10 +861,7 @@ def load_scenario_file(path) -> Scenario:
     unknown = set(sched_cfg) - _SCHEDULER_FIELDS
     if unknown:
         raise InputError(f"{path}: scheduler: unknown fields {sorted(unknown)}")
-    try:
-        sigma = float(sched_cfg.get("sigma", 0.33))
-    except (TypeError, ValueError):
-        raise InputError(f"{path}: scheduler.sigma must be a number") from None
+    sigma = _number(float, sched_cfg.get("sigma", 0.33), f"{path}: scheduler.sigma")
     controller_cfg = cfg.get("controller")
     controller = ControllerConfig()
     if controller_cfg is not None:
@@ -847,27 +869,29 @@ def load_scenario_file(path) -> Scenario:
             controller = ControllerConfig(**controller_cfg)
         except TypeError as exc:
             raise InputError(f"{path}: controller malformed ({exc})") from None
-    batch_size = int(cfg.get("batch_size", 1))
+    batch_size = _number(int, cfg.get("batch_size", 1), f"{path}: batch_size")
     environment = environment_from_config(
         network, require("environment"), batch_size
     )
     return Scenario(
         name=str(cfg.get("name", path.stem)),
         mode=str(require("mode")),
-        seed=int(cfg.get("seed", 0)),
-        batches=int(require("batches")),
+        seed=_number(int, cfg.get("seed", 0), f"{path}: seed"),
+        batches=_number(int, require("batches"), f"{path}: batches"),
         environment=environment,
         network=network,
         offline=offline,
         device=device,
         trace=trace,
         sigma=sigma,
-        alpha=float(cfg.get("alpha", 0.1)),
+        alpha=_number(float, cfg.get("alpha", 0.1), f"{path}: alpha"),
         kl_mode=str(cfg.get("kl_mode", "gaussian")),
-        adaptation_gain=float(cfg.get("adaptation_gain", 1.0)),
-        jitter_eps=float(cfg.get("jitter", 0.0)),
+        adaptation_gain=_number(
+            float, cfg.get("adaptation_gain", 1.0), f"{path}: adaptation_gain"
+        ),
+        jitter_eps=_number(float, cfg.get("jitter", 0.0), f"{path}: jitter"),
         inter_batch_ms=(
-            float(cfg["inter_batch_ms"])
+            _number(float, cfg["inter_batch_ms"], f"{path}: inter_batch_ms")
             if cfg.get("inter_batch_ms") is not None
             else None
         ),

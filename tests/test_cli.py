@@ -144,6 +144,68 @@ class TestPredictCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "fixture, edit, named",
+        [
+            ("device.json", lambda d: d.update(peak_flops="abc"), "device document malformed"),
+            (
+                "trace.json",
+                lambda d: d["records"][0].update(n="x"),
+                "trace document malformed",
+            ),
+            (
+                "trace.json",
+                lambda d: d["records"][0].update(n=float("inf")),
+                "trace document malformed",
+            ),
+            (
+                "offline_profile.json",
+                lambda d: d["layers"][0].update(t_f_ms="abc"),
+                "offline profile layer 0 malformed",
+            ),
+            (
+                "offline_profile.json",
+                lambda d: d["layers"][0].update(layer_id="first"),
+                "offline profile malformed",
+            ),
+        ],
+        ids=["device-peak_flops", "trace-n", "trace-n-inf", "offline-t_f_ms", "offline-layer_id"],
+    )
+    def test_non_numeric_loader_field_exits_2(
+        self, fixtures_dir, tmp_path, capsys, fixture, edit, named
+    ):
+        paths = {
+            name: fixtures_dir / name
+            for name in ("device.json", "trace.json", "offline_profile.json")
+        }
+        doc = json.loads(paths[fixture].read_text())
+        edit(doc)
+        paths[fixture] = tmp_path / fixture
+        paths[fixture].write_text(json.dumps(doc))
+        rc = main(
+            ["predict",
+             "--network", str(fixtures_dir / "network.json"),
+             "--offline-profile", str(paths["offline_profile.json"]),
+             "--device", str(paths["device.json"]),
+             "--state-trace", str(paths["trace.json"]),
+             "--out", str(tmp_path / "profile.json")]
+        )
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_nan_instant_exits_2(self, fixtures_dir, tmp_path, capsys):
+        rc = main(
+            ["predict",
+             "--network", str(fixtures_dir / "network.json"),
+             "--offline-profile", str(fixtures_dir / "offline_profile.json"),
+             "--device", str(fixtures_dir / "device.json"),
+             "--state-trace", str(fixtures_dir / "trace.json"),
+             "--at-ms", "nan",
+             "--out", str(tmp_path / "profile.json")]
+        )
+        assert rc == 2
+        assert "trace time must be a number" in capsys.readouterr().err
+
 
 def write_worked_instance(tmp_path):
     imp, profile = worked_instance()
@@ -211,6 +273,25 @@ class TestScheduleCommand:
         )
         assert rc == 2
         assert "t_dw[3] must be finite and non-negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("t_dw_ms", "abc", "runtime profile layer 0 malformed"),
+            ("layer_id", "first", "runtime profile malformed"),
+        ],
+    )
+    def test_non_numeric_profile_field_exits_2(self, tmp_path, capsys, key, value, named):
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        doc = json.loads(profile_path.read_text())
+        doc["layers"][0][key] = value
+        profile_path.write_text(json.dumps(doc))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--sigma", "0.5"]
+        )
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_non_numeric_importance_exits_2(self, tmp_path, capsys):
         imp_path, profile_path = write_worked_instance(tmp_path)
@@ -306,6 +387,49 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", str(bad)]) == 2
         assert "controller" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("batches", "x", "batches must be an integer, got 'x'"),
+            ("jitter", "high", "jitter must be a number, got 'high'"),
+            ("seed", [1], "seed must be an integer"),
+            ("inter_batch_ms", "soon", "inter_batch_ms must be a number"),
+        ],
+    )
+    def test_scenario_non_numeric_field_exits_2(
+        self, fixtures_dir, tmp_path, capsys, key, value, named
+    ):
+        scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
+        scenario[key] = value
+        for ref in ("network", "offline_profile", "device", "state_trace"):
+            scenario[ref] = str(fixtures_dir / scenario[ref])
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario.json" in err and named in err
+
+    @pytest.mark.parametrize(
+        "env_edit, named",
+        [
+            ({"positions": None}, "environment.positions must cover"),
+            ({"base_var": "x"}, "environment.base_var must be a number"),
+            ({"shifts": [{"batch": "x", "layers": [0], "mean_offset_sigmas": 1.0}]},
+             "environment.shifts[0] malformed"),
+        ],
+    )
+    def test_scenario_malformed_environment_exits_2(
+        self, fixtures_dir, tmp_path, capsys, env_edit, named
+    ):
+        scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
+        scenario["environment"].update(env_edit)
+        for ref in ("network", "offline_profile", "device", "state_trace"):
+            scenario[ref] = str(fixtures_dir / scenario[ref])
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", str(bad)]) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "block, named",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -371,3 +373,47 @@ class TestStateTrace:
         )
         with pytest.raises(TraceExhausted, match="trace exhausted"):
             trace.state_at(10.1)
+
+    def test_before_first_record_gives_first_state(self):
+        first = SystemState(n=1, tem_on=25.0, phi=1.0)
+        trace = StateTrace(
+            records=((50.0, SystemState(n=2, tem_on=25.0, phi=1.0)), (5.0, first)),
+            horizon_ms=100.0,
+        )
+        assert trace.state_at(0.0) is first
+        assert trace.state_at(-3.0) is first
+
+    def test_record_timestamp_gives_that_record(self):
+        states = [SystemState(n=k, tem_on=25.0, phi=1.0) for k in range(4)]
+        trace = StateTrace(
+            records=tuple((10.0 * k, s) for k, s in enumerate(states)),
+            horizon_ms=100.0,
+        )
+        for k, s in enumerate(states):
+            assert trace.state_at(10.0 * k) is s
+            assert trace.state_at(10.0 * k + 5.0) is s
+
+    def test_duplicate_timestamps_give_the_last(self):
+        a, b, c = (SystemState(n=k, tem_on=25.0, phi=1.0) for k in range(3))
+        trace = StateTrace(records=((0.0, a), (10.0, b), (10.0, c)), horizon_ms=20.0)
+        assert trace.state_at(9.9) is a
+        assert trace.state_at(10.0) is c
+        assert trace.state_at(20.0) is c
+
+    def test_past_horizon_raises_after_many_records(self):
+        trace = StateTrace(
+            records=tuple(
+                (float(k), SystemState(n=k, tem_on=25.0, phi=1.0)) for k in range(50)
+            ),
+            horizon_ms=49.5,
+        )
+        assert trace.state_at(49.5).n == 49
+        with pytest.raises(TraceExhausted):
+            trace.state_at(49.6)
+        with pytest.raises(TraceExhausted):
+            trace.state_at(math.inf)
+
+    def test_nan_time_rejected(self):
+        trace = StateTrace.constant(SystemState(n=0, tem_on=25.0, phi=1.0))
+        with pytest.raises(InputError, match="must be a number"):
+            trace.state_at(math.nan)

@@ -186,6 +186,40 @@ class TestGenerateBatch:
             assert np.array_equal(sa.means, sb.means)
             assert np.array_equal(sa.variances, sb.variances)
 
+    def test_statistics_follow_their_sampling_distribution(self):
+        # one channel over 2000 batches of n = 4 * 3 samples from N(1.5, 2):
+        # the mean is N(1.5, 2/n), n * variance / 2 is chi2(n - 1), and both
+        # match draws reduced from explicit per-sample normals
+        from scipy import stats as st
+
+        net = recovery_network(1, channels=4)
+        env = simple_env(
+            net,
+            shifts=(Shift(batch_index=0, layers=(0,), mean_offset_sigmas=1.5, var_scale=2.0),),
+            batch_size=4,
+            positions=(3,),
+        )
+        model = ModelResponseState.from_environment(env)
+        rng = np.random.default_rng(5)
+        batches = [generate_batch(env, model, 0, rng)[0] for _ in range(2000)]
+        means = np.array([b.means[0] for b in batches])
+        varis = np.array([b.variances[0] for b in batches])
+        n = 12
+        assert st.kstest(means, "norm", args=(1.5, math.sqrt(2.0 / n))).pvalue > 1e-3
+        assert st.kstest(n * varis / 2.0, "chi2", args=(n - 1,)).pvalue > 1e-3
+        draws = np.random.default_rng(6).normal(1.5, math.sqrt(2.0), size=(2000, n))
+        assert st.ks_2samp(means, draws.mean(axis=1)).pvalue > 1e-3
+        assert st.ks_2samp(varis, draws.var(axis=1)).pvalue > 1e-3
+
+    def test_single_sample_has_zero_variance(self):
+        net = recovery_network(3, channels=4)
+        env = simple_env(net, batch_size=1, positions=(1, 1, 1))
+        model = ModelResponseState.from_environment(env)
+        for st in generate_batch(env, model, 0, np.random.default_rng(2)):
+            assert st.sample_count == 1
+            assert np.all(st.variances == 0.0)
+            assert np.all(st.means != 0.0)
+
     def test_exact_mode_reports_distribution_parameters(self):
         net = recovery_network(2)
         env = simple_env(net)
@@ -295,6 +329,95 @@ class TestExecuteGroundTruth:
         assert np.all(execd.dx_exec[1:5] > 0.0)
         assert np.all(execd.dx_exec[5:] == 0.0)  # deepest layer pays dw only
         assert execd.dw_exec[5] > 0.0
+
+
+def reference_execute(network, offline, device, state_at, strategy, plan,
+                      jitter_eps=0.0, rng=None, t_start_ms=0.0):
+    """The executor as one scalar loop: every layer run looks up its state,
+    factors, eta and backward split afresh and draws its own jitter."""
+    from ttasched.latency import (
+        eta,
+        expansion_factors,
+        predict_layer_latency,
+        split_backward,
+    )
+
+    n = network.n_layers
+    f_exec, dw_exec, dx_exec, re_exec = (np.zeros(n + 1) for _ in range(4))
+    now = t_start_ms
+
+    def run(b, t_off):
+        nonlocal now
+        layer = network.layer_by_backward(b)
+        factors = expansion_factors(device, state_at(now))
+        jitter = 1.0 if rng is None else float(rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps))
+        lat = predict_layer_latency(t_off, eta(layer, device), factors) * jitter
+        now += lat
+        return lat
+
+    for b in range(n, 0, -1):
+        f_exec[b] = run(b, float(offline.t_f[b]))
+    d = strategy.deepest
+    for b in range(1, d + 1):
+        dw_off, dx_off = split_backward(float(offline.t_b[b]), network.layer_by_backward(b))
+        if b < d:
+            dx_exec[b] = run(b, dx_off)
+        if b in strategy.selected:
+            dw_exec[b] = run(b, dw_off)
+    for forward_id in plan.executed:
+        b = network.backward_index(forward_id)
+        re_exec[b] = run(b, float(offline.t_re[b]))
+    return (f_exec, dw_exec, dx_exec, re_exec), now
+
+
+class TestExecutorMatchesReference:
+    def test_bit_identical_on_time_varying_trace(self):
+        network = synthetic_network(24)
+        device = demo_edge_device()
+        offline = offline_from_costs(network, device)
+        conditions = list(resource_conditions().values())
+        # a new state every seventh of a forward pass, so states change
+        # between the runs of one call
+        step = float(np.sum(offline.t_f)) / 7
+        trace = StateTrace(
+            records=tuple(
+                (k * step, conditions[k % len(conditions)]) for k in range(2000)
+            ),
+            horizon_ms=math.inf,
+        )
+        pick = np.random.default_rng(4)
+        selectable = np.array(network.selectable_backward())
+        strategies = [
+            UpdateStrategy(24, ()),
+            UpdateStrategy(24, network.selectable_backward()),
+        ] + [
+            UpdateStrategy(24, tuple(int(b) for b in selectable[pick.random(selectable.size) < p]))
+            for p in (0.1, 0.3, 0.6)
+        ]
+        start = 0.0
+        for strategy in strategies:
+            plan = reuse_plan(strategy, network)
+            for eps, seed in ((0.02, 11), (0.0, 12), (0.0, None)):
+                rng = None if seed is None else np.random.default_rng(seed)
+                ref_rng = None if seed is None else np.random.default_rng(seed)
+                execd = execute_ground_truth(
+                    network, offline, device, trace.state_at, strategy, plan,
+                    jitter_eps=eps, rng=rng, t_start_ms=start,
+                )
+                arrays, finish = reference_execute(
+                    network, offline, device, trace.state_at, strategy, plan,
+                    jitter_eps=eps, rng=ref_rng, t_start_ms=start,
+                )
+                for got, want in zip(
+                    (execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec), arrays
+                ):
+                    assert np.array_equal(got, want)
+                assert execd.finish_ms == finish
+                assert execd.start_ms == start
+                if rng is not None:
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert finish - start > 2 * step  # spans several records
+                start = finish
 
 
 class TestApplyUpdate:
