@@ -2,7 +2,8 @@
 
 Embeds feature batches as interleaved channel (mean, variance) vectors,
 scores drift with Gaussian KL divergence against a tracked history, and
-shows the exponential history absorbing a persistent shift.
+shows the exponential history absorbing a persistent shift. A chain of
+layers is one stacked embedding, scored layer by layer in one call.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from ttasched import (
     EmbeddingHistory,
     adaptation_loss,
     embed,
+    layer_divergences,
     layer_importance,
     update_history,
 )
@@ -42,8 +44,10 @@ for step in range(8):
     history = update_history(history, [current])
 print("the shift stops looking novel as the history absorbs it.")
 
-# the adaptation objective sums per-layer divergences over all layers
-hs = [clean, clean]
-cs = [shifted, again]
-print(f"\ntwo-layer adaptation loss: {adaptation_loss(hs, cs):.3f} nats")
-print(f"  (= {layer_importance(hs[0], cs[0]):.3f} + {layer_importance(hs[1], cs[1]):.5f})")
+# a chain stacks its layers into one embedding; every layer is scored in
+# one pass, and the adaptation objective sums those per-layer divergences
+hs = Embedding.concat([clean, clean])
+cs = Embedding.concat([shifted, again])
+print(f"\ntwo-layer chain, widths {hs.widths}")
+print(f"  per-layer divergences: {layer_divergences(hs, cs).round(5).tolist()}")
+print(f"  adaptation loss: {adaptation_loss(hs, cs):.3f} nats")

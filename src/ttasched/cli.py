@@ -13,13 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import InputError
-from .importance import (
-    embed,
-    layer_importance,
-    load_stats_file,
-)
+from .importance import EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
     load_device_file,
@@ -66,20 +63,14 @@ def cmd_assess(args) -> int:
         raise InputError(
             f"network has {network.n_layers} layers, stats cover {n}"
         )
-    a = [0.0] * (n + 1)
-    for layer_id in range(n):
-        h = embed(history_stats[layer_id])
-        e = embed(current_stats[layer_id])
-        if h.channels != e.channels:
+    for layer_id, (h, e) in enumerate(zip(history_stats.widths, current_stats.widths)):
+        if h != e:
             raise InputError(
-                f"layer {layer_id}: history has {h.channels} channels, "
-                f"current has {e.channels}"
+                f"layer {layer_id}: history has {h} channels, current has {e}"
             )
-        b = n - layer_id
-        if network is not None and not network.layers[layer_id].has_params:
-            continue
-        a[b] = layer_importance(h, e, mode=args.kl_mode)
-    _dump_json({"a": a[1:]}, args.out)
+    history = EmbeddingHistory.seed(history_stats)
+    vector, _ = assess(network, history, current_stats, mode=args.kl_mode)
+    _dump_json({"a": vector.a[1:].tolist()}, args.out)
     return 0
 
 
@@ -211,9 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parser is a web of reference cycles that only
+# the cyclic collector frees, and callers such as batch drivers invoke
+# ``main`` once per run
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

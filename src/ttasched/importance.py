@@ -6,18 +6,26 @@ the current batch's embedding from an exponentially tracked history
 embedding: large divergence marks a layer whose behaviour the new
 environment has drifted away from, i.e. a layer worth updating.
 
+Statistics, embeddings and histories cover a whole chain at once: one flat
+per-channel array over all layers in forward order, with the per-layer
+channel widths beside it. A one-layer object is the case of a single width.
+Every divergence goes through one kernel, ``layer_divergences``, which
+computes all channels' terms in one elementwise pass and reduces them per
+layer as row sums of a (layers x width) block, one block per distinct width.
+
 Two divergence modes exist. The default ``gaussian`` mode treats each
 channel's (mean, variance) pair as a Gaussian and sums closed-form Gaussian
 KL over channels; it is well-defined for arbitrary real means. The
-``elementwise`` mode softmax-normalizes both embedding vectors and applies
-the discrete KL sum, kept for comparison.
+``elementwise`` mode softmax-normalizes each layer's embedding vector and
+applies the discrete KL sum, kept for comparison.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -40,53 +48,199 @@ _EXTRACT_OPS_PER_CHANNEL = 2
 _KL_OPS_PER_CHANNEL = 12
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Channel-wise first and second moments of one layer's output batch."""
+def _check_widths(widths, size: int) -> tuple[int, ...]:
+    """Per-layer channel widths covering ``size`` channels; ``None`` is one
+    layer of all of them."""
+    if widths is None:
+        return (size,)
+    widths = tuple(map(int, widths))
+    if not widths or min(widths) < 1:
+        raise InputError("every layer must cover at least one channel")
+    if sum(widths) != size:
+        raise InputError(
+            f"layer widths cover {sum(widths)} channels, arrays hold {size}"
+        )
+    return widths
+
+
+@lru_cache(maxsize=64)
+def _offsets(widths: tuple[int, ...]) -> tuple[int, ...]:
+    """First channel of each layer, plus the total."""
+    out = [0]
+    for w in widths:
+        out.append(out[-1] + w)
+    return tuple(out)
+
+
+@lru_cache(maxsize=64)
+def _width_groups(widths: tuple[int, ...]):
+    """Row layout of a flat per-channel array: ``None`` when every layer has
+    the same width (a plain reshape), else one (layer indices, (k, w) array
+    of element indices) pair per distinct width."""
+    if len(set(widths)) == 1:
+        return None
+    starts = np.array(_offsets(widths)[:-1])
+    groups = []
+    for w in sorted(set(widths)):
+        layers = np.array([i for i, x in enumerate(widths) if x == w])
+        groups.append((layers, starts[layers][:, None] + np.arange(w)))
+    return tuple(groups)
+
+
+def _layer_sums(terms: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Per-layer sums of a flat per-channel array.
+
+    Each layer's sum is a row sum of a C-contiguous 2-D block, which numpy
+    reduces pairwise exactly as ``np.sum`` reduces the layer's own 1-D
+    slice. ``np.add.reduceat`` sums sequentially and would round
+    differently.
+    """
+    groups = _width_groups(widths)
+    if groups is None:
+        return terms.reshape(len(widths), -1).sum(axis=1)
+    out = np.empty(len(widths))
+    for layers, index in groups:
+        out[layers] = terms[index].sum(axis=1)
+    return out
+
+
+def _softmax_rows(block: np.ndarray) -> np.ndarray:
+    e = np.exp(block - block.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _layer_softmax(values: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Softmax of each layer's slice of a flat array, as a flat array."""
+    groups = _width_groups(widths)
+    if groups is None:
+        return _softmax_rows(values.reshape(len(widths), -1)).ravel()
+    out = np.empty_like(values)
+    for _, index in groups:
+        out[index] = _softmax_rows(values[index])
+    return out
+
+
+class _Chain:
+    """Layer access shared by the chain types: ``len`` is the layer count,
+    an index gives a one-layer object and a slice a shorter chain."""
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.widths)
+
+    def __len__(self) -> int:
+        return len(self.widths)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.widths)))
+
+    def __getitem__(self, key):
+        layers = range(len(self.widths))[key]
+        if isinstance(layers, range):
+            return type(self).concat([self[i] for i in layers])
+        lo, hi = _offsets(self.widths)[layers : layers + 2]
+        return self._layer(layers, lo, hi)
+
+
+@dataclass(frozen=True, init=False)
+class FeatureStats(_Chain):
+    """Channel-wise first and second moments of one batch's outputs over a
+    chain of layers, in forward order.
+
+    ``means`` and ``variances`` hold every layer's channels back to back;
+    layer ``i`` covers ``widths[i]`` channels and saw ``sample_counts[i]``
+    samples per channel. Indexing by layer gives one-layer objects, slicing
+    gives a shorter chain. ``sample_count`` may be one count for every layer
+    or one per layer; ``widths=None`` makes a single layer.
+    """
 
     means: np.ndarray
     variances: np.ndarray
-    sample_count: int
+    sample_counts: tuple[int, ...]
+    widths: tuple[int, ...]
 
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
+    def __init__(self, means, variances, sample_count, widths=None):
+        means = np.ascontiguousarray(means, dtype=float)
+        variances = np.ascontiguousarray(variances, dtype=float)
         if means.ndim != 1 or means.shape != variances.shape:
             raise InputError("means and variances must be 1-D and equal length")
         if means.size == 0:
             raise InputError("stats must cover at least one channel")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+        widths = _check_widths(widths, means.size)
+        if not (np.isfinite(means).all() and np.isfinite(variances).all()):
             raise InputError("stats must be finite")
-        if np.any(variances < 0):
+        if (variances < 0).any():
             raise InputError("variances must be non-negative")
-        if self.sample_count < 1:
+        if isinstance(sample_count, (Sequence, np.ndarray)):
+            counts = tuple(int(s) for s in sample_count)
+            if len(counts) != len(widths):
+                raise InputError(
+                    f"{len(counts)} sample counts for {len(widths)} layers"
+                )
+        else:
+            counts = (int(sample_count),) * len(widths)
+        if min(counts) < 1:
             raise InputError("sample_count must be >= 1")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "sample_counts", counts)
+        object.__setattr__(self, "widths", widths)
+
+    @classmethod
+    def concat(cls, parts: Sequence["FeatureStats"]) -> "FeatureStats":
+        """Stack per-layer (or per-segment) stats into one chain."""
+        if not parts:
+            raise InputError("stats must cover at least one layer")
+        return cls(
+            means=np.concatenate([p.means for p in parts]),
+            variances=np.concatenate([p.variances for p in parts]),
+            sample_count=sum((p.sample_counts for p in parts), ()),
+            widths=sum((p.widths for p in parts), ()),
+        )
 
     @property
     def channels(self) -> int:
+        """Channels over all layers (a one-layer object's width)."""
         return self.means.size
+
+    @property
+    def sample_count(self) -> int:
+        """The sample count of a one-layer object."""
+        if len(self.sample_counts) != 1:
+            raise InputError("stats cover several layers; use sample_counts")
+        return self.sample_counts[0]
+
+    def _layer(self, layer: int, lo: int, hi: int) -> "FeatureStats":
+        return FeatureStats(
+            self.means[lo:hi], self.variances[lo:hi], self.sample_counts[layer]
+        )
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """Interleaved [mean, variance] pairs, one pair per channel."""
+class Embedding(_Chain):
+    """Interleaved [mean, variance] pairs, one pair per channel, over a
+    chain of layers in forward order; layer ``i`` covers ``widths[i]``
+    channels (``None``: one layer). Indexing by layer gives one-layer
+    embeddings."""
 
     values: np.ndarray
+    widths: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.ascontiguousarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0 or values.size % 2 != 0:
             raise InputError("embedding must be a non-empty even-length vector")
-        if not np.all(np.isfinite(values)):
+        widths = _check_widths(self.widths, values.size // 2)
+        if not np.isfinite(values).all():
             raise InputError("embedding must be finite")
-        if np.any(values[1::2] < 0):
+        if (values[1::2] < 0).any():
             raise InputError("variance slots must be non-negative")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "widths", widths)
 
     @property
     def channels(self) -> int:
+        """Channels over all layers (a one-layer embedding's width)."""
         return self.values.size // 2
 
     @property
@@ -102,11 +256,25 @@ class Embedding:
         values = np.empty(2 * stats.channels)
         values[0::2] = stats.means
         values[1::2] = stats.variances
-        return cls(values)
+        return cls(values, stats.widths)
+
+    @classmethod
+    def concat(cls, parts: Sequence["Embedding"]) -> "Embedding":
+        """Stack per-layer (or per-segment) embeddings into one chain."""
+        if not parts:
+            raise InputError("embedding must cover at least one layer")
+        return cls(
+            np.concatenate([p.values for p in parts]),
+            sum((p.widths for p in parts), ()),
+        )
+
+    def _layer(self, layer: int, lo: int, hi: int) -> "Embedding":
+        return Embedding(self.values[2 * lo : 2 * hi])
 
 
 def embed(source) -> Embedding:
-    """Embed raw per-channel samples, or precomputed FeatureStats.
+    """Embed raw per-channel samples of one layer, or precomputed
+    FeatureStats.
 
     Raw input is a 2-D array-like of shape (channels, samples) or a sequence
     of per-channel sample vectors. Variances are population variances
@@ -131,54 +299,62 @@ def embed(source) -> Embedding:
     return Embedding(values)
 
 
-def _gaussian_kl(history: Embedding, current: Embedding) -> float:
-    sh2 = history.variances + VARIANCE_FLOOR
-    se2 = current.variances + VARIANCE_FLOOR
-    dmu = history.means - current.means
-    terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
-    return float(np.sum(terms))
+def _chain(layers) -> Embedding:
+    """One chain embedding from a chain object or a sequence of per-layer
+    sources (embeddings, stats or raw samples), in forward order."""
+    if isinstance(layers, (Embedding, FeatureStats)):
+        return embed(layers)
+    return Embedding.concat([embed(layer) for layer in layers])
 
 
-def _softmax(v: np.ndarray) -> np.ndarray:
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def _elementwise_kl(history: Embedding, current: Embedding) -> float:
-    p = _softmax(history.values)
-    q = _softmax(current.values)
-    return float(np.sum(p * np.log(p / q)))
+def layer_divergences(
+    history: Embedding, current: Embedding, mode: str = "gaussian"
+) -> np.ndarray:
+    """Per-layer divergence of the current embedding from the history
+    embedding, in forward order."""
+    if mode not in KL_MODES:
+        raise InputError(f"unknown divergence mode {mode!r}")
+    widths = history.widths
+    if widths != current.widths:
+        raise InputError(
+            f"embedding length mismatch: history {history.values.size} values "
+            f"over {len(widths)} layers, current {current.values.size} over "
+            f"{len(current.widths)}"
+        )
+    if mode == "gaussian":
+        sh2 = history.variances + VARIANCE_FLOOR
+        se2 = current.variances + VARIANCE_FLOOR
+        dmu = history.means - current.means
+        terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
+        sums = _layer_sums(terms, widths)
+    else:
+        pair_widths = tuple(2 * w for w in widths)
+        p = _layer_softmax(history.values, pair_widths)
+        q = _layer_softmax(current.values, pair_widths)
+        sums = _layer_sums(p * np.log(p / q), pair_widths)
+    # divergences are non-negative; clip float dust from the sums
+    return np.where(sums > 0.0, sums, 0.0)
 
 
 def layer_importance(history: Embedding, current: Embedding, mode: str = "gaussian") -> float:
-    """Divergence of the current embedding from the history embedding."""
-    if mode not in KL_MODES:
-        raise InputError(f"unknown divergence mode {mode!r}")
-    if history.values.shape != current.values.shape:
-        raise InputError(
-            f"embedding length mismatch: history {history.values.size}, "
-            f"current {current.values.size}"
-        )
-    if mode == "gaussian":
-        value = _gaussian_kl(history, current)
-    else:
-        value = _elementwise_kl(history, current)
-    # divergences are non-negative; clip float dust from the sums
-    return value if value > 0.0 else 0.0
+    """Divergence of a one-layer current embedding from its history."""
+    divergences = layer_divergences(history, current, mode)
+    if divergences.size != 1:
+        raise InputError("layer_importance scores one layer; use layer_divergences")
+    return float(divergences[0])
 
 
 @dataclass(frozen=True)
 class EmbeddingHistory:
-    """Tracked per-layer history embeddings with their blending rate."""
+    """The tracked history embedding of every layer, with its blending
+    rate. ``embeddings`` is one chain embedding; index it by layer."""
 
-    embeddings: tuple[Embedding, ...]
+    embeddings: Embedding
     alpha: float = DEFAULT_ALPHA
     batches_seen: int = 1
 
     def __post_init__(self):
-        if not self.embeddings:
-            raise InputError("history must cover at least one layer")
+        object.__setattr__(self, "embeddings", _chain(self.embeddings))
         if not (0.0 <= self.alpha <= 1.0):
             raise InputError("alpha must lie in [0, 1]")
         if self.batches_seen < 1:
@@ -186,48 +362,47 @@ class EmbeddingHistory:
 
     @property
     def n_layers(self) -> int:
-        return len(self.embeddings)
+        return self.embeddings.n_layers
 
     @classmethod
-    def seed(cls, currents: Iterable, alpha: float = DEFAULT_ALPHA) -> "EmbeddingHistory":
+    def seed(cls, currents, alpha: float = DEFAULT_ALPHA) -> "EmbeddingHistory":
         """Start a history from the first observed batch, taken verbatim."""
-        return cls(embeddings=tuple(embed(c) for c in currents), alpha=alpha)
+        return cls(embeddings=currents, alpha=alpha)
 
     def storage_bytes(self, scalar_width: int = 4) -> int:
-        return sum(e.values.size for e in self.embeddings) * scalar_width
+        return self.embeddings.values.size * scalar_width
 
 
-def update_history(history: EmbeddingHistory, currents: Sequence) -> EmbeddingHistory:
+def update_history(history: EmbeddingHistory, currents) -> EmbeddingHistory:
     """Blend the current batch into the history, weight ``alpha`` on the new
     environment."""
-    currents = [embed(c) for c in currents]
-    if len(currents) != history.n_layers:
+    current = _chain(currents)
+    past = history.embeddings
+    if current.n_layers != past.n_layers:
         raise InputError(
-            f"history covers {history.n_layers} layers, got {len(currents)}"
+            f"history covers {past.n_layers} layers, got {current.n_layers}"
         )
+    if current.widths != past.widths:
+        raise InputError("embedding shape changed between batches")
     a = history.alpha
-    blended = []
-    for h, e in zip(history.embeddings, currents):
-        if h.values.shape != e.values.shape:
-            raise InputError("embedding shape changed between batches")
-        blended.append(Embedding(a * e.values + (1.0 - a) * h.values))
     return EmbeddingHistory(
-        embeddings=tuple(blended),
+        embeddings=Embedding(a * current.values + (1.0 - a) * past.values, past.widths),
         alpha=a,
         batches_seen=history.batches_seen + 1,
     )
 
 
-def adaptation_loss(histories: Sequence, currents: Sequence, mode: str = "gaussian") -> float:
+def adaptation_loss(histories, currents, mode: str = "gaussian") -> float:
     """Sum of per-layer divergences over all layers, the adaptation objective."""
-    histories = [embed(h) for h in histories]
-    currents = [embed(c) for c in currents]
-    if len(histories) != len(currents):
+    histories = _chain(histories)
+    currents = _chain(currents)
+    if histories.n_layers != currents.n_layers:
         raise InputError(
-            f"layer count mismatch: {len(histories)} history vs "
-            f"{len(currents)} current"
+            f"layer count mismatch: {histories.n_layers} history vs "
+            f"{currents.n_layers} current"
         )
-    return sum(layer_importance(h, c, mode) for h, c in zip(histories, currents))
+    # the builtin sum of Python floats, layer by layer in forward order
+    return sum(layer_divergences(histories, currents, mode).tolist())
 
 
 @dataclass(frozen=True)
@@ -262,13 +437,20 @@ class ImportanceVector:
         return float(np.sum(self.a))
 
 
-def assessment_flops(network: Network, stats: Sequence[FeatureStats]) -> float:
-    """Analytic op count of one assessment pass (moment extraction + KL)."""
+def _stats_chain(stats) -> FeatureStats:
+    if isinstance(stats, FeatureStats):
+        return stats
+    return FeatureStats.concat(list(stats))
+
+
+def assessment_flops(network: Network | None, stats) -> float:
+    """Analytic op count of one assessment pass (moment extraction + KL)
+    over the layers the stats cover; ``network`` is not consulted."""
+    stats = _stats_chain(stats)
     total = 0.0
-    for layer, st in zip(network.layers, stats):
-        n_c = st.channels
+    for n_c, samples in zip(stats.widths, stats.sample_counts):
         total += n_c * (
-            _EXTRACT_OPS_PER_SAMPLE * st.sample_count
+            _EXTRACT_OPS_PER_SAMPLE * samples
             + _EXTRACT_OPS_PER_CHANNEL
             + _KL_OPS_PER_CHANNEL
         )
@@ -276,45 +458,56 @@ def assessment_flops(network: Network, stats: Sequence[FeatureStats]) -> float:
 
 
 def assess(
-    network: Network,
+    network: Network | None,
     history: EmbeddingHistory,
-    current_stats: Sequence[FeatureStats],
+    current_stats,
     mode: str = "gaussian",
 ) -> tuple[ImportanceVector, float]:
-    """Score every layer of the network against the history.
+    """Score every layer against the history.
 
-    Returns the backward-indexed importance vector (parameter-free layers
-    forced to 0) and the analytic op count of the assessment.
+    Returns the backward-indexed importance vector and the analytic op count
+    of the assessment. With a network, the stats must match its layers'
+    channel counts and parameter-free layers are forced to 0; without one
+    (``None``) every layer is scored.
     """
-    n = network.n_layers
+    stats = _stats_chain(current_stats)
+    n = network.n_layers if network is not None else stats.n_layers
     if history.n_layers != n:
         raise InputError(
             f"history covers {history.n_layers} layers, network has {n}"
         )
-    if len(current_stats) != n:
-        raise InputError(
-            f"stats cover {len(current_stats)} layers, network has {n}"
-        )
+    if stats.n_layers != n:
+        raise InputError(f"stats cover {stats.n_layers} layers, network has {n}")
+    if network is not None:
+        for layer, width in zip(network.layers, stats.widths):
+            if width != layer.channels:
+                raise InputError(
+                    f"layer {layer.id}: stats cover {width} channels, "
+                    f"layer has {layer.channels}"
+                )
+    divergences = layer_divergences(
+        history.embeddings, Embedding.from_stats(stats), mode
+    )
     a = np.zeros(n + 1)
-    for layer_id in range(n):
-        layer = network.layers[layer_id]
-        st = current_stats[layer_id]
-        if st.channels != layer.channels:
-            raise InputError(
-                f"layer {layer_id}: stats cover {st.channels} channels, "
-                f"layer has {layer.channels}"
-            )
-        if not layer.has_params:
-            continue
-        b = network.backward_index(layer_id)
-        a[b] = layer_importance(history.embeddings[layer_id], embed(st), mode)
-    flops = assessment_flops(network, current_stats)
-    return ImportanceVector(a=a, mode=mode), flops
+    a[1:] = divergences[::-1]
+    if network is not None:
+        for layer in network.layers:
+            if not layer.has_params:
+                a[n - layer.id] = 0.0
+    return ImportanceVector(a=a, mode=mode), assessment_flops(network, stats)
 
 
-def load_stats_lines(text: str) -> list[FeatureStats]:
-    """Parse JSON-lines feature stats (one record per layer) into a
-    forward-ordered list."""
+def _stats_field(rec, key: str, kind, lineno: int):
+    try:
+        value = rec[key]
+        return np.asarray(value, dtype=float) if kind is None else kind(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"stats line {lineno} malformed: {key}: {exc}") from None
+
+
+def load_stats_lines(text: str) -> FeatureStats:
+    """Parse JSON-lines feature stats (one record per layer) into one
+    forward-ordered chain."""
     records = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -322,14 +515,14 @@ def load_stats_lines(text: str) -> list[FeatureStats]:
             continue
         try:
             rec = json.loads(line)
-            layer_id = int(rec["layer_id"])
-            stats = FeatureStats(
-                means=np.asarray(rec["means"], dtype=float),
-                variances=np.asarray(rec["vars"], dtype=float),
-                sample_count=int(rec["samples"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise InputError(f"stats line {lineno} malformed: {exc}") from None
+        layer_id = _stats_field(rec, "layer_id", int, lineno)
+        stats = FeatureStats(
+            means=_stats_field(rec, "means", None, lineno),
+            variances=_stats_field(rec, "vars", None, lineno),
+            sample_count=_stats_field(rec, "samples", int, lineno),
+        )
         if layer_id in records:
             raise InputError(f"stats line {lineno}: duplicate layer {layer_id}")
         records[layer_id] = stats
@@ -338,15 +531,15 @@ def load_stats_lines(text: str) -> list[FeatureStats]:
     n = len(records)
     if set(records) != set(range(n)):
         raise InputError("stats layer ids must be contiguous from 0")
-    return [records[i] for i in range(n)]
+    return FeatureStats.concat([records[i] for i in range(n)])
 
 
-def load_stats_file(path) -> list[FeatureStats]:
+def load_stats_file(path) -> FeatureStats:
     with open(path) as fh:
         return load_stats_lines(fh.read())
 
 
-def stats_to_lines(stats: Sequence[FeatureStats]) -> str:
+def stats_to_lines(stats) -> str:
     lines = []
     for layer_id, st in enumerate(stats):
         lines.append(

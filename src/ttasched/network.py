@@ -313,6 +313,15 @@ def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> Strate
     return closed_form_cost(profile, strategy.selected)
 
 
+def _integer(value, field: str) -> int:
+    """``int(value)`` for a network field; an unconvertible value is an
+    InputError naming ``field``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{field} must be an integer, got {value!r}") from None
+
+
 def load_network(document: dict, lenient: bool = False) -> Network:
     """Build a Network from a parsed network document.
 
@@ -329,7 +338,9 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     raw_layers = document.get("layers")
     if not raw_layers:
         raise InputError("empty network")
-    element_width = int(document.get("element_width", DEFAULT_ELEMENT_WIDTH))
+    element_width = _integer(
+        document.get("element_width", DEFAULT_ELEMENT_WIDTH), "element_width"
+    )
 
     seen_ids = set()
     layers = []
@@ -343,11 +354,11 @@ def load_network(document: dict, lenient: bool = False) -> Network:
                     f"layer {raw.get('id')}: unknown fields {sorted(unknown)}"
                 )
         try:
-            layer_id = int(raw["id"])
+            layer_id = _integer(raw["id"], "layer id")
             kind = raw["kind"]
             has_params = bool(raw["has_params"])
-            channels = int(raw["channels"])
-            out_elements = int(raw["out_elements"])
+            channels = _integer(raw["channels"], f"layer {layer_id}: channels")
+            out_elements = _integer(raw["out_elements"], f"layer {layer_id}: out_elements")
         except KeyError as exc:
             raise InputError(f"layer entry missing field {exc.args[0]!r}") from None
         if layer_id in seen_ids:
@@ -363,12 +374,15 @@ def load_network(document: dict, lenient: bool = False) -> Network:
             has_params=has_params,
             channels=channels,
             out_elements=out_elements,
-            mac_count=int(explicit_mac or 0),
-            mem_traffic=int(explicit_mem or 0),
+            mac_count=_integer(explicit_mac or 0, f"layer {layer_id}: mac_count"),
+            mem_traffic=_integer(explicit_mem or 0, f"layer {layer_id}: mem_traffic"),
             hyperparams=hp,
         )
         if hp is not None:
-            mac, mem = derive_costs(probe, element_width)
+            try:
+                mac, mem = derive_costs(probe, element_width)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"layer {layer_id}: hyperparams malformed ({exc})") from None
             for name, explicit, derived in (
                 ("mac_count", explicit_mac, mac),
                 ("mem_traffic", explicit_mem, mem),

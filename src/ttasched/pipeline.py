@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,10 @@ class Shift:
 class EnvironmentSpec:
     """Synthetic environment: per-layer channel distributions plus a shift
     schedule. Mean offsets are expressed in units of the base standard
-    deviation of the affected channel."""
+    deviation of the affected channel.
+
+    The parameters of every shift epoch are computed once, at construction,
+    as read-only arrays, per layer and flat over the chain."""
 
     channels: tuple[int, ...]
     positions: tuple[int, ...]
@@ -96,8 +100,8 @@ class EnvironmentSpec:
         for i in range(n):
             if self.channels[i] < 1 or self.positions[i] < 1:
                 raise InputError(f"layer {i}: channels and positions must be >= 1")
-            m = np.asarray(self.base_means[i], dtype=float)
-            v = np.asarray(self.base_vars[i], dtype=float)
+            m = _frozen(self.base_means[i])
+            v = _frozen(self.base_vars[i])
             if m.shape != (self.channels[i],) or v.shape != (self.channels[i],):
                 raise InputError(f"layer {i}: base params must match channel count")
             if np.any(v <= 0):
@@ -113,25 +117,58 @@ class EnvironmentSpec:
             for layer in s.layers:
                 if not 0 <= layer < n:
                     raise InputError(f"shift names unknown layer {layer}")
+        # epoch k: the first k shifts applied in order; each shift replaces
+        # the arrays of the layers it names
+        epochs = [(tuple(means), tuple(varis))]
+        for s in self.shifts:
+            for layer in s.layers:
+                means[layer] = _frozen(
+                    means[layer] + s.mean_offset_sigmas * np.sqrt(self.base_vars[layer])
+                )
+                varis[layer] = _frozen(varis[layer] * s.var_scale)
+            epochs.append((tuple(means), tuple(varis)))
+        object.__setattr__(self, "_shift_batches", tuple(indices))
+        object.__setattr__(self, "_epochs", tuple(epochs))
+        object.__setattr__(
+            self, "_flat_epochs", tuple((_flat(m), _flat(v)) for m, v in epochs)
+        )
+        counts = tuple(self.batch_size * p for p in self.positions)
+        object.__setattr__(self, "sample_counts", counts)
+        object.__setattr__(
+            self, "_channel_samples", _frozen(np.repeat(np.array(counts, dtype=float), self.channels))
+        )
+        bounds = np.cumsum((0,) + tuple(self.channels)).tolist()
+        object.__setattr__(self, "_spans", tuple(zip(bounds[:-1], bounds[1:])))
 
     @property
     def n_layers(self) -> int:
         return len(self.channels)
 
-    def params_at(self, batch_index: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    def _epoch(self, batch_index: int) -> int:
+        """Number of shifts active at ``batch_index``."""
+        return bisect_right(self._shift_batches, batch_index)
+
+    def params_at(
+        self, batch_index: int
+    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Environment (mean, variance) per layer with all shifts up to and
-        including ``batch_index`` applied."""
-        means = [m.copy() for m in self.base_means]
-        varis = [v.copy() for v in self.base_vars]
-        for s in self.shifts:
-            if s.batch_index > batch_index:
-                break
-            for layer in s.layers:
-                means[layer] = means[layer] + s.mean_offset_sigmas * np.sqrt(
-                    self.base_vars[layer]
-                )
-                varis[layer] = varis[layer] * s.var_scale
-        return means, varis
+        including ``batch_index`` applied. The arrays are read-only."""
+        return self._epochs[self._epoch(batch_index)]
+
+    def flat_params_at(self, batch_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """``params_at``, each side as one array over the chain."""
+        return self._flat_epochs[self._epoch(batch_index)]
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _flat(arrays) -> np.ndarray:
+    return _frozen(np.concatenate(arrays))
 
 
 @dataclass(frozen=True)
@@ -147,9 +184,10 @@ class ModelResponseState:
     def __post_init__(self):
         if not (0.0 < self.adaptation_gain <= 1.0):
             raise InputError("adaptation_gain must lie in (0, 1]")
-        for v in self.variances:
-            if np.any(np.asarray(v) <= 0):
-                raise InputError("model variances must be positive")
+        flat_vars = np.concatenate(self.variances)
+        if (flat_vars <= 0).any():
+            raise InputError("model variances must be positive")
+        object.__setattr__(self, "_flat", (np.concatenate(self.means), flat_vars))
 
     @classmethod
     def from_environment(cls, env: EnvironmentSpec, adaptation_gain: float = 1.0):
@@ -165,32 +203,25 @@ def observed_params(
     env: EnvironmentSpec,
     model: ModelResponseState,
     batch_index: int,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer distribution a batch actually exhibits: the base
-    distribution shifted by how far the model lags the environment."""
-    env_means, env_vars = env.params_at(batch_index)
-    means = []
-    varis = []
-    for base_m, base_v, em, ev, mm, mv in zip(
-        env.base_means, env.base_vars, env_means, env_vars, model.means, model.variances
-    ):
-        means.append(base_m + (em - mm))
-        varis.append(base_v * ev / mv)
-    return means, varis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel (mean, variance) a batch actually exhibits, flat over the
+    chain: the base distribution shifted by how far the model lags the
+    environment."""
+    env_means, env_vars = env.flat_params_at(batch_index)
+    base_means, base_vars = env._flat_epochs[0]
+    model_means, model_vars = model._flat
+    return base_means + (env_means - model_means), base_vars * env_vars / model_vars
 
 
 def observed_embeddings(
     env: EnvironmentSpec, model: ModelResponseState, batch_index: int
-) -> list[Embedding]:
-    """Noise-free embeddings of the observed distributions."""
+) -> Embedding:
+    """Noise-free chain embedding of the observed distributions."""
     means, varis = observed_params(env, model, batch_index)
-    out = []
-    for m, v in zip(means, varis):
-        values = np.empty(2 * m.size)
-        values[0::2] = m
-        values[1::2] = v
-        out.append(Embedding(values))
-    return out
+    values = np.empty(2 * means.size)
+    values[0::2] = means
+    values[1::2] = varis
+    return Embedding(values, env.channels)
 
 
 def generate_batch(
@@ -199,8 +230,8 @@ def generate_batch(
     batch_index: int,
     rng: np.random.Generator,
     exact: bool = False,
-) -> list[FeatureStats]:
-    """Sample one batch's per-layer channel statistics.
+) -> FeatureStats:
+    """Sample one batch's channel statistics over the chain.
 
     Each channel of a layer sees ``n = batch_size * positions`` Gaussian
     samples, but only their mean and population variance are reported, so
@@ -217,26 +248,18 @@ def generate_batch(
     if batch_index < 0:
         raise InputError("batch_index must be non-negative")
     means, varis = observed_params(env, model, batch_index)
-    stats = []
-    for layer in range(env.n_layers):
-        n_samples = env.batch_size * env.positions[layer]
-        if exact:
-            stats.append(
-                FeatureStats(
-                    means=means[layer],
-                    variances=varis[layer],
-                    sample_count=n_samples,
-                )
-            )
-            continue
-        c = env.channels[layer]
-        mu = means[layer] + np.sqrt(varis[layer] / n_samples) * rng.standard_normal(c)
+    if exact:
+        return FeatureStats(means, varis, env.sample_counts, env.channels)
+    normals = np.empty(means.size)
+    chi2 = np.zeros(means.size)
+    for (lo, hi), n_samples in zip(env._spans, env.sample_counts):
+        normals[lo:hi] = rng.standard_normal(hi - lo)
         if n_samples > 1:
-            var = varis[layer] * rng.chisquare(n_samples - 1, c) / n_samples
-        else:
-            var = np.zeros(c)
-        stats.append(FeatureStats(means=mu, variances=var, sample_count=n_samples))
-    return stats
+            chi2[lo:hi] = rng.chisquare(n_samples - 1, hi - lo)
+    n = env._channel_samples
+    mu = means + np.sqrt(varis / n) * normals
+    var = varis * chi2 / n
+    return FeatureStats(mu, var, env.sample_counts, env.channels)
 
 
 @dataclass(frozen=True)
@@ -603,7 +626,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             staleness = i - 1 - latest
 
         stats = generate_batch(env, model, i, rng_env, exact=scenario.exact_stats)
-        embeddings = [Embedding.from_stats(s) for s in stats]
+        embeddings = Embedding.from_stats(stats)
         if history is None:
             history = EmbeddingHistory.seed(embeddings, alpha=scenario.alpha)
             vector = ImportanceVector(a=np.zeros(n + 1), mode=scenario.kl_mode)

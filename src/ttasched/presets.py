@@ -218,21 +218,17 @@ def resnet50_shaped() -> Network:
     return Network(name="resnet50-shaped", layers=tuple(layers))
 
 
-def resnet50_batch_stats(batch_size: int = 16) -> list[FeatureStats]:
+def resnet50_batch_stats(batch_size: int = 16) -> FeatureStats:
     """Unit-Gaussian channel statistics for one batch through the shaped
     chain, sized by each layer's spatial extent."""
     net = resnet50_shaped()
-    stats = []
-    for layer in net.layers:
-        positions = layer.out_elements // layer.channels
-        stats.append(
-            FeatureStats(
-                means=np.zeros(layer.channels),
-                variances=np.ones(layer.channels),
-                sample_count=batch_size * positions,
-            )
-        )
-    return stats
+    widths = tuple(layer.channels for layer in net.layers)
+    return FeatureStats(
+        means=np.zeros(sum(widths)),
+        variances=np.ones(sum(widths)),
+        sample_count=[batch_size * (l.out_elements // l.channels) for l in net.layers],
+        widths=widths,
+    )
 
 
 def offline_from_costs(

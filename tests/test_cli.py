@@ -84,6 +84,56 @@ class TestAssessCommand:
         assert rc == 2
 
 
+    def test_non_numeric_samples_exits_2(self, fixtures_dir, tmp_path, capsys):
+        lines = (fixtures_dir / "stats_current.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["samples"] = "x"
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["assess",
+             "--history", str(fixtures_dir / "stats_history.jsonl"),
+             "--current", str(bad), "--out", "-"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stats line 3 malformed: samples" in err
+
+    def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
+        # the 24-layer synthetic chain has parameter-free layers; only the
+        # network zeroes them
+        from ttasched.importance import stats_to_lines
+        from ttasched.pipeline import ModelResponseState, generate_batch
+        from ttasched.presets import drift_scenario
+
+        scenario = drift_scenario()
+        env = scenario.environment
+        model = ModelResponseState.from_environment(env)
+        rng = np.random.default_rng(1)
+        paths = {}
+        for name, index in (("h", 0), ("c", 6)):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text(stats_to_lines(generate_batch(env, model, index, rng)))
+        docs = []
+        for extra in ([], ["--network", str(fixtures_dir / "network.json")]):
+            out = tmp_path / "imp.json"
+            rc = main(
+                ["assess", "--history", str(paths["h"]), "--current", str(paths["c"]),
+                 "--out", str(out)] + extra
+            )
+            assert rc == 0
+            docs.append(json.loads(out.read_text())["a"])
+        free = [
+            24 - layer.id for layer in scenario.network.layers if not layer.has_params
+        ]
+        assert free and all(docs[0][b - 1] > 0.0 for b in free)
+        assert all(docs[1][b - 1] == 0.0 for b in free)
+        assert [a for b, a in enumerate(docs[0], 1) if b not in free] == [
+            a for b, a in enumerate(docs[1], 1) if b not in free
+        ]
+
+
 class TestPredictCommand:
     def test_offline_state_reproduces_offline_profile(self, fixtures_dir, tmp_path):
         out = tmp_path / "profile.json"
@@ -168,15 +218,39 @@ class TestPredictCommand:
                 lambda d: d["layers"][0].update(layer_id="first"),
                 "offline profile malformed",
             ),
+            (
+                "network.json",
+                lambda d: d["layers"][3].update(channels="x"),
+                "layer 3: channels must be an integer",
+            ),
+            (
+                "network.json",
+                lambda d: d.update(element_width="x"),
+                "element_width must be an integer",
+            ),
+            (
+                "network.json",
+                lambda d: d["layers"][0].update(id="first"),
+                "layer id must be an integer",
+            ),
+            (
+                "network.json",
+                lambda d: d["layers"][1].update(out_elements=float("inf")),
+                "out_elements must be an integer",
+            ),
         ],
-        ids=["device-peak_flops", "trace-n", "trace-n-inf", "offline-t_f_ms", "offline-layer_id"],
+        ids=[
+            "device-peak_flops", "trace-n", "trace-n-inf", "offline-t_f_ms",
+            "offline-layer_id", "network-channels", "network-element_width",
+            "network-id", "network-out_elements-inf",
+        ],
     )
     def test_non_numeric_loader_field_exits_2(
         self, fixtures_dir, tmp_path, capsys, fixture, edit, named
     ):
         paths = {
             name: fixtures_dir / name
-            for name in ("device.json", "trace.json", "offline_profile.json")
+            for name in ("device.json", "trace.json", "offline_profile.json", "network.json")
         }
         doc = json.loads(paths[fixture].read_text())
         edit(doc)
@@ -184,7 +258,7 @@ class TestPredictCommand:
         paths[fixture].write_text(json.dumps(doc))
         rc = main(
             ["predict",
-             "--network", str(fixtures_dir / "network.json"),
+             "--network", str(paths["network.json"]),
              "--offline-profile", str(paths["offline_profile.json"]),
              "--device", str(paths["device.json"]),
              "--state-trace", str(paths["trace.json"]),

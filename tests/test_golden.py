@@ -1,0 +1,151 @@
+"""Golden reports: ``simulate`` output pinned byte for byte.
+
+The digests in ``fixtures/golden_reports.json`` are sha256 sums of episode
+reports (JSON and CSV). A refactor of the simulator's hot path must leave
+them unchanged; a deliberate change of the random streams or of the report
+arithmetic must regenerate them and say why. Regenerate with::
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+GOLDEN = FIXTURES / "golden_reports.json"
+
+SIMULATE_SCENARIOS = ("scenario_drift.json", "scenario_zero_shift.json")
+SIMULATE_SEEDS = (0, 1, 2, 3)
+
+# per-layer channel widths of the odd-width chain: single-channel layers,
+# widths on both sides of numpy's 8-wide pairwise-summation unroll, and one
+# past its 128-element block
+ODD_WIDTHS = (1, 7, 8, 9, 129, 8, 7, 1, 9, 129, 8, 8)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _simulate_digests(scenario: str, seed: int, tmp: Path) -> dict:
+    from ttasched.cli import main
+
+    out = tmp / f"{scenario}.{seed}.json"
+    csv = tmp / f"{scenario}.{seed}.csv"
+    rc = main(
+        ["simulate", str(FIXTURES / scenario), "--seed", str(seed),
+         "--out", str(out), "--csv", str(csv)]
+    )
+    assert rc == 0
+    return {"json": _sha(out.read_text()), "csv": _sha(csv.read_text())}
+
+
+def _episode_digests(scenario) -> dict:
+    from ttasched.pipeline import report_csv, report_json, run_episode
+
+    report = run_episode(scenario)
+    return {"json": _sha(report_json(report)), "csv": _sha(report_csv(report))}
+
+
+def _ragged_scenario(network, name: str, kl_mode: str):
+    """A shifting episode over a chain whose layers differ in width."""
+    from ttasched.pipeline import EnvironmentSpec, Scenario, Shift
+    from ttasched.presets import (
+        demo_edge_device,
+        offline_from_costs,
+        resource_conditions,
+        static_trace,
+    )
+
+    device = demo_edge_device()
+    n = network.n_layers
+    env = EnvironmentSpec(
+        channels=tuple(l.channels for l in network.layers),
+        positions=tuple(max(1, l.out_elements // l.channels) for l in network.layers),
+        base_means=tuple(np.zeros(l.channels) for l in network.layers),
+        base_vars=tuple(np.ones(l.channels) for l in network.layers),
+        shifts=(
+            Shift(batch_index=3, layers=(n // 4, n // 2, n - 2), mean_offset_sigmas=2.0),
+            Shift(batch_index=7, layers=(1, n - 1), mean_offset_sigmas=-1.0, var_scale=1.5),
+        ),
+        batch_size=8,
+    )
+    return Scenario(
+        name=name,
+        mode="sequential",
+        seed=5,
+        batches=12,
+        environment=env,
+        network=network,
+        offline=offline_from_costs(network, device),
+        device=device,
+        trace=static_trace(resource_conditions()["offline"]),
+        sigma=0.33,
+        kl_mode=kl_mode,
+        jitter_eps=0.02,
+    )
+
+
+def _odd_width_network():
+    from ttasched.presets import recovery_network
+
+    base = recovery_network(len(ODD_WIDTHS))
+    layers = tuple(
+        dataclasses.replace(layer, channels=w, out_elements=w * 16)
+        for layer, w in zip(base.layers, ODD_WIDTHS)
+    )
+    return dataclasses.replace(base, name="odd-widths", layers=layers)
+
+
+def golden_cases() -> dict:
+    """Name -> zero-argument function returning that case's digests."""
+    from ttasched.presets import drift_scenario, resnet50_shaped
+
+    cases = {}
+    for scenario in SIMULATE_SCENARIOS:
+        for seed in SIMULATE_SEEDS:
+            cases[f"simulate/{scenario}/seed{seed}"] = (
+                lambda tmp, s=scenario, k=seed: _simulate_digests(s, k, tmp)
+            )
+    cases["episode/drift-elementwise"] = lambda tmp: _episode_digests(
+        dataclasses.replace(drift_scenario(seed=2), kl_mode="elementwise")
+    )
+    cases["episode/resnet50-shaped-gaussian"] = lambda tmp: _episode_digests(
+        _ragged_scenario(resnet50_shaped(), "resnet50-ragged", "gaussian")
+    )
+    cases["episode/resnet50-shaped-elementwise"] = lambda tmp: _episode_digests(
+        _ragged_scenario(resnet50_shaped(), "resnet50-ragged", "elementwise")
+    )
+    cases["episode/odd-widths-gaussian"] = lambda tmp: _episode_digests(
+        _ragged_scenario(_odd_width_network(), "odd-widths", "gaussian")
+    )
+    cases["episode/odd-widths-elementwise"] = lambda tmp: _episode_digests(
+        _ragged_scenario(_odd_width_network(), "odd-widths", "elementwise")
+    )
+    return cases
+
+
+GOLDEN_DIGESTS = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_report_matches_golden_digest(case, tmp_path):
+    assert case in GOLDEN_DIGESTS, f"no golden digest recorded for {case}"
+    assert golden_cases()[case](tmp_path) == GOLDEN_DIGESTS[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: fn(Path(tmp)) for name, fn in sorted(golden_cases().items())}
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")

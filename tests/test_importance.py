@@ -5,12 +5,15 @@ import pytest
 
 from ttasched.errors import InputError
 from ttasched.importance import (
+    KL_MODES,
+    VARIANCE_FLOOR,
     Embedding,
     EmbeddingHistory,
     FeatureStats,
     adaptation_loss,
     assess,
     embed,
+    layer_divergences,
     layer_importance,
     load_stats_lines,
     stats_to_lines,
@@ -348,3 +351,240 @@ class TestStatsFiles:
     def test_malformed_line_names_line_number(self):
         with pytest.raises(InputError, match="line 1"):
             load_stats_lines('{"layer_id": 0, "means": [0]}\n')
+
+
+# --- the per-layer loop the stacked kernel replaced, kept as its reference ---
+
+
+def reference_gaussian_kl(h: np.ndarray, c: np.ndarray) -> float:
+    sh2 = h[1::2] + VARIANCE_FLOOR
+    se2 = c[1::2] + VARIANCE_FLOOR
+    dmu = h[0::2] - c[0::2]
+    terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
+    return float(np.sum(terms))
+
+
+def reference_softmax(v: np.ndarray) -> np.ndarray:
+    shifted = v - np.max(v)
+    e = np.exp(shifted)
+    return e / np.sum(e)
+
+
+def reference_elementwise_kl(h: np.ndarray, c: np.ndarray) -> float:
+    p = reference_softmax(h)
+    q = reference_softmax(c)
+    return float(np.sum(p * np.log(p / q)))
+
+
+def reference_layer_importance(h: np.ndarray, c: np.ndarray, mode: str) -> float:
+    if mode == "gaussian":
+        value = reference_gaussian_kl(h, c)
+    else:
+        value = reference_elementwise_kl(h, c)
+    return value if value > 0.0 else 0.0
+
+
+def reference_adaptation_loss(hs, cs, mode: str) -> float:
+    return sum(reference_layer_importance(h, c, mode) for h, c in zip(hs, cs))
+
+
+def reference_update(hs, cs, alpha: float):
+    return [alpha * c + (1.0 - alpha) * h for h, c in zip(hs, cs)]
+
+
+def random_layers(rng, widths, scale=3.0):
+    """Per-layer interleaved embedding vectors of the given widths."""
+    out = []
+    for w in widths:
+        v = np.empty(2 * w)
+        v[0::2] = rng.normal(0.0, scale, w)
+        v[1::2] = rng.uniform(0.0, scale * scale, w)
+        out.append(v)
+    return out
+
+
+WIDTH_CASES = {
+    "uniform-8": (8,) * 24,
+    "uniform-1": (1,) * 5,
+    "uniform-129": (129,) * 3,
+    "single-layer-9": (9,),
+    "ragged": (1, 7, 8, 9, 129, 8, 7, 1, 9, 129, 8, 8),
+    "ragged-wide": (7, 300, 16, 9, 300, 1, 1000),
+}
+
+
+class TestStackedKernelMatchesReference:
+    @pytest.mark.parametrize("mode", KL_MODES)
+    @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+    def test_bit_identical_to_per_layer_loop(self, case, mode):
+        widths = WIDTH_CASES[case]
+        rng = np.random.default_rng(sum(widths) + len(mode))
+        for trial in range(20):
+            hs = random_layers(rng, widths)
+            cs = random_layers(rng, widths)
+            if trial == 0:
+                cs = [h.copy() for h in hs]  # every divergence exactly 0
+            history = Embedding(np.concatenate(hs), widths)
+            current = Embedding(np.concatenate(cs), widths)
+
+            got = layer_divergences(history, current, mode)
+            want = [reference_layer_importance(h, c, mode) for h, c in zip(hs, cs)]
+            assert got.tolist() == want
+
+            loss = adaptation_loss(history, current, mode)
+            assert loss == reference_adaptation_loss(hs, cs, mode)
+            assert adaptation_loss(list(history), list(current), mode) == loss
+
+            alpha = float(rng.uniform(0.0, 1.0))
+            blended = update_history(EmbeddingHistory(history, alpha=alpha), current)
+            for layer, want_values in zip(blended.embeddings, reference_update(hs, cs, alpha)):
+                assert layer.values.tolist() == want_values.tolist()
+
+            for layer in range(len(widths)):
+                assert layer_importance(history[layer], current[layer], mode) == want[layer]
+
+    @pytest.mark.parametrize("mode", KL_MODES)
+    def test_assess_matches_per_layer_loop(self, mode):
+        from ttasched.presets import resnet50_shaped
+
+        network = resnet50_shaped()
+        widths = tuple(layer.channels for layer in network.layers)
+        rng = np.random.default_rng(17)
+        hs = random_layers(rng, widths)
+        cs = random_layers(rng, widths)
+        current = FeatureStats(
+            means=np.concatenate([c[0::2] for c in cs]),
+            variances=np.concatenate([c[1::2] for c in cs]),
+            sample_count=64,
+            widths=widths,
+        )
+        vector, _ = assess(
+            network, EmbeddingHistory(Embedding(np.concatenate(hs), widths)), current, mode
+        )
+        n = network.n_layers
+        want = np.zeros(n + 1)
+        for layer in network.layers:
+            if layer.has_params:
+                want[n - layer.id] = reference_layer_importance(
+                    hs[layer.id], cs[layer.id], mode
+                )
+        assert vector.a.tolist() == want.tolist()
+        assert vector.a[n - 1] == 0.0  # the parameter-free pooling layer
+
+
+class TestStackedValidation:
+    BAD = {
+        "nan-mean": (0, float("nan")),
+        "inf-mean": (0, float("inf")),
+        "nan-variance": (1, float("nan")),
+        "inf-variance": (1, float("inf")),
+        "negative-variance": (1, -1e-9),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("layer", [0, 3, 5])
+    def test_embedding_rejects_bad_slot_in_any_layer(self, bad, layer):
+        widths = (1, 7, 8, 9, 129, 2)
+        values = np.concatenate(random_layers(np.random.default_rng(1), widths))
+        slot, value = self.BAD[bad]
+        values[2 * sum(widths[:layer]) + 2 * (widths[layer] - 1) + slot] = value
+        with pytest.raises(InputError, match="finite|non-negative"):
+            Embedding(values, widths)
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_feature_stats_reject_bad_channel(self, bad):
+        widths = (3, 9, 1)
+        means = np.zeros(13)
+        variances = np.ones(13)
+        slot, value = self.BAD[bad]
+        (means if slot == 0 else variances)[11] = value
+        with pytest.raises(InputError, match="finite|non-negative"):
+            FeatureStats(means, variances, sample_count=4, widths=widths)
+
+    def test_per_layer_raw_samples_rejected_when_non_finite(self):
+        h = EmbeddingHistory(Embedding(np.ones(10), (2, 3)))
+        bad = [[[0.0, 1.0], [1.0, 2.0]], [[0.0], [float("nan")], [1.0]]]
+        with pytest.raises(InputError, match="non-finite"):
+            update_history(h, bad)
+        with pytest.raises(InputError, match="non-finite"):
+            adaptation_loss(h.embeddings, bad)
+
+    def test_sampled_batch_with_overflowing_variance_rejected(self):
+        network = recovery_network(3, channels=4)
+        env = make_env(network)
+        tiny = tuple(np.full(4, 1e-320) for _ in range(3))
+        model = ModelResponseState(
+            means=tuple(np.zeros(4) for _ in range(3)), variances=tiny
+        )
+        with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
+            generate_batch(env, model, 0, np.random.default_rng(0))
+
+    def test_widths_must_cover_the_arrays(self):
+        with pytest.raises(InputError, match="cover"):
+            Embedding(np.ones(10), (2, 2))
+        with pytest.raises(InputError, match="at least one channel"):
+            FeatureStats(np.zeros(3), np.ones(3), 2, widths=(3, 0))
+        with pytest.raises(InputError, match="sample counts"):
+            FeatureStats(np.zeros(3), np.ones(3), (2, 2), widths=(3,))
+
+    def test_kernel_rejects_other_layer_split(self):
+        a = Embedding(np.ones(10), (2, 3))
+        b = Embedding(np.ones(10), (3, 2))
+        with pytest.raises(InputError, match="mismatch"):
+            layer_divergences(a, b)
+        with pytest.raises(InputError, match="shape changed"):
+            update_history(EmbeddingHistory(a), b)
+
+
+class TestChainObjects:
+    def test_layers_index_slice_and_concat(self):
+        widths = (2, 1, 3)
+        stats = FeatureStats(
+            np.arange(6.0), np.arange(6.0) + 1.0, sample_count=(4, 5, 6), widths=widths
+        )
+        assert len(stats) == 3 and stats.channels == 6
+        assert stats[1].means.tolist() == [2.0] and stats[1].sample_count == 5
+        assert stats[-1].variances.tolist() == [4.0, 5.0, 6.0]
+        tail = stats[1:]
+        assert tail.widths == (1, 3) and tail.sample_counts == (5, 6)
+        again = FeatureStats.concat(list(stats))
+        assert again.widths == widths and again.means.tolist() == stats.means.tolist()
+        with pytest.raises(InputError, match="sample_counts"):
+            stats.sample_count
+
+        emb = Embedding.from_stats(stats)
+        assert emb.widths == widths and len(emb) == 3
+        assert emb[2].means.tolist() == [3.0, 4.0, 5.0]
+        assert Embedding.concat(list(emb)).values.tolist() == emb.values.tolist()
+        with pytest.raises(IndexError):
+            emb[3]
+
+    def test_history_seeds_from_stats_or_per_layer_list(self):
+        stats = FeatureStats(np.zeros(5), np.ones(5), 8, widths=(2, 3))
+        a = EmbeddingHistory.seed(stats)
+        b = EmbeddingHistory.seed(list(stats))
+        assert a.embeddings.widths == b.embeddings.widths == (2, 3)
+        assert a.embeddings.values.tolist() == b.embeddings.values.tolist()
+        assert a.storage_bytes(4) == 40
+
+    def test_stats_file_loads_as_one_chain(self):
+        text = (
+            '{"layer_id": 1, "means": [1, 2, 3], "vars": [1, 1, 1], "samples": 3}\n'
+            '{"layer_id": 0, "means": [0], "vars": [2], "samples": 2}\n'
+        )
+        stats = load_stats_lines(text)
+        assert stats.widths == (1, 3) and stats.sample_counts == (2, 3)
+        assert stats.means.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert load_stats_lines(stats_to_lines(stats)).means.tolist() == stats.means.tolist()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("samples", "x"), ("samples", 1e400), ("layer_id", "first"), ("means", ["a"])],
+    )
+    def test_non_numeric_stats_field_is_input_error(self, field, value):
+        rec = {"layer_id": 0, "means": [0.0], "vars": [1.0], "samples": 2}
+        rec[field] = value
+        import json
+
+        with pytest.raises(InputError, match=f"line 1 malformed: {field}"):
+            load_stats_lines(json.dumps(rec) + "\n")

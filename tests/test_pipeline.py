@@ -82,6 +82,101 @@ class TestEnvironmentSpec:
         assert m3[0][0] == 2.0
 
 
+def reference_params_at(env, batch_index):
+    """Every shift up to ``batch_index`` replayed on copies of the base
+    parameters, the way ``params_at`` computed them before it precomputed
+    its epochs."""
+    means = [m.copy() for m in env.base_means]
+    varis = [v.copy() for v in env.base_vars]
+    for s in env.shifts:
+        if s.batch_index > batch_index:
+            break
+        for layer in s.layers:
+            means[layer] = means[layer] + s.mean_offset_sigmas * np.sqrt(env.base_vars[layer])
+            varis[layer] = varis[layer] * s.var_scale
+    return means, varis
+
+
+def reference_generate_batch(env, model, batch_index, rng):
+    """Per-layer (means, variances, sample count), drawn and computed layer
+    by layer the way ``generate_batch`` did before it wrote into stacked
+    arrays."""
+    env_means, env_vars = reference_params_at(env, batch_index)
+    out = []
+    for layer in range(env.n_layers):
+        m = env.base_means[layer] + (env_means[layer] - model.means[layer])
+        v = env.base_vars[layer] * env_vars[layer] / model.variances[layer]
+        n = env.batch_size * env.positions[layer]
+        c = env.channels[layer]
+        mu = m + np.sqrt(v / n) * rng.standard_normal(c)
+        var = v * rng.chisquare(n - 1, c) / n if n > 1 else np.zeros(c)
+        out.append((mu, var, n))
+    return out
+
+
+class TestEnvironmentEpochs:
+    def ragged_env(self):
+        widths = (1, 7, 8, 9, 129, 3)
+        return EnvironmentSpec(
+            channels=widths,
+            positions=(1, 3, 1, 5, 2, 4),
+            base_means=tuple(np.linspace(-1.0, 1.0, w) for w in widths),
+            base_vars=tuple(np.linspace(0.3, 3.0, w) for w in widths),
+            shifts=(
+                Shift(batch_index=2, layers=(0, 4), mean_offset_sigmas=1.3, var_scale=1.7),
+                Shift(batch_index=5, layers=(4, 4, 1), mean_offset_sigmas=-0.7),
+                Shift(batch_index=6, layers=(5,), mean_offset_sigmas=0.1, var_scale=0.3),
+            ),
+            batch_size=1,
+        )
+
+    def test_params_match_replayed_shifts_bit_for_bit(self):
+        env = self.ragged_env()
+        for batch_index in range(-1, 9):
+            means, varis = env.params_at(batch_index)
+            want_means, want_varis = reference_params_at(env, batch_index)
+            for got, want in zip(means + varis, want_means + want_varis):
+                assert got.tolist() == want.tolist()
+            flat_means, flat_vars = env.flat_params_at(batch_index)
+            assert flat_means.tolist() == np.concatenate(want_means).tolist()
+            assert flat_vars.tolist() == np.concatenate(want_varis).tolist()
+
+    def test_params_are_read_only(self):
+        env = self.ragged_env()
+        means, _ = env.params_at(7)
+        with pytest.raises(ValueError):
+            means[4][0] = 1.0
+        with pytest.raises(ValueError):
+            env.flat_params_at(0)[1][0] = 1.0
+
+    def test_base_params_are_copied(self):
+        base = np.zeros(4)
+        env = EnvironmentSpec(
+            channels=(4,), positions=(1,), base_means=(base,),
+            base_vars=(np.ones(4),), shifts=(), batch_size=2,
+        )
+        base[0] = 5.0
+        assert env.params_at(0)[0][0][0] == 0.0
+
+    def test_sampled_stats_match_per_layer_draws_bit_for_bit(self):
+        env = self.ragged_env()
+        model = ModelResponseState.from_environment(env, adaptation_gain=0.5)
+        model = apply_update(
+            model, UpdateStrategy(6, (2, 5)), *env.params_at(3)
+        )
+        rng = np.random.default_rng(21)
+        ref_rng = np.random.default_rng(21)
+        for batch_index in range(8):
+            stats = generate_batch(env, model, batch_index, rng)
+            want = reference_generate_batch(env, model, batch_index, ref_rng)
+            assert stats.widths == env.channels
+            for layer, (mu, var, n) in zip(stats, want):
+                assert layer.means.tolist() == mu.tolist()
+                assert layer.variances.tolist() == var.tolist()
+                assert layer.sample_count == n
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestValidation:
     def test_shift_validation(self):
         with pytest.raises(InputError):
