@@ -21,16 +21,13 @@ from .network import LayerSpec, Network
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
 
-# fraction of backward time attributed to the weight gradient, by kind;
-# parameter-free kinds are handled before this table applies
-_DW_SHARE = {
-    "conv2d": 0.5,
-    "linear": 0.5,
-    "batchnorm": 0.5,
-    "layernorm": 0.5,
-    "attention-projection": 0.5,
-    "feedforward": 0.5,
-}
+# fraction of backward time attributed to the weight gradient of a layer
+# with parameters (parameter-free layers spend it all on the activation
+# gradient)
+_DW_SHARE = 0.5
+
+# states whose blend vectors one latency table remembers
+_MEMO_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -107,20 +104,16 @@ def pi1(device: DeviceSpec, state: SystemState) -> float:
     )
 
 
-def pi2(device: DeviceSpec, state: SystemState, dram_over_cache: bool = False) -> float:
+def pi2(device: DeviceSpec, state: SystemState) -> float:
     """Memory expansion: runtime-to-offline memory-time ratio.
 
     A miss costs ``b_cache / b_dram`` times a hit, so the mix
     ``phi + (1 - phi) * b_cache/b_dram`` is the memory time relative to
     all-hit traffic; normalizing by the offline mix yields a factor that is
-    1.0 offline and grows as the hit rate drops. ``dram_over_cache=True``
-    instead weights misses by ``b_dram / b_cache`` (unnormalized); that
-    variant yields factors below one and is kept only for comparison.
+    1.0 offline and grows as the hit rate drops.
     """
     if device.b_dram <= 0:
         raise InputError("b_dram must be positive")
-    if dram_over_cache:
-        return state.phi + (1.0 - state.phi) * device.b_dram / device.b_cache
     ratio = device.b_cache / device.b_dram
     mix_on = state.phi + (1.0 - state.phi) * ratio
     mix_off = device.phi_off + (1.0 - device.phi_off) * ratio
@@ -190,23 +183,25 @@ def predict_layer_latency(t_off: float, eta_l: float, factors: ExpansionFactors)
 
 def split_backward(t_b: float, layer: LayerSpec) -> tuple[float, float]:
     """Split a backward latency into weight-gradient and activation-gradient
-    shares by the backward MAC proportions of the layer kind.
+    shares by the backward MAC proportions.
 
     Weight-gradient and input-gradient MACs both equal the forward count for
-    the parameterized kinds modelled here, hence the even split; layers
+    every parameterized kind modelled here, hence the even split; layers
     without parameters spend everything on the activation gradient.
     """
     if t_b < 0:
         raise InputError("t_b must be non-negative")
     if not layer.has_params:
         return 0.0, t_b
-    t_dw = _DW_SHARE[layer.kind] * t_b
+    t_dw = _DW_SHARE * t_b
     return t_dw, t_b - t_dw
 
 
 @dataclass(frozen=True)
 class OfflineProfile:
-    """Per-layer offline measurements, backward-indexed 1..N (slot 0 unused)."""
+    """Per-layer offline measurements, backward-indexed 1..N (slot 0 unused),
+    held as read-only copies. The profile keeps the latency table it was
+    last calibrated with (see ``latency_table``)."""
 
     t_f: np.ndarray
     t_b: np.ndarray
@@ -214,14 +209,16 @@ class OfflineProfile:
 
     def __post_init__(self):
         for name in ("t_f", "t_b", "t_re"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             if arr.ndim != 1 or arr.shape != np.shape(self.t_f):
                 raise InputError("offline profile arrays must share one shape")
             if arr[0] != 0.0:
                 raise InputError("slot 0 of offline arrays is padding and must be 0")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise InputError(f"offline {name} must be finite and non-negative")
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_table", None)
 
     @property
     def n_layers(self) -> int:
@@ -238,7 +235,8 @@ class LatencyProfile:
     ``t_b[b] == t_dw[b] + t_dx[b]`` exactly for every layer, and
     ``t_total == t_f_total + t_b_total + t_re_total``. ``cum_dx``/``cum_re``
     are prefix sums over backward indices, read by the cost closed form.
-    Every latency must be finite and non-negative.
+    Every latency must be finite and non-negative. The prefix sums and the
+    totals are computed once, at construction.
     """
 
     t_f: np.ndarray
@@ -252,6 +250,10 @@ class LatencyProfile:
     selectable: np.ndarray
     cum_dx: np.ndarray = field(init=False)
     cum_re: np.ndarray = field(init=False)
+    t_f_total: float = field(init=False)
+    t_b_total: float = field(init=False)
+    t_re_total: float = field(init=False)
+    t_total: float = field(init=False)
 
     def __post_init__(self):
         n = len(self.t_f) - 1
@@ -270,33 +272,33 @@ class LatencyProfile:
                 f"profile {_LATENCIES[i // (n + 1)]}[{i % (n + 1)}] must be "
                 f"finite and non-negative, got {latencies[i]}"
             )
+        split = self.t_dw + self.t_dx
+        if not (split == self.t_b).all():
+            b = int(np.flatnonzero(split != self.t_b)[0])
+            raise InputError(
+                f"profile t_b[{b}] (layer_id {n - b}) must equal t_dw + t_dx, "
+                f"got {float(self.t_b[b])!r} != {float(split[b])!r}"
+            )
         object.__setattr__(
             self, "selectable", np.asarray(self.selectable, dtype=bool)
         )
         if self.selectable.shape != (n + 1,):
             raise InputError("selectable mask must match profile shape")
-        object.__setattr__(self, "cum_dx", np.cumsum(self.t_dx))
-        object.__setattr__(self, "cum_re", np.cumsum(self.t_re))
+        # the ndarray methods are np.cumsum's and np.sum's reductions
+        # without their dispatch
+        object.__setattr__(self, "cum_dx", self.t_dx.cumsum())
+        object.__setattr__(self, "cum_re", self.t_re.cumsum())
+        t_f_total = float(self.t_f.sum())
+        t_b_total = float(self.t_b.sum())
+        t_re_total = float(self.t_re.sum())
+        object.__setattr__(self, "t_f_total", t_f_total)
+        object.__setattr__(self, "t_b_total", t_b_total)
+        object.__setattr__(self, "t_re_total", t_re_total)
+        object.__setattr__(self, "t_total", t_f_total + t_b_total + t_re_total)
 
     @property
     def n_layers(self) -> int:
         return len(self.t_f) - 1
-
-    @property
-    def t_f_total(self) -> float:
-        return float(np.sum(self.t_f))
-
-    @property
-    def t_b_total(self) -> float:
-        return float(np.sum(self.t_b))
-
-    @property
-    def t_re_total(self) -> float:
-        return float(np.sum(self.t_re))
-
-    @property
-    def t_total(self) -> float:
-        return self.t_f_total + self.t_b_total + self.t_re_total
 
     @classmethod
     def from_components(cls, t_f, t_dw, t_dx, t_re, selectable=None, eta_l=None):
@@ -324,6 +326,90 @@ class LatencyProfile:
         )
 
 
+class LatencyTable:
+    """The per-chain inputs of the latency physics for one network, offline
+    profile and device, built once.
+
+    Backward-indexed 1..N, slot 0 zero: the offline latencies ``t_f``,
+    ``t_dw``, ``t_dx`` and ``t_re`` as lists (the backward time split as
+    ``split_backward`` splits it), and, as read-only arrays, each layer's
+    ``eta`` and the ``selectable`` mask. ``scales(state)`` is the factor
+    ``predict_layer_latency`` applies to each layer under ``state``.
+    """
+
+    def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
+        n = network.n_layers
+        if offline.n_layers != n:
+            raise InputError(
+                f"offline profile covers {offline.n_layers} layers, network has {n}"
+            )
+        # the offline profile keeps its table, so the table holds no
+        # reference back to it
+        self.network = network
+        self.device = device
+        self.n_layers = n
+        self.selectable = network.selectable
+        # eta as ``eta`` computes it, without dividing by zero traffic
+        loaded = network.traffic > 0
+        etas = np.full(n + 1, COMPUTE_BOUND)
+        etas[loaded] = (network.macs[loaded] / device.peak_flops) / (
+            network.traffic[loaded] / device.b_cache
+        )
+        etas[0] = 0.0
+        etas.flags.writeable = False
+        self.eta = etas
+        self._weight = np.zeros(n + 1)
+        self._weight[loaded] = etas[loaded] / (etas[loaded] + 1.0)
+        self._compute_bound = ~loaded  # slot 0 too; it scales a zero
+        # weight-gradient share per layer: 0 for parameter-free layers
+        self._dw_share = np.where(self.selectable, _DW_SHARE, 0.0)
+        t_dw = self._dw_share * offline.t_b
+        self.t_f = offline.t_f.tolist()
+        self.t_dw = t_dw.tolist()
+        self.t_dx = (offline.t_b - t_dw).tolist()
+        self.t_re = offline.t_re.tolist()
+        self._blends: dict[SystemState, tuple[np.ndarray, list]] = {}
+
+    def _blend(self, state: SystemState) -> tuple[np.ndarray, list]:
+        blend = self._blends.get(state)
+        if blend is None:
+            factors = expansion_factors(self.device, state)
+            p1, p2 = factors.pi1, factors.pi2
+            if p1 == p2:
+                scale = np.full(self.n_layers + 1, p1)
+            else:
+                scale = p2 + (p1 - p2) * self._weight
+                scale[self._compute_bound] = p1
+            scale.flags.writeable = False
+            if len(self._blends) >= _MEMO_STATES:
+                self._blends.clear()
+            blend = self._blends[state] = (scale, scale.tolist())
+        return blend
+
+    def scales(self, state: SystemState) -> np.ndarray:
+        """Per-layer blend ``p2 + (p1 - p2) * eta / (eta + 1)`` of the
+        expansion factors (``p1`` for compute-bound layers or when
+        ``p1 == p2``), read-only and memoised per state."""
+        return self._blend(state)[0]
+
+    def scale_list(self, state: SystemState) -> list:
+        """``scales(state)`` as a list of floats."""
+        return self._blend(state)[1]
+
+
+def latency_table(
+    network: Network, offline: OfflineProfile, device: DeviceSpec
+) -> LatencyTable:
+    """The latency table of these three objects. The offline profile keeps
+    the last one it built and reuses it while the same network and device
+    objects come back (all three are immutable)."""
+    table = offline._table
+    if table is None or table.network is not network or table.device is not device:
+        table = LatencyTable(network, offline, device)
+        object.__setattr__(offline, "_table", table)
+    return table
+
+
 def build_profile(
     network: Network,
     offline: OfflineProfile,
@@ -332,42 +418,25 @@ def build_profile(
 ) -> LatencyProfile:
     """Calibrate an offline profile to a resource state.
 
-    Backward, reforward and forward latencies all scale by the same blend;
-    the forward total only enters budget arithmetic, never the per-strategy
-    cost, since it is identical across strategies.
+    Backward, reforward and forward latencies all scale by the same blend,
+    ``predict_layer_latency`` applied to every layer at once; the forward
+    total only enters budget arithmetic, never the per-strategy cost, since
+    it is identical across strategies.
     """
-    n = network.n_layers
-    if offline.n_layers != n:
-        raise InputError(
-            f"offline profile covers {offline.n_layers} layers, network has {n}"
-        )
-    factors = expansion_factors(device, state)
-    t_f = np.zeros(n + 1)
-    t_b = np.zeros(n + 1)
-    t_dw = np.zeros(n + 1)
-    t_dx = np.zeros(n + 1)
-    t_re = np.zeros(n + 1)
-    etas = np.zeros(n + 1)
-    selectable = np.zeros(n + 1, dtype=bool)
-    for b in range(1, n + 1):
-        layer = network.layer_by_backward(b)
-        e = eta(layer, device)
-        etas[b] = e
-        selectable[b] = layer.has_params
-        t_f[b] = predict_layer_latency(float(offline.t_f[b]), e, factors)
-        t_b[b] = predict_layer_latency(float(offline.t_b[b]), e, factors)
-        t_re[b] = predict_layer_latency(float(offline.t_re[b]), e, factors)
-        t_dw[b], t_dx[b] = split_backward(float(t_b[b]), layer)
+    table = latency_table(network, offline, device)
+    scale = table.scales(state)
+    t_b = scale * offline.t_b
+    t_dw = table._dw_share * t_b
     return LatencyProfile(
-        t_f=t_f,
-        t_b_off=offline.t_b.copy(),
-        t_re_off=offline.t_re.copy(),
+        t_f=scale * offline.t_f,
+        t_b_off=offline.t_b,
+        t_re_off=offline.t_re,
         t_b=t_b,
         t_dw=t_dw,
-        t_dx=t_dx,
-        t_re=t_re,
-        eta=etas,
-        selectable=selectable,
+        t_dx=t_b - t_dw,
+        t_re=scale * offline.t_re,
+        eta=table.eta,
+        selectable=table.selectable,
     )
 
 
@@ -401,6 +470,13 @@ class StateTrace:
                 f"{self.horizon_ms:.3f} ms"
             )
         return self.records[bisect_right(self._times, t_ms)][1]
+
+    def next_record_ms(self, t_ms: float) -> float:
+        """Time of the first record after ``t_ms``; inf when none follows,
+        so ``state_at`` is constant from ``t_ms`` up to that time (and up to
+        the horizon)."""
+        i = bisect_right(self._times, t_ms)
+        return self._times[i] if i < len(self._times) else math.inf
 
     @classmethod
     def constant(cls, state: SystemState, horizon_ms: float = math.inf) -> "StateTrace":

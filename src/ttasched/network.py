@@ -20,6 +20,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InputError
 
 LAYER_KINDS = (
@@ -177,7 +179,13 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
 
 @dataclass(frozen=True)
 class Network:
-    """Ordered layer chain. Layer ids must be contiguous 0..N-1."""
+    """Ordered layer chain. Layer ids must be contiguous 0..N-1.
+
+    Built once at construction, read-only and backward-indexed 1..N (slot 0
+    is padding): ``selectable``, the mask of layers that carry parameters,
+    and ``macs`` / ``traffic``, each layer's MAC count and memory traffic as
+    floats.
+    """
 
     name: str
     layers: tuple[LayerSpec, ...]
@@ -194,6 +202,15 @@ class Network:
                 )
         if self.element_width < 1:
             raise InputError("element_width must be >= 1")
+        backward = self.layers[::-1]
+        for name, values, dtype in (
+            ("selectable", [False] + [l.has_params for l in backward], bool),
+            ("macs", [0] + [l.mac_count for l in backward], float),
+            ("traffic", [0] + [l.mem_traffic for l in backward], float),
+        ):
+            arr = np.array(values, dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_layers(self) -> int:
@@ -212,11 +229,7 @@ class Network:
 
     def selectable_backward(self) -> tuple[int, ...]:
         """Backward indices of layers that may appear in an update strategy."""
-        return tuple(
-            b
-            for b in range(1, self.n_layers + 1)
-            if self.layer_by_backward(b).has_params
-        )
+        return tuple(np.flatnonzero(self.selectable).tolist())
 
 
 @dataclass(frozen=True)
@@ -256,7 +269,7 @@ class UpdateStrategy:
                 f"{network.n_layers}"
             )
         for b in self.selected:
-            if not network.layer_by_backward(b).has_params:
+            if not network.selectable[b]:
                 raise InputError(
                     f"backward index {b} is parameter-free and cannot be selected"
                 )

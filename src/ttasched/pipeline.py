@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +39,14 @@ from .importance import (
 )
 from .latency import (
     DeviceSpec,
+    LatencyTable,
     OfflineProfile,
     StateTrace,
     build_profile,
-    expansion_factors,
-    eta as layer_eta,
+    latency_table,
     load_device_file,
     load_offline_profile_file,
     load_trace_file,
-    predict_layer_latency,
-    split_backward,
 )
 from .network import Network, UpdateStrategy, load_network_file
 from .scheduler import SchedulerConfig, solve_dp
@@ -301,7 +300,8 @@ def reuse_plan(strategy: UpdateStrategy, network: Network) -> ReusePlan:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Per-layer executed latencies (backward-indexed, slot 0 unused)."""
+    """Per-layer executed latencies (backward-indexed, slot 0 unused); the
+    phase totals are computed once, at construction."""
 
     f_exec: np.ndarray
     dw_exec: np.ndarray
@@ -309,29 +309,25 @@ class ExecutionResult:
     re_exec: np.ndarray
     start_ms: float
     finish_ms: float
+    t_f_total: float = field(init=False)
+    t_b_total: float = field(init=False)
+    t_re_total: float = field(init=False)
+    t_total: float = field(init=False)
 
-    @property
-    def t_f_total(self) -> float:
-        return float(np.sum(self.f_exec))
-
-    @property
-    def t_b_total(self) -> float:
-        return float(np.sum(self.dw_exec) + np.sum(self.dx_exec))
-
-    @property
-    def t_re_total(self) -> float:
-        return float(np.sum(self.re_exec))
-
-    @property
-    def t_total(self) -> float:
-        return self.t_f_total + self.t_b_total + self.t_re_total
+    def __post_init__(self):
+        # ndarray.sum is np.sum's pairwise reduction without its dispatch
+        t_f_total = float(self.f_exec.sum())
+        t_b_total = float(self.dw_exec.sum() + self.dx_exec.sum())
+        t_re_total = float(self.re_exec.sum())
+        object.__setattr__(self, "t_f_total", t_f_total)
+        object.__setattr__(self, "t_b_total", t_b_total)
+        object.__setattr__(self, "t_re_total", t_re_total)
+        object.__setattr__(self, "t_total", t_f_total + t_b_total + t_re_total)
 
 
 def execute_ground_truth(
-    network: Network,
-    offline: OfflineProfile,
-    device: DeviceSpec,
-    state_at,
+    table: LatencyTable,
+    trace: StateTrace,
     strategy: UpdateStrategy,
     plan: ReusePlan,
     jitter_eps: float = 0.0,
@@ -340,10 +336,12 @@ def execute_ground_truth(
 ) -> ExecutionResult:
     """Run the three phases against the live state trace.
 
-    Uses the same latency physics as the predictor, but samples the system
-    state at each layer's own execution instant and applies multiplicative
-    jitter Uniform(1-eps, 1+eps), so prediction error is exactly zero only
-    for a static state with eps=0.
+    Uses the same latency physics as the predictor (the table's per-layer
+    scale under the state in force), but takes the state at each layer's own
+    execution instant and applies multiplicative jitter Uniform(1-eps, 1+eps),
+    so prediction error is exactly zero only for a static state with eps=0.
+    The state is read again only when the clock reaches the trace's next
+    record time or passes its horizon, where ``state_at`` raises.
 
     Layers run in this order: forward from backward index n down to 1; then,
     for each backward index b up to the deepest selected layer d, the
@@ -355,49 +353,48 @@ def execute_ground_truth(
         raise InputError("jitter_eps must lie in [0, 1)")
     if jitter_eps > 0 and rng is None:
         raise InputError("jitter requires an rng")
-    n = network.n_layers
-    strategy.validate_against(network)
-    f_exec = np.zeros(n + 1)
-    dw_exec = np.zeros(n + 1)
-    dx_exec = np.zeros(n + 1)
-    re_exec = np.zeros(n + 1)
+    n = table.n_layers
+    strategy.validate_against(table.network)
+    f_exec = [0.0] * (n + 1)
+    dw_exec = [0.0] * (n + 1)
+    dx_exec = [0.0] * (n + 1)
+    re_exec = [0.0] * (n + 1)
 
-    # (output array, backward index, offline latency), in execution order
-    steps = [(f_exec, b, float(offline.t_f[b])) for b in range(n, 0, -1)]
+    # (output list, backward index, offline latency), in execution order
+    t_f, t_dw, t_dx, t_re = table.t_f, table.t_dw, table.t_dx, table.t_re
+    steps = [(f_exec, b, t_f[b]) for b in range(n, 0, -1)]
     d = strategy.deepest
     selected = set(strategy.selected)
     for b in range(1, d + 1):
-        dw_off, dx_off = split_backward(float(offline.t_b[b]), network.layer_by_backward(b))
         if b < d:
-            steps.append((dx_exec, b, dx_off))
+            steps.append((dx_exec, b, t_dx[b]))
         if b in selected:
-            steps.append((dw_exec, b, dw_off))
+            steps.append((dw_exec, b, t_dw[b]))
     for forward_id in plan.executed:
-        b = network.backward_index(forward_id)
-        steps.append((re_exec, b, float(offline.t_re[b])))
+        b = n - forward_id
+        steps.append((re_exec, b, t_re[b]))
 
-    etas = [0.0] + [layer_eta(network.layer_by_backward(b), device) for b in range(1, n + 1)]
     if rng is None:
         jitters = [1.0] * len(steps)
     else:
         jitters = rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps, len(steps)).tolist()
 
+    horizon = trace.horizon_ms
     now = t_start_ms
-    state = factors = None
+    next_record = -math.inf  # forces a read before the first run
     for (out, b, t_off), jit in zip(steps, jitters):
-        current = state_at(now)
-        if current is not state:
-            state = current
-            factors = expansion_factors(device, state)
-        lat = predict_layer_latency(t_off, etas[b], factors) * jit
+        if not (now < next_record and now <= horizon):
+            scale = table.scale_list(trace.state_at(now))
+            next_record = trace.next_record_ms(now)
+        lat = scale[b] * t_off * jit
         out[b] = lat
         now += lat
 
     return ExecutionResult(
-        f_exec=f_exec,
-        dw_exec=dw_exec,
-        dx_exec=dx_exec,
-        re_exec=re_exec,
+        f_exec=np.array(f_exec),
+        dw_exec=np.array(dw_exec),
+        dx_exec=np.array(dx_exec),
+        re_exec=np.array(re_exec),
         start_ms=t_start_ms,
         finish_ms=now,
     )
@@ -564,7 +561,9 @@ def _full_strategy(network: Network) -> UpdateStrategy:
     )
 
 
-def _replay_full_updates(scenario: Scenario, rng: np.random.Generator) -> float:
+def _replay_full_updates(
+    scenario: Scenario, rng: np.random.Generator, table: LatencyTable
+) -> float:
     """Mean per-batch executed latency when every selectable layer is
     updated every batch, on the same arrival process."""
     network = scenario.network
@@ -579,10 +578,8 @@ def _replay_full_updates(scenario: Scenario, rng: np.random.Generator) -> float:
         arrival = i * inter
         start = max(arrival, prev_finish)
         execd = execute_ground_truth(
-            network,
-            scenario.offline,
-            scenario.device,
-            scenario.trace.state_at,
+            table,
+            scenario.trace,
             full,
             plan,
             jitter_eps=scenario.jitter_eps,
@@ -602,6 +599,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
     rng_env, rng_exec, rng_replay = (np.random.default_rng(s) for s in seq.spawn(3))
 
     env = scenario.environment
+    table = latency_table(network, scenario.offline, scenario.device)
     model = ModelResponseState.from_environment(env, scenario.adaptation_gain)
     history: EmbeddingHistory | None = None
     sigma = scenario.sigma
@@ -642,10 +640,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         sched = solve_dp(vector, profile, SchedulerConfig(sigma=sigma))
         plan = reuse_plan(sched.strategy, network)
         execd = execute_ground_truth(
-            network,
-            scenario.offline,
-            scenario.device,
-            scenario.trace.state_at,
+            table,
+            scenario.trace,
             sched.strategy,
             plan,
             jitter_eps=scenario.jitter_eps,
@@ -714,7 +710,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         if scenario.controller.enabled:
             sigma = sigma_controller(r_history, sigma, scenario.controller)
 
-    replay_mean = _replay_full_updates(scenario, rng_replay)
+    replay_mean = _replay_full_updates(scenario, rng_replay, table)
     mean_total = sum(rec.executed_total_ms for rec in records) / len(records)
     aggregates = EpisodeAggregates(
         batches=len(records),
@@ -740,15 +736,16 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
 # --- report serialization ---------------------------------------------------
 
 
-def _record_row(rec: BatchRecord) -> dict:
-    row = {}
+def _record_row(rec: BatchRecord) -> list:
+    """The record's values in field order, as the CSV writes them."""
+    row = []
     for name, value in rec.__dict__.items():
         if name == "selected":
-            row[name] = "|".join(str(b) for b in value)
+            row.append("|".join(str(b) for b in value))
         elif isinstance(value, bool):
-            row[name] = int(value)
+            row.append(int(value))
         else:
-            row[name] = value
+            row.append(value)
     return row
 
 
@@ -776,11 +773,9 @@ def report_json(report: EpisodeReport) -> str:
 
 def report_csv(report: EpisodeReport) -> str:
     buf = io.StringIO()
-    fields = list(BatchRecord.__dataclass_fields__)
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for rec in report.records:
-        writer.writerow(_record_row(rec))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(BatchRecord.__dataclass_fields__))
+    writer.writerows(_record_row(rec) for rec in report.records)
     return buf.getvalue()
 
 

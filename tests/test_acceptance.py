@@ -124,7 +124,7 @@ def test_criterion_4_predictor_bracket_contains_reported_latencies(capsys):
 
 def test_criterion_5_executor_prediction_error(capsys):
     from ttasched.pipeline import execute_ground_truth, reuse_plan
-    from ttasched.latency import StateTrace
+    from ttasched.latency import LatencyTable, StateTrace
 
     network = synthetic_network(10)
     device = demo_edge_device()
@@ -134,11 +134,11 @@ def test_criterion_5_executor_prediction_error(capsys):
     strategy = UpdateStrategy(10, network.selectable_backward())
     plan = reuse_plan(strategy, network)
     trace = StateTrace.constant(state)
+    table = LatencyTable(network, offline, device)
 
     def run(eps, rng):
         return execute_ground_truth(
-            network, offline, device, trace.state_at, strategy, plan,
-            jitter_eps=eps, rng=rng,
+            table, trace, strategy, plan, jitter_eps=eps, rng=rng,
         )
 
     # noise-free, static state: per-layer executed latencies equal the

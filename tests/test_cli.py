@@ -348,6 +348,19 @@ class TestScheduleCommand:
         assert rc == 2
         assert "t_dw[3] must be finite and non-negative" in capsys.readouterr().err
 
+    def test_backward_split_mismatch_exits_2(self, tmp_path, capsys):
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        doc = json.loads(profile_path.read_text())
+        layer = doc["layers"][0]
+        layer["t_b_ms"] = layer["t_dw_ms"] + layer["t_dx_ms"] + 0.5
+        profile_path.write_text(json.dumps(doc))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--sigma", "0.5"]
+        )
+        assert rc == 2
+        assert "t_b[3] (layer_id 0) must equal t_dw + t_dx" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value, named",
         [

@@ -103,6 +103,22 @@ def _odd_width_network():
     return dataclasses.replace(base, name="odd-widths", layers=layers)
 
 
+def _time_varying_drift():
+    """The drift episode under a trace that cycles the five resource
+    conditions every third of a forward pass (with one duplicate timestamp),
+    so states change inside executor calls; jitter stays on."""
+    from ttasched.latency import StateTrace
+    from ttasched.presets import drift_scenario, resource_conditions
+
+    scenario = drift_scenario(seed=4)
+    conditions = list(resource_conditions().values())
+    step = float(np.sum(scenario.offline.t_f)) / 3
+    records = [(k * step, conditions[k % len(conditions)]) for k in range(800)]
+    records.insert(11, (10 * step, conditions[4]))
+    trace = StateTrace(records=tuple(records), horizon_ms=1e6)
+    return dataclasses.replace(scenario, name="drift-time-varying", trace=trace)
+
+
 def golden_cases() -> dict:
     """Name -> zero-argument function returning that case's digests."""
     from ttasched.presets import drift_scenario, resnet50_shaped
@@ -115,6 +131,9 @@ def golden_cases() -> dict:
             )
     cases["episode/drift-elementwise"] = lambda tmp: _episode_digests(
         dataclasses.replace(drift_scenario(seed=2), kl_mode="elementwise")
+    )
+    cases["episode/drift-time-varying-trace"] = lambda tmp: _episode_digests(
+        _time_varying_drift()
     )
     cases["episode/resnet50-shaped-gaussian"] = lambda tmp: _episode_digests(
         _ragged_scenario(resnet50_shaped(), "resnet50-ragged", "gaussian")

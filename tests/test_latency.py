@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from ttasched.latency import (
     COMPUTE_BOUND,
     DeviceSpec,
     ExpansionFactors,
+    LatencyProfile,
+    LatencyTable,
     OfflineProfile,
     StateTrace,
     SystemState,
@@ -15,6 +18,7 @@ from ttasched.latency import (
     calibrate_proc_overhead,
     eta,
     expansion_factors,
+    latency_table,
     pi1,
     pi2,
     predict_layer_latency,
@@ -22,10 +26,12 @@ from ttasched.latency import (
     profile_to_document,
     split_backward,
 )
-from ttasched.network import LayerSpec
+from ttasched.network import LayerSpec, Network
 from ttasched.presets import (
     demo_device,
+    demo_edge_device,
     offline_from_costs,
+    resnet50_shaped,
     resource_conditions,
     synthetic_network,
 )
@@ -138,12 +144,6 @@ class TestPi2:
             for phi in np.linspace(0.0, 1.0, 11)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_inverted_orientation_stays_below_one(self):
-        dev = flat_device()
-        value = pi2(dev, SystemState(n=0, tem_on=25.0, phi=0.3), dram_over_cache=True)
-        assert value == pytest.approx(0.3 + 0.7 / 3.0)
-        assert value < 1.0
 
 
 def cost_layer(mac, mem):
@@ -288,6 +288,26 @@ class TestBuildProfile:
         with pytest.raises(InputError):
             build_profile(self.network, short, self.device, resource_conditions()["offline"])
 
+    def test_split_identity_enforced(self):
+        profile = LatencyProfile.from_components(
+            [0.0, 1.0, 1.0], [0.0, 0.5, 0.25], [0.0, 0.5, 0.75], [0.0, 1.0, 1.0]
+        )
+        assert np.array_equal(profile.t_b, [0.0, 1.0, 1.0])
+        fields = {name: getattr(profile, name) for name in (
+            "t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re", "eta",
+            "selectable")}
+        fields["t_b"] = np.array([0.0, 1.0, 1.5])
+        with pytest.raises(InputError, match=r"t_b\[2\] \(layer_id 0\) must equal t_dw \+ t_dx"):
+            LatencyProfile(**fields)
+
+    def test_totals_equal_np_sum(self):
+        profile = build_profile(
+            self.network, self.offline, self.device, resource_conditions()["combined"]
+        )
+        assert profile.t_f_total == float(np.sum(profile.t_f))
+        assert profile.t_b_total == float(np.sum(profile.t_b))
+        assert profile.t_re_total == float(np.sum(profile.t_re))
+
     def test_document_round_trip(self):
         profile = build_profile(
             self.network, self.offline, self.device, resource_conditions()["combined"]
@@ -297,6 +317,140 @@ class TestBuildProfile:
         assert np.allclose(again.t_b, profile.t_b)
         assert np.allclose(again.t_dw, profile.t_dw)
         assert np.array_equal(again.selectable, profile.selectable)
+
+
+def reference_build_profile(network, offline, device, state):
+    """``build_profile`` as one scalar loop over the layers: each layer's
+    eta, prediction and backward split are computed afresh."""
+    n = network.n_layers
+    factors = expansion_factors(device, state)
+    t_f, t_b, t_dw, t_dx, t_re, etas = (np.zeros(n + 1) for _ in range(6))
+    selectable = np.zeros(n + 1, dtype=bool)
+    for b in range(1, n + 1):
+        layer = network.layer_by_backward(b)
+        e = eta(layer, device)
+        etas[b] = e
+        selectable[b] = layer.has_params
+        t_f[b] = predict_layer_latency(float(offline.t_f[b]), e, factors)
+        t_b[b] = predict_layer_latency(float(offline.t_b[b]), e, factors)
+        t_re[b] = predict_layer_latency(float(offline.t_re[b]), e, factors)
+        t_dw[b], t_dx[b] = split_backward(float(t_b[b]), layer)
+    return LatencyProfile(
+        t_f=t_f, t_b_off=offline.t_b.copy(), t_re_off=offline.t_re.copy(),
+        t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas, selectable=selectable,
+    )
+
+
+def mixed_chain():
+    """Compute-bound (zero-traffic) and parameter-free layers, a zero-MAC
+    layer, and ordinary ones, with non-dyadic offline latencies."""
+    specs = [
+        ("conv2d", True, 4000, 0),
+        ("activation", False, 300, 900),
+        ("pooling", False, 500, 0),
+        ("linear", True, 0, 1200),
+        ("batchnorm", True, 700, 2100),
+        ("conv2d", True, 9000, 3300),
+        ("activation", False, 0, 0),
+        ("linear", True, 12345, 678),
+    ]
+    network = Network(
+        name="mixed",
+        layers=tuple(
+            LayerSpec(id=i, kind=kind, has_params=params, channels=2,
+                      out_elements=8, mac_count=mac, mem_traffic=mem)
+            for i, (kind, params, mac, mem) in enumerate(specs)
+        ),
+    )
+    rng = np.random.default_rng(21)
+    draw = lambda: np.concatenate(([0.0], rng.uniform(0.01, 3.0, len(specs))))
+    return network, OfflineProfile(t_f=draw(), t_b=draw(), t_re=draw())
+
+
+REFERENCE_CASES = ("synthetic24", "resnet50_shaped", "mixed")
+
+
+def reference_case(name):
+    """(network, offline, device) of one of ``REFERENCE_CASES``."""
+    device = demo_edge_device()
+    if name == "mixed":
+        network, offline = mixed_chain()
+    else:
+        network = synthetic_network(24) if name == "synthetic24" else resnet50_shaped()
+        offline = offline_from_costs(network, device)
+    return network, offline, device
+
+
+PROFILE_ARRAYS = ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re",
+                  "eta", "selectable", "cum_dx", "cum_re")
+PROFILE_TOTALS = ("t_f_total", "t_b_total", "t_re_total", "t_total")
+
+
+class TestBuildProfileMatchesReference:
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_bit_identical_over_resource_conditions(self, case):
+        network, offline, device = reference_case(case)
+        for state in resource_conditions().values():
+            got = build_profile(network, offline, device, state)
+            want = reference_build_profile(network, offline, device, state)
+            for field in PROFILE_ARRAYS:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            for field in PROFILE_TOTALS:
+                assert getattr(got, field) == getattr(want, field), field
+
+    def test_mixed_chain_has_compute_bound_and_parameter_free_layers(self):
+        network, offline = mixed_chain()
+        table = LatencyTable(network, offline, demo_edge_device())
+        assert np.sum(table.eta == COMPUTE_BOUND) == 3
+        assert not table.selectable.all()
+        assert table.eta[0] == 0.0
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in REFERENCE_CASES:
+                network, offline, device = reference_case(case)
+                table = LatencyTable(network, offline, device)
+                for state in resource_conditions().values():
+                    table.scales(state)
+                    build_profile(network, offline, device, state)
+
+    def test_scale_times_latency_is_predict_layer_latency(self):
+        rng = np.random.default_rng(8)
+        latencies = [0.0, 1.0, 0.1, 1e-300, 7.3e5] + rng.uniform(0, 50, 20).tolist()
+        for case in REFERENCE_CASES:
+            network, offline, device = reference_case(case)
+            table = LatencyTable(network, offline, device)
+            for state in resource_conditions().values():
+                factors = expansion_factors(device, state)
+                scale = table.scales(state)
+                for b in range(1, network.n_layers + 1):
+                    for t in latencies:
+                        want = predict_layer_latency(t, float(table.eta[b]), factors)
+                        assert scale[b] * t == want
+
+    def test_table_is_reused_for_the_same_inputs(self):
+        network = synthetic_network(6)
+        device = demo_edge_device()
+        offline = offline_from_costs(network, device)
+        table = latency_table(network, offline, device)
+        assert latency_table(network, offline, device) is table
+        copy = OfflineProfile(t_f=offline.t_f, t_b=offline.t_b, t_re=offline.t_re)
+        assert latency_table(network, copy, device) is not table
+        state = resource_conditions()["combined"]
+        assert table.scales(state) is table.scales(
+            SystemState(n=state.n, tem_on=state.tem_on, phi=state.phi)
+        )
+        with pytest.raises(ValueError):
+            table.scales(state)[1] = 0.0
+
+    def test_offline_profile_holds_read_only_copies(self):
+        t_f = np.array([0.0, 1.0])
+        offline = OfflineProfile(t_f=t_f, t_b=np.array([0.0, 2.0]), t_re=np.array([0.0, 1.0]))
+        t_f[1] = 5.0
+        assert offline.t_f[1] == 1.0
+        with pytest.raises(ValueError):
+            offline.t_b[1] = 0.0
 
 
 class TestResourceConditionTable:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttasched.errors import InputError, TraceExhausted
-from ttasched.latency import StateTrace
+from ttasched.latency import LatencyTable, StateTrace
 from ttasched.network import UpdateStrategy, strategy_cost
 from ttasched.pipeline import (
     ControllerConfig,
@@ -204,14 +204,13 @@ class TestValidation:
         offline = offline_from_costs(net, device)
         strategy = UpdateStrategy(2, (1,))
         plan = reuse_plan(strategy, net)
-        state_at = StateTrace.constant(resource_conditions()["offline"]).state_at
+        table = LatencyTable(net, offline, device)
+        trace = StateTrace.constant(resource_conditions()["offline"])
         with pytest.raises(InputError, match="rng"):
-            execute_ground_truth(
-                net, offline, device, state_at, strategy, plan, jitter_eps=0.1
-            )
+            execute_ground_truth(table, trace, strategy, plan, jitter_eps=0.1)
         with pytest.raises(InputError, match="jitter_eps"):
             execute_ground_truth(
-                net, offline, device, state_at, strategy, plan, jitter_eps=1.5,
+                table, trace, strategy, plan, jitter_eps=1.5,
                 rng=np.random.default_rng(0),
             )
 
@@ -364,10 +363,8 @@ class TestExecuteGroundTruth:
     def run(self, strategy, eps=0.0, rng=None, state=None):
         plan = reuse_plan(strategy, self.network)
         return execute_ground_truth(
-            self.network,
-            self.offline,
-            self.device,
-            StateTrace.constant(state or self.state).state_at,
+            LatencyTable(self.network, self.offline, self.device),
+            StateTrace.constant(state or self.state),
             strategy,
             plan,
             jitter_eps=eps,
@@ -480,6 +477,7 @@ class TestExecutorMatchesReference:
             ),
             horizon_ms=math.inf,
         )
+        table = LatencyTable(network, offline, device)
         pick = np.random.default_rng(4)
         selectable = np.array(network.selectable_backward())
         strategies = [
@@ -496,7 +494,7 @@ class TestExecutorMatchesReference:
                 rng = None if seed is None else np.random.default_rng(seed)
                 ref_rng = None if seed is None else np.random.default_rng(seed)
                 execd = execute_ground_truth(
-                    network, offline, device, trace.state_at, strategy, plan,
+                    table, trace, strategy, plan,
                     jitter_eps=eps, rng=rng, t_start_ms=start,
                 )
                 arrays, finish = reference_execute(
@@ -513,6 +511,133 @@ class TestExecutorMatchesReference:
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
                 assert finish - start > 2 * step  # spans several records
                 start = finish
+
+
+class TestExecutorTraceSegments:
+    """The executor reads the state again only when its clock reaches the
+    next record time or passes the horizon, and still matches the per-layer
+    reference bit for bit."""
+
+    def setup_method(self):
+        self.network = synthetic_network(12)
+        self.device = demo_edge_device()
+        self.offline = offline_from_costs(self.network, self.device)
+        self.table = LatencyTable(self.network, self.offline, self.device)
+        self.strategy = UpdateStrategy(12, self.network.selectable_backward())
+        self.plan = reuse_plan(self.strategy, self.network)
+        self.states = list(resource_conditions().values())
+
+    def both(self, trace, t_start_ms=0.0, eps=0.0, seed=None):
+        """Run the executor and the reference; assert they agree."""
+        rng = None if seed is None else np.random.default_rng(seed)
+        ref_rng = None if seed is None else np.random.default_rng(seed)
+        execd = execute_ground_truth(
+            self.table, trace, self.strategy, self.plan,
+            jitter_eps=eps, rng=rng, t_start_ms=t_start_ms,
+        )
+        arrays, finish = reference_execute(
+            self.network, self.offline, self.device, trace.state_at, self.strategy,
+            self.plan, jitter_eps=eps, rng=ref_rng, t_start_ms=t_start_ms,
+        )
+        for got, want in zip(
+            (execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec), arrays
+        ):
+            assert np.array_equal(got, want)
+        assert execd.finish_ms == finish
+        if rng is not None:
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return execd
+
+    def run_starts(self, trace, t_start_ms=0.0):
+        """Start time of every layer run of a noise-free reference call."""
+        starts = []
+
+        def state_at(t_ms):
+            starts.append(t_ms)
+            return trace.state_at(t_ms)
+
+        reference_execute(
+            self.network, self.offline, self.device, state_at, self.strategy,
+            self.plan, t_start_ms=t_start_ms,
+        )
+        return starts
+
+    def test_run_starting_exactly_on_a_record_time(self):
+        idle, hot = self.states[0], self.states[4]
+        constant = self.both(StateTrace.constant(idle))
+        starts = self.run_starts(StateTrace.constant(idle))
+        # forward runs go from backward index 12 down, so run 7 is b = 5
+        trace = StateTrace(records=((0.0, idle), (starts[7], hot)), horizon_ms=math.inf)
+        execd = self.both(trace)
+        assert execd.f_exec[6] == constant.f_exec[6]
+        assert execd.f_exec[5] != constant.f_exec[5]
+        # the first run, starting on a record time, takes that record
+        execd = self.both(trace, t_start_ms=starts[7])
+        assert execd.f_exec[12] != constant.f_exec[12]
+        self.both(trace, t_start_ms=starts[7], eps=0.05, seed=2)
+
+    def test_duplicate_timestamps_take_the_last_record(self):
+        s = self.states
+        starts = self.run_starts(StateTrace.constant(s[0]))
+        duplicated = StateTrace(
+            records=((0.0, s[0]), (starts[5], s[1]), (starts[5], s[4]), (starts[9], s[2])),
+            horizon_ms=math.inf,
+        )
+        single = StateTrace(
+            records=((0.0, s[0]), (starts[5], s[4]), (starts[9], s[2])),
+            horizon_ms=math.inf,
+        )
+        execd = self.both(duplicated)
+        assert np.array_equal(execd.f_exec, self.both(single).f_exec)
+        self.both(duplicated, eps=0.05, seed=3)
+
+    def test_trace_exhausted_partway_raises_as_the_reference(self):
+        s = self.states
+        starts = self.run_starts(StateTrace.constant(s[0]))
+        horizon = (starts[10] + starts[11]) / 2
+        trace = StateTrace(
+            records=((0.0, s[0]), (starts[3], s[0]), (starts[6], s[0])),
+            horizon_ms=horizon,
+        )
+        with pytest.raises(TraceExhausted) as got:
+            execute_ground_truth(self.table, trace, self.strategy, self.plan)
+        with pytest.raises(TraceExhausted) as want:
+            reference_execute(
+                self.network, self.offline, self.device, trace.state_at,
+                self.strategy, self.plan,
+            )
+        assert str(got.value) == str(want.value)
+        assert f"t={starts[11]:.3f} ms" in str(got.value)
+
+    def test_run_may_finish_past_the_horizon(self):
+        starts = self.run_starts(StateTrace.constant(self.states[0]))
+        trace = StateTrace.constant(self.states[0], horizon_ms=starts[-1])
+        self.both(trace)
+
+    def test_nan_start_rejected(self):
+        trace = StateTrace.constant(self.states[0])
+        with pytest.raises(InputError, match="must be a number"):
+            execute_ground_truth(
+                self.table, trace, self.strategy, self.plan, t_start_ms=math.nan
+            )
+
+    def test_state_read_once_per_record_reached(self, monkeypatch):
+        idle = self.states[0]
+        starts = self.run_starts(StateTrace.constant(idle))
+        # equal states keep the run times, so the records fall on run starts
+        trace = StateTrace(
+            records=tuple(
+                (t, dataclasses.replace(idle)) for t in (0.0, starts[4], starts[20], 1e9)
+            ),
+            horizon_ms=math.inf,
+        )
+        calls = []
+        state_at = StateTrace.state_at
+        monkeypatch.setattr(
+            StateTrace, "state_at", lambda self, t: calls.append(t) or state_at(self, t)
+        )
+        execute_ground_truth(self.table, trace, self.strategy, self.plan)
+        assert calls == [0.0, starts[4], starts[20]]
 
 
 class TestApplyUpdate:
