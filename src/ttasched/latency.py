@@ -26,9 +26,6 @@ COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
 # gradient)
 _DW_SHARE = 0.5
 
-# states whose blend vectors one latency table remembers
-_MEMO_STATES = 64
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -201,11 +198,14 @@ def split_backward(t_b: float, layer: LayerSpec) -> tuple[float, float]:
 class OfflineProfile:
     """Per-layer offline measurements, backward-indexed 1..N (slot 0 unused),
     held as read-only copies. The profile keeps the latency table it was
-    last calibrated with (see ``latency_table``)."""
+    last calibrated with (see ``_table_for``)."""
 
     t_f: np.ndarray
     t_b: np.ndarray
     t_re: np.ndarray
+    _table: "LatencyTable | None" = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for name in ("t_f", "t_b", "t_re"):
@@ -218,7 +218,6 @@ class OfflineProfile:
                 raise InputError(f"offline {name} must be finite and non-negative")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "_table", None)
 
     @property
     def n_layers(self) -> int:
@@ -232,9 +231,10 @@ _LATENCIES = ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re")
 class LatencyProfile:
     """Runtime per-layer latencies, backward-indexed 1..N (slot 0 is 0).
 
-    ``t_b[b] == t_dw[b] + t_dx[b]`` exactly for every layer, and
-    ``t_total == t_f_total + t_b_total + t_re_total``. ``cum_dx``/``cum_re``
-    are prefix sums over backward indices, read by the cost closed form.
+    ``t_b[b] == t_dw[b] + t_dx[b]`` bit for bit (the float sum) for every
+    layer, and ``t_total == t_f_total + t_b_total + t_re_total``.
+    ``cum_dx``/``cum_re`` are prefix sums over backward indices, read by the
+    cost closed form.
     Every latency must be finite and non-negative. The prefix sums and the
     totals are computed once, at construction.
     """
@@ -276,8 +276,9 @@ class LatencyProfile:
         if not (split == self.t_b).all():
             b = int(np.flatnonzero(split != self.t_b)[0])
             raise InputError(
-                f"profile t_b[{b}] (layer_id {n - b}) must equal t_dw + t_dx, "
-                f"got {float(self.t_b[b])!r} != {float(split[b])!r}"
+                f"profile t_b[{b}] (layer_id {n - b}) must equal t_dw + t_dx "
+                f"exactly as a float sum, got {float(self.t_b[b])!r} != "
+                f"{float(split[b])!r}"
             )
         object.__setattr__(
             self, "selectable", np.asarray(self.selectable, dtype=bool)
@@ -334,7 +335,9 @@ class LatencyTable:
     ``t_dw``, ``t_dx`` and ``t_re`` as lists (the backward time split as
     ``split_backward`` splits it), and, as read-only arrays, each layer's
     ``eta`` and the ``selectable`` mask. ``scales(state)`` is the factor
-    ``predict_layer_latency`` applies to each layer under ``state``.
+    ``predict_layer_latency`` applies to each layer under ``state``; the
+    table keeps the blend of the last state ``scales`` was asked for, which
+    is every call's state on a constant trace.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -361,6 +364,11 @@ class LatencyTable:
         self._weight = np.zeros(n + 1)
         self._weight[loaded] = etas[loaded] / (etas[loaded] + 1.0)
         self._compute_bound = ~loaded  # slot 0 too; it scales a zero
+        # the same weights for one layer at a time; None marks compute-bound
+        self._layer_weight = [
+            w if is_loaded else None
+            for w, is_loaded in zip(self._weight.tolist(), loaded.tolist())
+        ]
         # weight-gradient share per layer: 0 for parameter-free layers
         self._dw_share = np.where(self.selectable, _DW_SHARE, 0.0)
         t_dw = self._dw_share * offline.t_b
@@ -368,11 +376,15 @@ class LatencyTable:
         self.t_dw = t_dw.tolist()
         self.t_dx = (offline.t_b - t_dw).tolist()
         self.t_re = offline.t_re.tolist()
-        self._blends: dict[SystemState, tuple[np.ndarray, list]] = {}
+        self._state: SystemState | None = None
+        self._scales = np.empty(0)
+        self._scale_list: list = []
 
-    def _blend(self, state: SystemState) -> tuple[np.ndarray, list]:
-        blend = self._blends.get(state)
-        if blend is None:
+    def scales(self, state: SystemState) -> np.ndarray:
+        """Per-layer blend ``p2 + (p1 - p2) * eta / (eta + 1)`` of the
+        expansion factors (``p1`` for compute-bound layers or when
+        ``p1 == p2``), read-only; a repeat of the last state reuses it."""
+        if state != self._state:
             factors = expansion_factors(self.device, state)
             p1, p2 = factors.pi1, factors.pi2
             if p1 == p2:
@@ -381,23 +393,42 @@ class LatencyTable:
                 scale = p2 + (p1 - p2) * self._weight
                 scale[self._compute_bound] = p1
             scale.flags.writeable = False
-            if len(self._blends) >= _MEMO_STATES:
-                self._blends.clear()
-            blend = self._blends[state] = (scale, scale.tolist())
-        return blend
+            self._state = state
+            self._scales = scale
+            self._scale_list = scale.tolist()
+        return self._scales
 
-    def scales(self, state: SystemState) -> np.ndarray:
-        """Per-layer blend ``p2 + (p1 - p2) * eta / (eta + 1)`` of the
-        expansion factors (``p1`` for compute-bound layers or when
-        ``p1 == p2``), read-only and memoised per state."""
-        return self._blend(state)[0]
+    def layer_scales(self, state: SystemState):
+        """``scales(state)`` indexed by backward index, as floats: the kept
+        list when ``state`` is the last state ``scales`` blended, otherwise
+        each layer blended when it is read, since a time-varying trace
+        often moves on after a few layers."""
+        if state == self._state:
+            return self._scale_list
+        factors = expansion_factors(self.device, state)
+        return _LayerBlend(factors.pi1, factors.pi2, self._layer_weight)
 
-    def scale_list(self, state: SystemState) -> list:
-        """``scales(state)`` as a list of floats."""
-        return self._blend(state)[1]
+
+class _LayerBlend:
+    """One state's per-layer blend, each layer's computed when it is read
+    with the same operations as ``LatencyTable.scales``."""
+
+    __slots__ = ("_p1", "_p2", "_weight")
+
+    def __init__(self, p1: float, p2: float, weight: list):
+        self._p1 = p1
+        self._p2 = p2
+        self._weight = weight
+
+    def __getitem__(self, b: int) -> float:
+        w = self._weight[b]
+        p1, p2 = self._p1, self._p2
+        if w is None or p1 == p2:
+            return p1
+        return p2 + (p1 - p2) * w
 
 
-def latency_table(
+def _table_for(
     network: Network, offline: OfflineProfile, device: DeviceSpec
 ) -> LatencyTable:
     """The latency table of these three objects. The offline profile keeps
@@ -423,7 +454,7 @@ def build_profile(
     total only enters budget arithmetic, never the per-strategy cost, since
     it is identical across strategies.
     """
-    table = latency_table(network, offline, device)
+    table = _table_for(network, offline, device)
     scale = table.scales(state)
     t_b = scale * offline.t_b
     t_dw = table._dw_share * t_b

@@ -42,8 +42,8 @@ from .latency import (
     LatencyTable,
     OfflineProfile,
     StateTrace,
+    _table_for,
     build_profile,
-    latency_table,
     load_device_file,
     load_offline_profile_file,
     load_trace_file,
@@ -384,7 +384,7 @@ def execute_ground_truth(
     next_record = -math.inf  # forces a read before the first run
     for (out, b, t_off), jit in zip(steps, jitters):
         if not (now < next_record and now <= horizon):
-            scale = table.scale_list(trace.state_at(now))
+            scale = table.layer_scales(trace.state_at(now))
             next_record = trace.next_record_ms(now)
         lat = scale[b] * t_off * jit
         out[b] = lat
@@ -599,7 +599,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
     rng_env, rng_exec, rng_replay = (np.random.default_rng(s) for s in seq.spawn(3))
 
     env = scenario.environment
-    table = latency_table(network, scenario.offline, scenario.device)
+    table = _table_for(network, scenario.offline, scenario.device)
     model = ModelResponseState.from_environment(env, scenario.adaptation_gain)
     history: EmbeddingHistory | None = None
     sigma = scenario.sigma

@@ -362,6 +362,26 @@ class TestScheduleCommand:
         assert "t_b[3] (layer_id 0) must equal t_dw + t_dx" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "t_b, rc", [(0.3, 2), (0.1 + 0.2, 0), (0.30000000000000004, 0)]
+    )
+    def test_backward_split_is_bit_exact(self, tmp_path, capsys, t_b, rc):
+        # the identity is the double-precision sum: 0.1 + 0.2 != 0.3
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        doc = json.loads(profile_path.read_text())
+        layer = doc["layers"][0]
+        layer["t_dw_ms"], layer["t_dx_ms"], layer["t_b_ms"] = 0.1, 0.2, t_b
+        profile_path.write_text(json.dumps(doc))
+        got = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--sigma", "0.5"]
+        )
+        assert got == rc
+        if rc == 2:
+            err = capsys.readouterr().err
+            assert "must equal t_dw + t_dx exactly as a float sum" in err
+            assert "0.3 != 0.30000000000000004" in err
+
+    @pytest.mark.parametrize(
         "key, value, named",
         [
             ("t_dw_ms", "abc", "runtime profile layer 0 malformed"),

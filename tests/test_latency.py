@@ -14,11 +14,11 @@ from ttasched.latency import (
     OfflineProfile,
     StateTrace,
     SystemState,
+    _table_for,
     build_profile,
     calibrate_proc_overhead,
     eta,
     expansion_factors,
-    latency_table,
     pi1,
     pi2,
     predict_layer_latency,
@@ -429,18 +429,36 @@ class TestBuildProfileMatchesReference:
                         want = predict_layer_latency(t, float(table.eta[b]), factors)
                         assert scale[b] * t == want
 
+    def test_layer_scales_equal_scales_kept_or_not(self):
+        conditions = list(resource_conditions().values())
+        for case in REFERENCE_CASES:
+            network, offline, device = reference_case(case)
+            table = LatencyTable(network, offline, device)
+            want = {id(s): table.scales(s).tolist() for s in conditions}
+            for state in conditions:
+                lazy = table.layer_scales(state)  # another state is kept
+                assert not isinstance(lazy, list)
+                got = [lazy[b] for b in range(network.n_layers + 1)]
+                assert got == want[id(state)]
+                table.scales(state)
+                assert table.layer_scales(state) == want[id(state)]
+
     def test_table_is_reused_for_the_same_inputs(self):
         network = synthetic_network(6)
         device = demo_edge_device()
         offline = offline_from_costs(network, device)
-        table = latency_table(network, offline, device)
-        assert latency_table(network, offline, device) is table
+        table = _table_for(network, offline, device)
+        assert _table_for(network, offline, device) is table
         copy = OfflineProfile(t_f=offline.t_f, t_b=offline.t_b, t_re=offline.t_re)
-        assert latency_table(network, copy, device) is not table
+        assert _table_for(network, copy, device) is not table
         state = resource_conditions()["combined"]
         assert table.scales(state) is table.scales(
             SystemState(n=state.n, tem_on=state.tem_on, phi=state.phi)
         )
+        combined = table.scales(state).copy()
+        other = resource_conditions()["hot"]
+        assert not np.array_equal(table.scales(other), combined)
+        assert np.array_equal(table.scales(state), combined)
         with pytest.raises(ValueError):
             table.scales(state)[1] = 0.0
 
