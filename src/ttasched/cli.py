@@ -15,7 +15,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .errors import InputError
+from .errors import InputError, json_text, read_json
 from .importance import EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
@@ -45,7 +45,7 @@ def _write_out(text: str, out: str) -> None:
 
 
 def _dump_json(document: dict, out: str) -> None:
-    _write_out(json.dumps(document, indent=2, sort_keys=True) + "\n", out)
+    _write_out(json_text(document), out)
 
 
 def cmd_assess(args) -> int:
@@ -87,12 +87,7 @@ def cmd_predict(args) -> int:
 
 def cmd_schedule(args) -> int:
     importance = load_importance_file(args.importance)
-    with open(args.profile) as fh:
-        try:
-            profile_doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.profile}: invalid JSON ({exc})") from None
-    profile = profile_from_document(profile_doc)
+    profile = profile_from_document(read_json(args.profile))
     config = SchedulerConfig(sigma=args.sigma)
     result = solve_dp(importance, profile, config)
     if result.budget_clipped:

@@ -1,3 +1,15 @@
+"""Input errors, and the one place where input files are read and field
+values converted, and where output JSON is written."""
+
+import json
+from types import GenericAlias
+
+# the JSON types a field may be required to have, as named in messages
+_JSON_TYPES = {str: "a string", bool: "true or false", list: "a list", dict: "an object"}
+
+_INT64 = 2**63
+
+
 class InputError(ValueError):
     """Invalid user-supplied document, file, or argument. The CLI maps this
     to exit code 2."""
@@ -5,3 +17,53 @@ class InputError(ValueError):
 
 class TraceExhausted(InputError):
     """System-state trace does not cover the requested simulation time."""
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a file that is not JSON
+    is an InputError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # incl. bad UTF-8
+            raise InputError(f"{path}: invalid JSON ({exc})") from None
+
+
+def convert(kind, value, name: str):
+    """``value``, read from the input field ``name``, as ``kind``.
+
+    ``float`` and ``int`` take a JSON number, not a string or a boolean; an
+    integer field takes neither a fractional number nor one beyond 64 bits.
+    ``str``, ``bool``, ``list`` and ``dict`` take only a value of that JSON
+    type, and ``list[kind]`` a list whose items each convert to ``kind``. A
+    missing value (``None``) or one that does not convert is an InputError
+    naming the field.
+    """
+    if type(value) is kind and (kind is not int or -_INT64 <= value < _INT64):
+        return value  # the usual case: JSON already gave that type
+    if value is None:
+        raise InputError(f"{name} is missing")
+    if kind is float or kind is int:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                out = kind(value)
+            except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+                pass
+            else:
+                if kind is float or (out == value and -_INT64 <= out < _INT64):
+                    return out
+        noun = "a number" if kind is float else "an integer"
+    elif isinstance(kind, GenericAlias):
+        (item,) = kind.__args__
+        items = convert(list, value, name)
+        return [convert(item, x, f"{name}[{i}]") for i, x in enumerate(items)]
+    else:
+        noun = _JSON_TYPES[kind]
+    raise InputError(f"{name} must be {noun}, got {value!r}")
+
+
+def json_text(document, indent: int | None = 2, sort_keys: bool = True) -> str:
+    """``document`` as JSON text ending in a newline. NaN and infinities
+    have no JSON form, so a document holding one is a ValueError rather
+    than an output that other readers reject."""
+    return json.dumps(document, indent=indent, sort_keys=sort_keys, allow_nan=False) + "\n"

@@ -29,7 +29,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert, json_text
 from .network import Network
 
 KL_MODES = ("gaussian", "elementwise")
@@ -497,14 +497,6 @@ def assess(
     return ImportanceVector(a=a, mode=mode), assessment_flops(network, stats)
 
 
-def _stats_field(rec, key: str, kind, lineno: int):
-    try:
-        value = rec[key]
-        return np.asarray(value, dtype=float) if kind is None else kind(value)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"stats line {lineno} malformed: {key}: {exc}") from None
-
-
 def load_stats_lines(text: str) -> FeatureStats:
     """Parse JSON-lines feature stats (one record per layer) into one
     forward-ordered chain."""
@@ -513,18 +505,20 @@ def load_stats_lines(text: str) -> FeatureStats:
         line = line.strip()
         if not line:
             continue
+        what = f"stats line {lineno}"
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"stats line {lineno} malformed: {exc}") from None
-        layer_id = _stats_field(rec, "layer_id", int, lineno)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{what}: invalid JSON ({exc})") from None
+        rec = convert(dict, rec, what)
+        layer_id = convert(int, rec.get("layer_id"), f"{what}: layer_id")
         stats = FeatureStats(
-            means=_stats_field(rec, "means", None, lineno),
-            variances=_stats_field(rec, "vars", None, lineno),
-            sample_count=_stats_field(rec, "samples", int, lineno),
+            means=convert(list[float], rec.get("means"), f"{what}: means"),
+            variances=convert(list[float], rec.get("vars"), f"{what}: vars"),
+            sample_count=convert(int, rec.get("samples"), f"{what}: samples"),
         )
         if layer_id in records:
-            raise InputError(f"stats line {lineno}: duplicate layer {layer_id}")
+            raise InputError(f"{what}: duplicate layer {layer_id}")
         records[layer_id] = stats
     if not records:
         raise InputError("stats file contains no records")
@@ -535,21 +529,22 @@ def load_stats_lines(text: str) -> FeatureStats:
 
 
 def load_stats_file(path) -> FeatureStats:
-    with open(path) as fh:
+    # undecodable bytes read as U+FFFD, which then fails to parse as JSON
+    with open(path, errors="replace") as fh:
         return load_stats_lines(fh.read())
 
 
 def stats_to_lines(stats) -> str:
-    lines = []
-    for layer_id, st in enumerate(stats):
-        lines.append(
-            json.dumps(
-                {
-                    "layer_id": layer_id,
-                    "means": [float(x) for x in st.means],
-                    "vars": [float(x) for x in st.variances],
-                    "samples": st.sample_count,
-                }
-            )
+    return "".join(
+        json_text(
+            {
+                "layer_id": layer_id,
+                "means": [float(x) for x in st.means],
+                "vars": [float(x) for x in st.variances],
+                "samples": st.sample_count,
+            },
+            indent=None,
+            sort_keys=False,
         )
-    return "\n".join(lines) + "\n"
+        for layer_id, st in enumerate(stats)
+    )

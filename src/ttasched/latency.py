@@ -9,14 +9,13 @@ its runtime latency.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TraceExhausted
+from .errors import InputError, TraceExhausted, convert, read_json
 from .network import LayerSpec, Network
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
@@ -45,14 +44,21 @@ class DeviceSpec:
     phi_off: float = 1.0  # offline cache-hit rate
 
     def __post_init__(self):
-        if self.peak_flops <= 0:
-            raise InputError("peak_flops must be positive")
-        if not (self.b_cache > self.b_dram > 0):
-            raise InputError("need b_cache > b_dram > 0")
         if not self.dvfs:
             raise InputError("dvfs table must not be empty")
         knots = tuple(sorted((float(t), float(f)) for t, f in self.dvfs))
         object.__setattr__(self, "dvfs", knots)
+        for name in ("peak_flops", "b_cache", "b_dram", "proc_overhead_k", "tem_off",
+                     "phi_off"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"device: {name} must be finite, got {value}")
+        if not all(math.isfinite(x) for knot in knots for x in knot):
+            raise InputError("device: dvfs tem_c and freq_hz must be finite")
+        if self.peak_flops <= 0:
+            raise InputError("peak_flops must be positive")
+        if not (self.b_cache > self.b_dram > 0):
+            raise InputError("need b_cache > b_dram > 0")
         freqs = [f for _, f in knots]
         if any(f <= 0 for f in freqs):
             raise InputError("dvfs frequencies must be positive")
@@ -81,6 +87,8 @@ class SystemState:
     def __post_init__(self):
         if self.n < 0:
             raise InputError("process count must be non-negative")
+        if not math.isfinite(self.tem_on):
+            raise InputError(f"temperature must be finite, got {self.tem_on}")
         if not (0.0 <= self.phi <= 1.0):
             raise InputError("cache-hit rate must lie in [0, 1]")
 
@@ -224,7 +232,7 @@ class OfflineProfile:
         return len(self.t_f) - 1
 
 
-_LATENCIES = ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re")
+_LATENCIES = ("t_f", "t_b", "t_dw", "t_dx", "t_re")
 
 
 @dataclass(frozen=True)
@@ -240,8 +248,6 @@ class LatencyProfile:
     """
 
     t_f: np.ndarray
-    t_b_off: np.ndarray
-    t_re_off: np.ndarray
     t_b: np.ndarray
     t_dw: np.ndarray
     t_dx: np.ndarray
@@ -304,25 +310,20 @@ class LatencyProfile:
     @classmethod
     def from_components(cls, t_f, t_dw, t_dx, t_re, selectable=None, eta_l=None):
         """Assemble a synthetic profile from 1-based component arrays."""
-        t_f = np.asarray(t_f, dtype=float)
         t_dw = np.asarray(t_dw, dtype=float)
         t_dx = np.asarray(t_dx, dtype=float)
-        t_re = np.asarray(t_re, dtype=float)
         n = len(t_f) - 1
-        t_b = t_dw + t_dx
         if selectable is None:
             selectable = np.concatenate(([False], np.ones(n, dtype=bool)))
         if eta_l is None:
             eta_l = np.ones(n + 1)
         return cls(
             t_f=t_f,
-            t_b_off=t_b.copy(),
-            t_re_off=t_re.copy(),
-            t_b=t_b,
+            t_b=t_dw + t_dx,
             t_dw=t_dw,
             t_dx=t_dx,
             t_re=t_re,
-            eta=np.asarray(eta_l, dtype=float),
+            eta=eta_l,
             selectable=selectable,
         )
 
@@ -460,8 +461,6 @@ def build_profile(
     t_dw = table._dw_share * t_b
     return LatencyProfile(
         t_f=scale * offline.t_f,
-        t_b_off=offline.t_b,
-        t_re_off=offline.t_re,
         t_b=t_b,
         t_dw=t_dw,
         t_dx=t_b - t_dw,
@@ -482,12 +481,15 @@ class StateTrace:
     def __post_init__(self):
         if not self.records:
             raise InputError("state trace must contain at least one record")
+        for ts, _ in self.records:
+            if not math.isfinite(ts):
+                raise InputError(f"trace record t_ms must be finite, got {ts}")
         recs = tuple(sorted(self.records, key=lambda r: r[0]))
         object.__setattr__(self, "records", recs)
         # times of every record but the first: bisecting them gives the index
         # of the record in force, and 0 before the second record's time
         object.__setattr__(self, "_times", tuple(ts for ts, _ in recs[1:]))
-        if self.horizon_ms < recs[-1][0]:
+        if not self.horizon_ms >= recs[-1][0]:  # a NaN horizon fails too
             raise InputError("trace horizon precedes its last record")
 
     def state_at(self, t_ms: float) -> SystemState:
@@ -515,98 +517,98 @@ class StateTrace:
 
 
 def load_device(document: dict) -> DeviceSpec:
-    try:
-        fields = dict(
-            peak_flops=float(document["peak_flops"]),
-            b_cache=float(document["b_cache"]),
-            b_dram=float(document["b_dram"]),
-            dvfs=tuple(
-                (float(d["tem_c"]), float(d["freq_hz"])) for d in document["dvfs"]
-            ),
-            proc_overhead_k=float(document["proc_overhead_k"]),
-            tem_off=float(document["tem_off"]),
-            phi_off=float(document.get("phi_off", 1.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"device document malformed: {exc}") from None
-    return DeviceSpec(**fields)
+    doc = convert(dict, document, "device document")
+
+    def number(key, default=None):
+        return convert(float, doc.get(key, default), f"device: {key}")
+
+    return DeviceSpec(
+        peak_flops=number("peak_flops"),
+        b_cache=number("b_cache"),
+        b_dram=number("b_dram"),
+        dvfs=tuple(
+            (convert(float, d.get("tem_c"), f"device: dvfs[{i}].tem_c"),
+             convert(float, d.get("freq_hz"), f"device: dvfs[{i}].freq_hz"))
+            for i, d in enumerate(convert(list[dict], doc.get("dvfs"), "device: dvfs"))
+        ),
+        proc_overhead_k=number("proc_overhead_k"),
+        tem_off=number("tem_off"),
+        phi_off=number("phi_off", 1.0),
+    )
 
 
 def load_device_file(path) -> DeviceSpec:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return load_device(document)
+    return load_device(read_json(path))
 
 
 def load_trace(document: dict) -> StateTrace:
-    try:
-        rows = [
-            (float(r["t_ms"]), int(r["n"]), float(r["tem_c"]), float(r["phi"]))
-            for r in document["records"]
-        ]
-        horizon = float(document["horizon_ms"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"trace document malformed: {exc}") from None
-    records = tuple(
-        (t_ms, SystemState(n=n, tem_on=tem_c, phi=phi)) for t_ms, n, tem_c, phi in rows
-    )
-    return StateTrace(records=records, horizon_ms=horizon)
+    doc = convert(dict, document, "trace document")
+    records = []
+    for i, rec in enumerate(convert(list[dict], doc.get("records"), "trace: records")):
+        name = f"trace: records[{i}]"
+        state = SystemState(
+            n=convert(int, rec.get("n"), f"{name}.n"),
+            tem_on=convert(float, rec.get("tem_c"), f"{name}.tem_c"),
+            phi=convert(float, rec.get("phi"), f"{name}.phi"),
+        )
+        records.append((convert(float, rec.get("t_ms"), f"{name}.t_ms"), state))
+    horizon = convert(float, doc.get("horizon_ms"), "trace: horizon_ms")
+    return StateTrace(records=tuple(records), horizon_ms=horizon)
 
 
 def load_trace_file(path) -> StateTrace:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return load_trace(document)
+    return load_trace(read_json(path))
+
+
+def _layer_columns(document, what: str, keys, n_layers: int | None = None, **defaults):
+    """The per-layer records ``{layers: [{layer_id, ...}]}`` of a profile
+    file as one backward-indexed array per field in ``keys`` (slot 0 zero).
+    Each field is required, or, when it has a default, omitted or null in a
+    record to take it; it converts to the type of its default (float when
+    it has none). The records must cover layer ids 0..n_layers-1, or
+    0..count-1 when ``n_layers`` is None; others are ignored."""
+    doc = convert(dict, document, what)
+    records = convert(list[dict], doc.get("layers"), f"{what} layers")
+    by_id = {
+        convert(int, rec.get("layer_id"), f"{what} layers[{i}].layer_id"): rec
+        for i, rec in enumerate(records)
+    }
+    n = len(by_id) if n_layers is None else n_layers
+    kinds = [type(defaults.get(key, 0.0)) for key in keys]
+    arrays = [np.zeros(n + 1, dtype=kind) for kind in kinds]
+    for layer_id in range(n):
+        if layer_id not in by_id:
+            raise InputError(f"{what} missing layer {layer_id}")
+        rec = by_id[layer_id]
+        at = f"{what} layer {layer_id}: "
+        for array, kind, key in zip(arrays, kinds, keys):
+            value = rec.get(key)
+            value = defaults.get(key) if value is None else value
+            array[n - layer_id] = convert(kind, value, at + key)
+    return arrays
 
 
 def load_offline_profile(document: dict, n_layers: int) -> OfflineProfile:
     """Read forward-order per-layer offline measurements into backward arrays."""
-    try:
-        entries = {int(r["layer_id"]): r for r in document["layers"]}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"offline profile malformed: {exc}") from None
-    t_f = np.zeros(n_layers + 1)
-    t_b = np.zeros(n_layers + 1)
-    t_re = np.zeros(n_layers + 1)
-    for layer_id in range(n_layers):
-        if layer_id not in entries:
-            raise InputError(f"offline profile missing layer {layer_id}")
-        rec = entries[layer_id]
-        b = n_layers - layer_id
-        try:
-            t_f[b] = float(rec["t_f_ms"])
-            t_b[b] = float(rec["t_b_off_ms"])
-            t_re[b] = float(rec["t_re_off_ms"])
-        except KeyError as exc:
-            raise InputError(
-                f"offline profile layer {layer_id} missing {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"offline profile layer {layer_id} malformed: {exc}") from None
+    t_f, t_b, t_re = _layer_columns(
+        document, "offline profile", ("t_f_ms", "t_b_off_ms", "t_re_off_ms"), n_layers
+    )
     return OfflineProfile(t_f=t_f, t_b=t_b, t_re=t_re)
 
 
 def load_offline_profile_file(path, n_layers: int) -> OfflineProfile:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return load_offline_profile(document, n_layers)
+    return load_offline_profile(read_json(path), n_layers)
 
 
 def profile_to_document(network: Network, profile: LatencyProfile) -> dict:
-    """Serialize a runtime profile to its file schema (forward layer order)."""
+    """Serialize a runtime profile to its file schema (forward layer order).
+    A compute-bound layer's ``eta`` is written as null, since JSON has no
+    infinity."""
     n = network.n_layers
     layers = []
     for layer_id in range(n):
         b = n - layer_id
+        eta_b = float(profile.eta[b])
         layers.append(
             {
                 "layer_id": layer_id,
@@ -615,7 +617,7 @@ def profile_to_document(network: Network, profile: LatencyProfile) -> dict:
                 "t_dw_ms": float(profile.t_dw[b]),
                 "t_dx_ms": float(profile.t_dx[b]),
                 "t_re_ms": float(profile.t_re[b]),
-                "eta": float(profile.eta[b]),
+                "eta": None if eta_b == COMPUTE_BOUND else eta_b,
                 "selectable": bool(profile.selectable[b]),
             }
         )
@@ -632,44 +634,13 @@ def profile_to_document(network: Network, profile: LatencyProfile) -> dict:
 
 def profile_from_document(document: dict) -> LatencyProfile:
     """Rebuild a runtime profile from its file schema."""
-    try:
-        entries = {int(r["layer_id"]): r for r in document["layers"]}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"runtime profile malformed: {exc}") from None
-    n = len(entries)
-    if set(entries) != set(range(n)):
-        raise InputError("runtime profile layer ids must be contiguous from 0")
-    t_f = np.zeros(n + 1)
-    t_b = np.zeros(n + 1)
-    t_dw = np.zeros(n + 1)
-    t_dx = np.zeros(n + 1)
-    t_re = np.zeros(n + 1)
-    etas = np.zeros(n + 1)
-    selectable = np.zeros(n + 1, dtype=bool)
-    for layer_id, rec in entries.items():
-        b = n - layer_id
-        try:
-            t_f[b] = float(rec["t_f_ms"])
-            t_b[b] = float(rec["t_b_ms"])
-            t_dw[b] = float(rec["t_dw_ms"])
-            t_dx[b] = float(rec["t_dx_ms"])
-            t_re[b] = float(rec["t_re_ms"])
-            etas[b] = float(rec["eta"])
-            selectable[b] = bool(rec.get("selectable", True))
-        except KeyError as exc:
-            raise InputError(
-                f"runtime profile layer {layer_id} missing {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"runtime profile layer {layer_id} malformed: {exc}") from None
+    t_f, t_b, t_dw, t_dx, t_re, etas, selectable = _layer_columns(
+        document,
+        "runtime profile",
+        ("t_f_ms", "t_b_ms", "t_dw_ms", "t_dx_ms", "t_re_ms", "eta", "selectable"),
+        eta=COMPUTE_BOUND,
+        selectable=True,
+    )
     return LatencyProfile(
-        t_f=t_f,
-        t_b_off=t_b.copy(),
-        t_re_off=t_re.copy(),
-        t_b=t_b,
-        t_dw=t_dw,
-        t_dx=t_dx,
-        t_re=t_re,
-        eta=etas,
-        selectable=selectable,
+        t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas, selectable=selectable
     )

@@ -16,13 +16,12 @@ with it.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert, read_json
 
 LAYER_KINDS = (
     "conv2d",
@@ -77,30 +76,6 @@ class LayerSpec:
             raise InputError(f"layer {self.id}: costs must be non-negative")
 
 
-def _dims(hp: dict, layer_id: int, *names, **defaults) -> list:
-    vals = []
-    for name in names:
-        if name in hp:
-            v = hp[name]
-        elif name in defaults:
-            v = defaults[name]
-        else:
-            raise InputError(f"layer {layer_id}: hyperparams missing {name!r}")
-        vals.append(v)
-    return vals
-
-
-def _kernel_dims(hp: dict, default=None) -> tuple[int, int]:
-    k = hp.get("kernel", default)
-    if k is None:
-        raise InputError("hyperparams missing 'kernel'")
-    if isinstance(k, (list, tuple)):
-        kh, kw = k
-    else:
-        kh = kw = k
-    return int(kh), int(kw)
-
-
 def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
     """Analytic (mac_count, mem_traffic) for one layer from its hyperparams.
 
@@ -111,26 +86,38 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
     hp = layer.hyperparams
     if hp is None:
         raise InputError(f"layer {layer.id}: no hyperparams to derive costs from")
-    batch = int(hp.get("batch", 1))
+
+    at = f"layer {layer.id}: hyperparams "
+
+    def dim(name, default=None):
+        return convert(int, hp.get(name, default), at + name)
+
+    def dims(*names):
+        return [dim(name) for name in names]
+
+    def kernel(default=None):
+        k = hp.get("kernel", default)
+        pair = k if isinstance(k, (list, tuple)) and len(k) == 2 else (k, k)
+        return [convert(int, v, at + "kernel") for v in pair]
+
+    batch = dim("batch", 1)
     if batch < 1:
         raise InputError(f"layer {layer.id}: batch must be >= 1")
     kind = layer.kind
 
     if kind == "conv2d":
-        cin, cout, h, w = (
-            int(v) for v in _dims(hp, layer.id, "in_channels", "out_channels", "h_out", "w_out")
-        )
-        kh, kw = _kernel_dims(hp)
-        h_in = int(hp.get("h_in", h))
-        w_in = int(hp.get("w_in", w))
+        cin, cout, h, w = dims("in_channels", "out_channels", "h_out", "w_out")
+        kh, kw = kernel()
+        h_in = dim("h_in", h)
+        w_in = dim("w_in", w)
         if min(cin, cout, h, w, kh, kw, h_in, w_in) < 1:
             raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = kh * kw * cin * cout * h * w * batch
         weights = kh * kw * cin * cout
         activ = (cin * h_in * w_in + cout * h * w) * batch
     elif kind == "linear":
-        fin, fout = (int(v) for v in _dims(hp, layer.id, "in_features", "out_features"))
-        rows = batch * int(hp.get("tokens", 1))
+        fin, fout = dims("in_features", "out_features")
+        rows = batch * dim("tokens", 1)
         if min(fin, fout, rows) < 1:
             raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = rows * fin * fout
@@ -146,7 +133,7 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
         weights = 0
         activ = 2 * layer.out_elements * batch
     elif kind == "pooling":
-        kh, kw = _kernel_dims(hp, default=1)
+        kh, kw = kernel(default=1)
         if min(kh, kw) < 1:
             raise InputError(f"layer {layer.id}: dimensions must be positive")
         window = kh * kw
@@ -154,18 +141,14 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
         weights = 0
         activ = (window + 1) * layer.out_elements * batch
     elif kind == "attention-projection":
-        tokens, fin, fout = (
-            int(v) for v in _dims(hp, layer.id, "tokens", "in_features", "out_features")
-        )
+        tokens, fin, fout = dims("tokens", "in_features", "out_features")
         if min(tokens, fin, fout) < 1:
             raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = batch * tokens * fin * fout
         weights = fin * fout
         activ = batch * tokens * (fin + fout)
     elif kind == "feedforward":
-        tokens, hidden, ffn = (
-            int(v) for v in _dims(hp, layer.id, "tokens", "hidden_dim", "ffn_dim")
-        )
+        tokens, hidden, ffn = dims("tokens", "hidden_dim", "ffn_dim")
         if min(tokens, hidden, ffn) < 1:
             raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = 2 * batch * tokens * hidden * ffn
@@ -326,15 +309,6 @@ def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> Strate
     return closed_form_cost(profile, strategy.selected)
 
 
-def _integer(value, field: str) -> int:
-    """``int(value)`` for a network field; an unconvertible value is an
-    InputError naming ``field``."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{field} must be an integer, got {value!r}") from None
-
-
 def load_network(document: dict, lenient: bool = False) -> Network:
     """Build a Network from a parsed network document.
 
@@ -342,60 +316,52 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     against explicit values when both are present); layers without
     hyperparams must carry explicit costs.
     """
-    if not isinstance(document, dict):
-        raise InputError("network document must be an object")
+    document = convert(dict, document, "network document")
     if not lenient:
         unknown = set(document) - _NETWORK_FIELDS
         if unknown:
             raise InputError(f"unknown network fields: {sorted(unknown)}")
-    raw_layers = document.get("layers")
+    raw_layers = convert(list[dict], document.get("layers", []), "layers")
     if not raw_layers:
         raise InputError("empty network")
-    element_width = _integer(
-        document.get("element_width", DEFAULT_ELEMENT_WIDTH), "element_width"
+    element_width = convert(
+        int, document.get("element_width", DEFAULT_ELEMENT_WIDTH), "element_width"
     )
 
     seen_ids = set()
     layers = []
     for raw in raw_layers:
-        if not isinstance(raw, dict):
-            raise InputError("layer entries must be objects")
         if not lenient:
             unknown = set(raw) - _LAYER_FIELDS
             if unknown:
                 raise InputError(
                     f"layer {raw.get('id')}: unknown fields {sorted(unknown)}"
                 )
-        try:
-            layer_id = _integer(raw["id"], "layer id")
-            kind = raw["kind"]
-            has_params = bool(raw["has_params"])
-            channels = _integer(raw["channels"], f"layer {layer_id}: channels")
-            out_elements = _integer(raw["out_elements"], f"layer {layer_id}: out_elements")
-        except KeyError as exc:
-            raise InputError(f"layer entry missing field {exc.args[0]!r}") from None
+        layer_id = convert(int, raw.get("id"), "layer id")
         if layer_id in seen_ids:
             raise InputError(f"duplicate layer id {layer_id}")
         seen_ids.add(layer_id)
 
-        hp = raw.get("hyperparams")
-        explicit_mac = raw.get("mac_count")
-        explicit_mem = raw.get("mem_traffic")
-        probe = LayerSpec(
+        at = f"layer {layer_id}: "
+
+        def optional(kind, key):
+            return None if raw.get(key) is None else convert(kind, raw[key], at + key)
+
+        explicit_mac = optional(int, "mac_count")
+        explicit_mem = optional(int, "mem_traffic")
+        fields = dict(
             id=layer_id,
-            kind=kind,
-            has_params=has_params,
-            channels=channels,
-            out_elements=out_elements,
-            mac_count=_integer(explicit_mac or 0, f"layer {layer_id}: mac_count"),
-            mem_traffic=_integer(explicit_mem or 0, f"layer {layer_id}: mem_traffic"),
-            hyperparams=hp,
+            kind=convert(str, raw.get("kind"), at + "kind"),
+            has_params=convert(bool, raw.get("has_params"), at + "has_params"),
+            channels=convert(int, raw.get("channels"), at + "channels"),
+            out_elements=convert(int, raw.get("out_elements"), at + "out_elements"),
+            hyperparams=optional(dict, "hyperparams"),
         )
-        if hp is not None:
-            try:
-                mac, mem = derive_costs(probe, element_width)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InputError(f"layer {layer_id}: hyperparams malformed ({exc})") from None
+        probe = LayerSpec(
+            **fields, mac_count=explicit_mac or 0, mem_traffic=explicit_mem or 0
+        )
+        if probe.hyperparams is not None:
+            mac, mem = derive_costs(probe, element_width)
             for name, explicit, derived in (
                 ("mac_count", explicit_mac, mac),
                 ("mem_traffic", explicit_mem, mem),
@@ -407,16 +373,7 @@ def load_network(document: dict, lenient: bool = False) -> Network:
                         f"layer {layer_id}: {name} {explicit} disagrees with "
                         f"hyperparam-derived value {derived}"
                     )
-            probe = LayerSpec(
-                id=layer_id,
-                kind=kind,
-                has_params=has_params,
-                channels=channels,
-                out_elements=out_elements,
-                mac_count=mac,
-                mem_traffic=mem,
-                hyperparams=hp,
-            )
+            probe = LayerSpec(**fields, mac_count=mac, mem_traffic=mem)
         elif explicit_mac is None or explicit_mem is None:
             raise InputError(
                 f"layer {layer_id}: needs either explicit costs or hyperparams"
@@ -425,16 +382,11 @@ def load_network(document: dict, lenient: bool = False) -> Network:
 
     layers.sort(key=lambda l: l.id)
     return Network(
-        name=str(document.get("name", "unnamed")),
+        name=convert(str, document.get("name", "unnamed"), "name"),
         layers=tuple(layers),
         element_width=element_width,
     )
 
 
 def load_network_file(path, lenient: bool = False) -> Network:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return load_network(document, lenient=lenient)
+    return load_network(read_json(path), lenient=lenient)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert, json_text, read_json
 from .importance import (
     Embedding,
     EmbeddingHistory,
@@ -66,8 +65,10 @@ class Shift:
             raise InputError("shift batch_index must be non-negative")
         if not self.layers:
             raise InputError("shift must name at least one layer")
-        if self.var_scale <= 0:
-            raise InputError("var_scale must be positive")
+        if not math.isfinite(self.mean_offset_sigmas):
+            raise InputError("shift mean_offset_sigmas must be finite")
+        if not 0.0 < self.var_scale < math.inf:
+            raise InputError("var_scale must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,8 @@ class EnvironmentSpec:
                 raise InputError(f"layer {i}: base variances must be positive")
             means.append(m)
             varis.append(v)
+        if not np.isfinite(np.concatenate(means + varis)).all():
+            raise InputError("environment base means and variances must be finite")
         object.__setattr__(self, "base_means", tuple(means))
         object.__setattr__(self, "base_vars", tuple(varis))
         indices = [s.batch_index for s in self.shifts]
@@ -168,6 +171,24 @@ def _frozen(values) -> np.ndarray:
 
 def _flat(arrays) -> np.ndarray:
     return _frozen(np.concatenate(arrays))
+
+
+def gaussian_environment(
+    network: Network, positions=None, shifts=(), batch_size: int = 1, mean=0.0, var=1.0
+) -> EnvironmentSpec:
+    """An environment over ``network`` whose every channel starts as
+    N(mean, var). ``positions`` defaults to each layer's output elements
+    per channel, at least 1."""
+    if positions is None:
+        positions = [max(1, l.out_elements // l.channels) for l in network.layers]
+    return EnvironmentSpec(
+        channels=tuple(l.channels for l in network.layers),
+        positions=tuple(positions),
+        base_means=tuple(np.full(l.channels, mean) for l in network.layers),
+        base_vars=tuple(np.full(l.channels, var) for l in network.layers),
+        shifts=tuple(shifts),
+        batch_size=batch_size,
+    )
 
 
 @dataclass(frozen=True)
@@ -436,8 +457,12 @@ class ControllerConfig:
     def __post_init__(self):
         if not (0.0 < self.sigma_min <= self.sigma_max <= 1.0):
             raise InputError("need 0 < sigma_min <= sigma_max <= 1")
-        if self.window < 1:
-            raise InputError("controller window must be >= 1")
+        if not (isinstance(self.window, int) and self.window >= 1):
+            raise InputError(
+                f"controller window must be an integer >= 1, got {self.window!r}"
+            )
+        if not math.isfinite(self.target_r):
+            raise InputError(f"controller target_r must be finite, got {self.target_r}")
         if not (0.0 < self.decrease < 1.0 < self.increase):
             raise InputError("need decrease < 1 < increase")
 
@@ -488,6 +513,10 @@ class Scenario:
             raise InputError("episode needs at least one batch")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
+        if self.inter_batch_ms is not None and not 0.0 <= self.inter_batch_ms < math.inf:
+            raise InputError(
+                f"inter_batch_ms must be finite and non-negative, got {self.inter_batch_ms}"
+            )
         if self.environment.n_layers != self.network.n_layers:
             raise InputError(
                 f"environment covers {self.environment.n_layers} layers, "
@@ -768,7 +797,7 @@ def report_to_document(report: EpisodeReport) -> dict:
 
 
 def report_json(report: EpisodeReport) -> str:
-    return json.dumps(report_to_document(report), indent=2, sort_keys=True) + "\n"
+    return json_text(report_to_document(report))
 
 
 def report_csv(report: EpisodeReport) -> str:
@@ -789,130 +818,94 @@ _SCENARIO_FIELDS = frozenset(
         "controller", "environment",
     }
 )
-_SCHEDULER_FIELDS = frozenset({"sigma"})
 _ENV_FIELDS = frozenset({"base_mean", "base_var", "positions", "shifts"})
 
 
-def _number(kind, value, field: str):
-    """``kind(value)`` for a configuration field; a value that ``kind``
-    cannot convert is an InputError naming ``field``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise InputError(f"{field} must be {noun}, got {value!r}") from None
-
-
 def environment_from_config(network: Network, cfg: dict, batch_size: int) -> EnvironmentSpec:
-    if not isinstance(cfg, dict):
-        raise InputError("environment must be an object")
     unknown = set(cfg) - _ENV_FIELDS
     if unknown:
         raise InputError(f"environment: unknown fields {sorted(unknown)}")
     n = network.n_layers
-    base_mean = _number(float, cfg.get("base_mean", 0.0), "environment.base_mean")
-    base_var = _number(float, cfg.get("base_var", 1.0), "environment.base_var")
     positions = cfg.get("positions", 1)
     if isinstance(positions, (int, float)):
         positions = [positions] * n
-    if not isinstance(positions, (list, tuple)) or len(positions) != n:
+    positions = convert(list[int], positions, "environment.positions")
+    if len(positions) != n:
         raise InputError(f"environment.positions must cover {n} layers")
-    positions = tuple(
-        _number(int, p, f"environment.positions[{i}]") for i, p in enumerate(positions)
-    )
-    channels = tuple(layer.channels for layer in network.layers)
-    means = tuple(np.full(c, base_mean) for c in channels)
-    varis = tuple(np.full(c, base_var) for c in channels)
     shifts = []
-    for k, raw in enumerate(cfg.get("shifts", [])):
-        try:
-            shifts.append(
-                Shift(
-                    batch_index=int(raw["batch"]),
-                    layers=tuple(int(x) for x in raw["layers"]),
-                    mean_offset_sigmas=float(raw["mean_offset_sigmas"]),
-                    var_scale=float(raw.get("var_scale", 1.0)),
-                )
+    raw_shifts = convert(list[dict], cfg.get("shifts", []), "environment.shifts")
+    for k, raw in enumerate(raw_shifts):
+        name = f"environment.shifts[{k}]"
+        shifts.append(
+            Shift(
+                batch_index=convert(int, raw.get("batch"), f"{name}.batch"),
+                layers=tuple(convert(list[int], raw.get("layers"), f"{name}.layers")),
+                mean_offset_sigmas=convert(
+                    float, raw.get("mean_offset_sigmas"), f"{name}.mean_offset_sigmas"
+                ),
+                var_scale=convert(float, raw.get("var_scale", 1.0), f"{name}.var_scale"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"environment.shifts[{k}] malformed: {exc}") from None
-    return EnvironmentSpec(
-        channels=channels,
-        positions=positions,
-        base_means=means,
-        base_vars=varis,
-        shifts=tuple(shifts),
-        batch_size=batch_size,
+        )
+    return gaussian_environment(
+        network,
+        positions,
+        shifts,
+        batch_size,
+        mean=convert(float, cfg.get("base_mean", 0.0), "environment.base_mean"),
+        var=convert(float, cfg.get("base_var", 1.0), "environment.base_var"),
     )
 
 
 def load_scenario_file(path) -> Scenario:
     path = Path(path)
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except FileNotFoundError:
-        raise InputError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise InputError(f"{path}: scenario must be an object")
+    cfg = convert(dict, read_json(path), f"{path}: scenario")
     unknown = set(cfg) - _SCENARIO_FIELDS
     if unknown:
         raise InputError(f"{path}: unknown fields {sorted(unknown)}")
 
-    def require(key):
-        if key not in cfg:
-            raise InputError(f"{path}: missing field {key!r}")
-        return cfg[key]
+    def read(kind, key, default=None):
+        return convert(kind, cfg.get(key, default), f"{path}: {key}")
+
+    def config(cls, key):
+        # a ``cls`` dataclass from the object ``key``, each of whose fields
+        # converts to the type of the field's default
+        obj = read(dict, key, {})
+        unknown = set(obj) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise InputError(f"{path}: {key}: unknown fields {sorted(unknown)}")
+        return cls(**{
+            k: convert(type(getattr(cls, k)), v, f"{path}: {key}.{k}")
+            for k, v in obj.items()
+        })
 
     base = path.parent
-    network = load_network_file(base / require("network"))
+    network = load_network_file(base / read(str, "network"))
     offline = load_offline_profile_file(
-        base / require("offline_profile"), network.n_layers
+        base / read(str, "offline_profile"), network.n_layers
     )
-    device = load_device_file(base / require("device"))
-    trace = load_trace_file(base / require("state_trace"))
-    sched_cfg = cfg.get("scheduler", {})
-    if not isinstance(sched_cfg, dict):
-        raise InputError(f"{path}: scheduler must be an object")
-    unknown = set(sched_cfg) - _SCHEDULER_FIELDS
-    if unknown:
-        raise InputError(f"{path}: scheduler: unknown fields {sorted(unknown)}")
-    sigma = _number(float, sched_cfg.get("sigma", 0.33), f"{path}: scheduler.sigma")
-    controller_cfg = cfg.get("controller")
-    controller = ControllerConfig()
-    if controller_cfg is not None:
-        try:
-            controller = ControllerConfig(**controller_cfg)
-        except TypeError as exc:
-            raise InputError(f"{path}: controller malformed ({exc})") from None
-    batch_size = _number(int, cfg.get("batch_size", 1), f"{path}: batch_size")
+    device = load_device_file(base / read(str, "device"))
+    trace = load_trace_file(base / read(str, "state_trace"))
     environment = environment_from_config(
-        network, require("environment"), batch_size
+        network, read(dict, "environment"), read(int, "batch_size", 1)
     )
     return Scenario(
-        name=str(cfg.get("name", path.stem)),
-        mode=str(require("mode")),
-        seed=_number(int, cfg.get("seed", 0), f"{path}: seed"),
-        batches=_number(int, require("batches"), f"{path}: batches"),
+        name=read(str, "name", path.stem),
+        mode=read(str, "mode"),
+        seed=read(int, "seed", 0),
+        batches=read(int, "batches"),
         environment=environment,
         network=network,
         offline=offline,
         device=device,
         trace=trace,
-        sigma=sigma,
-        alpha=_number(float, cfg.get("alpha", 0.1), f"{path}: alpha"),
-        kl_mode=str(cfg.get("kl_mode", "gaussian")),
-        adaptation_gain=_number(
-            float, cfg.get("adaptation_gain", 1.0), f"{path}: adaptation_gain"
-        ),
-        jitter_eps=_number(float, cfg.get("jitter", 0.0), f"{path}: jitter"),
+        sigma=config(SchedulerConfig, "scheduler").sigma,
+        alpha=read(float, "alpha", 0.1),
+        kl_mode=read(str, "kl_mode", "gaussian"),
+        adaptation_gain=read(float, "adaptation_gain", 1.0),
+        jitter_eps=read(float, "jitter", 0.0),
         inter_batch_ms=(
-            _number(float, cfg["inter_batch_ms"], f"{path}: inter_batch_ms")
-            if cfg.get("inter_batch_ms") is not None
-            else None
+            None if cfg.get("inter_batch_ms") is None else read(float, "inter_batch_ms")
         ),
-        exact_stats=bool(cfg.get("exact_stats", False)),
-        controller=controller,
+        exact_stats=read(bool, "exact_stats", False),
+        controller=config(ControllerConfig, "controller"),
     )

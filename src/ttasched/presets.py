@@ -7,20 +7,22 @@ builders via ``write_fixture_tree``.
 
 from __future__ import annotations
 
-import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .latency import DeviceSpec, OfflineProfile, StateTrace, SystemState
-from .importance import FeatureStats, ImportanceVector
-from .latency import LatencyProfile
+from .errors import json_text
+from .importance import EmbeddingHistory, FeatureStats, ImportanceVector, assess
+from .latency import DeviceSpec, LatencyProfile, OfflineProfile, StateTrace, SystemState
 from .network import LayerSpec, Network
 from .pipeline import (
     ControllerConfig,
-    EnvironmentSpec,
+    ModelResponseState,
     Scenario,
     Shift,
+    gaussian_environment,
+    generate_batch,
 )
 
 
@@ -42,15 +44,7 @@ def demo_device() -> DeviceSpec:
 def demo_edge_device() -> DeviceSpec:
     """Same shape as demo_device but a thousandth of the throughput, so the
     small synthetic networks land at readable millisecond latencies."""
-    return DeviceSpec(
-        peak_flops=1e9,
-        b_cache=24e6,
-        b_dram=8e6,
-        dvfs=((25.0, 1.9e9), (45.0, 1.52e9), (60.0, 1.1875e9), (75.0, 0.95e9)),
-        proc_overhead_k=1.1,
-        tem_off=25.0,
-        phi_off=1.0,
-    )
+    return replace(demo_device(), peak_flops=1e9, b_cache=24e6, b_dram=8e6)
 
 
 def resource_conditions() -> dict[str, SystemState]:
@@ -291,15 +285,9 @@ def drift_scenario(seed: int = 7) -> Scenario:
     standard deviations at batch 5 under an idle device."""
     network = synthetic_network()
     device = demo_edge_device()
-    offline = offline_from_costs(network, device)
-    env = EnvironmentSpec(
-        channels=tuple(l.channels for l in network.layers),
-        positions=tuple(max(1, l.out_elements // l.channels) for l in network.layers),
-        base_means=tuple(np.zeros(l.channels) for l in network.layers),
-        base_vars=tuple(np.ones(l.channels) for l in network.layers),
-        shifts=(
-            Shift(batch_index=5, layers=(18, 19, 21), mean_offset_sigmas=2.0),
-        ),
+    env = gaussian_environment(
+        network,
+        shifts=(Shift(batch_index=5, layers=(18, 19, 21), mean_offset_sigmas=2.0),),
         batch_size=8,
     )
     return Scenario(
@@ -309,7 +297,7 @@ def drift_scenario(seed: int = 7) -> Scenario:
         batches=24,
         environment=env,
         network=network,
-        offline=offline,
+        offline=offline_from_costs(network, device),
         device=device,
         trace=static_trace(resource_conditions()["offline"]),
         sigma=0.33,
@@ -322,30 +310,13 @@ def drift_scenario(seed: int = 7) -> Scenario:
 def zero_shift_scenario(seed: int = 3) -> Scenario:
     """No drift at all; the acceleration budget sits just below the forward
     share, so every batch schedules the empty strategy."""
-    network = synthetic_network()
-    device = demo_edge_device()
-    offline = offline_from_costs(network, device)
-    env = EnvironmentSpec(
-        channels=tuple(l.channels for l in network.layers),
-        positions=tuple(max(1, l.out_elements // l.channels) for l in network.layers),
-        base_means=tuple(np.zeros(l.channels) for l in network.layers),
-        base_vars=tuple(np.ones(l.channels) for l in network.layers),
-        shifts=(),
-        batch_size=8,
-    )
-    return Scenario(
+    base = drift_scenario(seed=seed)
+    return replace(
+        base,
         name="zero-shift",
-        mode="sequential",
-        seed=seed,
         batches=12,
-        environment=env,
-        network=network,
-        offline=offline,
-        device=device,
-        trace=static_trace(resource_conditions()["offline"]),
+        environment=replace(base.environment, shifts=()),
         sigma=0.16,
-        alpha=0.1,
-        adaptation_gain=1.0,
         jitter_eps=0.0,
     )
 
@@ -355,23 +326,13 @@ def controller_scenario(seed: int = 11) -> Scenario:
     controller enabled; arrivals outpace service until the controller pulls
     the acceleration factor down."""
     base = drift_scenario(seed=seed)
-    offline = base.offline
-    t_f_total = float(np.sum(offline.t_f))
-    return Scenario(
+    return replace(
+        base,
         name="controller-demo",
-        mode=base.mode,
-        seed=seed,
         batches=30,
-        environment=base.environment,
-        network=base.network,
-        offline=offline,
-        device=base.device,
         trace=static_trace(resource_conditions()["contended"]),
         sigma=0.8,
-        alpha=base.alpha,
-        adaptation_gain=base.adaptation_gain,
-        jitter_eps=base.jitter_eps,
-        inter_batch_ms=1.5 * t_f_total,
+        inter_batch_ms=1.5 * float(np.sum(base.offline.t_f)),
         controller=ControllerConfig(enabled=True),
     )
 
@@ -423,15 +384,6 @@ def importance_recovery_rate(
     Each trial seeds the history from one clean batch and assesses one
     shifted batch, so recovery must beat per-channel sampling noise.
     """
-    from .importance import assess
-    from .pipeline import (
-        EnvironmentSpec as _Env,
-        ModelResponseState as _Model,
-        Shift as _Shift,
-        generate_batch as _generate,
-    )
-    from .importance import EmbeddingHistory as _History
-
     rng = np.random.default_rng(seed)
     network = recovery_network(n_layers)
     hits = 0
@@ -439,25 +391,16 @@ def importance_recovery_rate(
         targets = tuple(
             sorted(rng.choice(n_layers, size=shifted_layers, replace=False).tolist())
         )
-        env = _Env(
-            channels=tuple(l.channels for l in network.layers),
-            positions=tuple(
-                max(1, l.out_elements // l.channels) for l in network.layers
-            ),
-            base_means=tuple(np.zeros(l.channels) for l in network.layers),
-            base_vars=tuple(np.ones(l.channels) for l in network.layers),
+        env = gaussian_environment(
+            network,
             shifts=(
-                _Shift(
-                    batch_index=1,
-                    layers=targets,
-                    mean_offset_sigmas=offset_sigmas,
-                ),
+                Shift(batch_index=1, layers=targets, mean_offset_sigmas=offset_sigmas),
             ),
             batch_size=batch_size,
         )
-        model = _Model.from_environment(env)
-        history = _History.seed(_generate(env, model, 0, rng))
-        vector, _ = assess(network, history, _generate(env, model, 1, rng))
+        model = ModelResponseState.from_environment(env)
+        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
         order = np.argsort(vector.a[1:])[::-1] + 1  # backward indices, best first
         top = {n_layers - int(b) for b in order[:shifted_layers]}
         if top == set(targets):
@@ -577,9 +520,7 @@ def write_fixture_tree(root) -> dict:
 
     def dump(name: str, document: dict) -> str:
         path = root / name
-        with open(path, "w") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path.write_text(json_text(document))
         paths[name] = str(path)
         return name
 

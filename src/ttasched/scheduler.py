@@ -19,7 +19,6 @@ exhaustive enumeration oracle certifies it on small instances.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, convert, read_json
 from .importance import ImportanceVector
 from .latency import LatencyProfile
 from .network import StrategyCost, UpdateStrategy, closed_form_cost
@@ -382,8 +381,8 @@ def certify(instances: int, max_n: int = 14, seed: int = 0) -> CertificationRepo
     serialized for replay."""
     if instances < 1:
         raise InputError("need at least one instance")
-    if max_n > BRUTE_FORCE_MAX_LAYERS:
-        raise InputError(f"max_n capped at {BRUTE_FORCE_MAX_LAYERS}")
+    if not 4 <= max_n <= BRUTE_FORCE_MAX_LAYERS:  # instances have at least 4 layers
+        raise InputError(f"max_n must lie in 4..{BRUTE_FORCE_MAX_LAYERS}, got {max_n}")
     rng = np.random.default_rng(seed)
     matches = 0
     failures = []
@@ -416,14 +415,11 @@ def certify(instances: int, max_n: int = 14, seed: int = 0) -> CertificationRepo
     )
 
 
+def load_importance(document: dict) -> ImportanceVector:
+    doc = convert(dict, document, "importance file")
+    a = convert(list[float], doc.get("a"), "importance file: a")
+    return ImportanceVector(a=np.array([0.0] + a))
+
+
 def load_importance_file(path) -> ImportanceVector:
-    with open(path) as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        values = [float(x) for x in document["a"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"importance file malformed: {exc}") from None
-    return ImportanceVector(a=np.concatenate(([0.0], values)))
+    return load_importance(read_json(path))

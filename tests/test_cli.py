@@ -98,7 +98,7 @@ class TestAssessCommand:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert "stats line 3 malformed: samples" in err
+        assert "stats line 3: samples must be an integer" in err
 
     def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
         # the 24-layer synthetic chain has parameter-free layers; only the
@@ -197,26 +197,26 @@ class TestPredictCommand:
     @pytest.mark.parametrize(
         "fixture, edit, named",
         [
-            ("device.json", lambda d: d.update(peak_flops="abc"), "device document malformed"),
+            ("device.json", lambda d: d.update(peak_flops="abc"), "device: peak_flops must be a number"),
             (
                 "trace.json",
                 lambda d: d["records"][0].update(n="x"),
-                "trace document malformed",
+                "trace: records[0].n must be an integer",
             ),
             (
                 "trace.json",
                 lambda d: d["records"][0].update(n=float("inf")),
-                "trace document malformed",
+                "trace: records[0].n must be an integer",
             ),
             (
                 "offline_profile.json",
                 lambda d: d["layers"][0].update(t_f_ms="abc"),
-                "offline profile layer 0 malformed",
+                "offline profile layer 0: t_f_ms must be a number",
             ),
             (
                 "offline_profile.json",
                 lambda d: d["layers"][0].update(layer_id="first"),
-                "offline profile malformed",
+                "offline profile layers[0].layer_id must be an integer",
             ),
             (
                 "network.json",
@@ -238,11 +238,39 @@ class TestPredictCommand:
                 lambda d: d["layers"][1].update(out_elements=float("inf")),
                 "out_elements must be an integer",
             ),
+            (
+                "device.json",
+                lambda d: d.update(peak_flops=float("nan")),
+                "peak_flops must be finite",
+            ),
+            (
+                "device.json",
+                lambda d: d.update(tem_off=float("nan")),
+                "tem_off must be finite",
+            ),
+            (
+                "trace.json",
+                lambda d: d["records"][0].update(t_ms=float("nan")),
+                "t_ms must be finite",
+            ),
+            ("network.json", lambda d: d.update(layers=5), "layers must be a list"),
+            (
+                "network.json",
+                lambda d: d["layers"][0].update(hyperparams=[1]),
+                "layer 0: hyperparams must be an object",
+            ),
+            (
+                "network.json",
+                lambda d: d["layers"][0].update(mac_count=str(d["layers"][0]["mac_count"])),
+                "layer 0: mac_count must be an integer",
+            ),
         ],
         ids=[
             "device-peak_flops", "trace-n", "trace-n-inf", "offline-t_f_ms",
             "offline-layer_id", "network-channels", "network-element_width",
-            "network-id", "network-out_elements-inf",
+            "network-id", "network-out_elements-inf", "device-peak_flops-nan",
+            "device-tem_off-nan", "trace-t_ms-nan", "network-layers-int",
+            "network-hyperparams-list", "network-mac_count-string",
         ],
     )
     def test_non_numeric_loader_field_exits_2(
@@ -384,8 +412,8 @@ class TestScheduleCommand:
     @pytest.mark.parametrize(
         "key, value, named",
         [
-            ("t_dw_ms", "abc", "runtime profile layer 0 malformed"),
-            ("layer_id", "first", "runtime profile malformed"),
+            ("t_dw_ms", "abc", "runtime profile layer 0: t_dw_ms must be a number"),
+            ("layer_id", "first", "runtime profile layers[0].layer_id must be an integer"),
         ],
     )
     def test_non_numeric_profile_field_exits_2(self, tmp_path, capsys, key, value, named):
@@ -408,7 +436,7 @@ class TestScheduleCommand:
              str(profile_path)]
         )
         assert rc == 2
-        assert "importance file malformed" in capsys.readouterr().err
+        assert "importance file: a must be a list" in capsys.readouterr().err
 
     def test_oracle_beyond_enumeration_cap_exits_2(self, tmp_path, capsys):
         from ttasched.presets import recovery_network
@@ -502,28 +530,47 @@ class TestSimulateCommand:
             ("jitter", "high", "jitter must be a number, got 'high'"),
             ("seed", [1], "seed must be an integer"),
             ("inter_batch_ms", "soon", "inter_batch_ms must be a number"),
+            ("network", 5, "network must be a string"),
+            ("controller", {"enabled": True, "window": 2.5},
+             "controller.window must be an integer"),
+            ("controller", {"enabled": True, "target_r": "x"},
+             "controller.target_r must be a number"),
         ],
     )
     def test_scenario_non_numeric_field_exits_2(
         self, fixtures_dir, tmp_path, capsys, key, value, named
     ):
         scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
-        scenario[key] = value
         for ref in ("network", "offline_profile", "device", "state_trace"):
             scenario[ref] = str(fixtures_dir / scenario[ref])
+        scenario[key] = value
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "scenario.json" in err and named in err
 
+    @pytest.mark.parametrize("value", [-5.0, float("inf"), float("nan")])
+    def test_scenario_unusable_inter_batch_ms_exits_2(
+        self, fixtures_dir, tmp_path, capsys, value
+    ):
+        scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
+        for ref in ("network", "offline_profile", "device", "state_trace"):
+            scenario[ref] = str(fixtures_dir / scenario[ref])
+        scenario["inter_batch_ms"] = value
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", str(bad)]) == 2
+        assert "inter_batch_ms must be finite and non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "env_edit, named",
         [
-            ({"positions": None}, "environment.positions must cover"),
+            ({"positions": None}, "environment.positions is missing"),
             ({"base_var": "x"}, "environment.base_var must be a number"),
             ({"shifts": [{"batch": "x", "layers": [0], "mean_offset_sigmas": 1.0}]},
-             "environment.shifts[0] malformed"),
+             "environment.shifts[0].batch must be an integer"),
+            ({"shifts": 5}, "environment.shifts must be a list"),
         ],
     )
     def test_scenario_malformed_environment_exits_2(
@@ -572,6 +619,10 @@ class TestOracleCheckCommand:
 
     def test_excessive_max_n_exits_2(self):
         assert main(["oracle-check", "--instances", "1", "--max-n", "25"]) == 2
+
+    def test_max_n_below_the_smallest_instance_exits_2(self, capsys):
+        assert main(["oracle-check", "--instances", "1", "--max-n", "2"]) == 2
+        assert "max_n must lie in 4..20, got 2" in capsys.readouterr().err
 
     def test_mismatch_exits_1_with_replayable_instance(self, capsys, monkeypatch):
         import ttasched.cli as cli_mod

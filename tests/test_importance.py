@@ -586,5 +586,5 @@ class TestChainObjects:
         rec[field] = value
         import json
 
-        with pytest.raises(InputError, match=f"line 1 malformed: {field}"):
+        with pytest.raises(InputError, match=f"line 1: {field}"):
             load_stats_lines(json.dumps(rec) + "\n")

@@ -294,8 +294,7 @@ class TestBuildProfile:
         )
         assert np.array_equal(profile.t_b, [0.0, 1.0, 1.0])
         fields = {name: getattr(profile, name) for name in (
-            "t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re", "eta",
-            "selectable")}
+            "t_f", "t_b", "t_dw", "t_dx", "t_re", "eta", "selectable")}
         fields["t_b"] = np.array([0.0, 1.0, 1.5])
         with pytest.raises(InputError, match=r"t_b\[2\] \(layer_id 0\) must equal t_dw \+ t_dx"):
             LatencyProfile(**fields)
@@ -336,8 +335,8 @@ def reference_build_profile(network, offline, device, state):
         t_re[b] = predict_layer_latency(float(offline.t_re[b]), e, factors)
         t_dw[b], t_dx[b] = split_backward(float(t_b[b]), layer)
     return LatencyProfile(
-        t_f=t_f, t_b_off=offline.t_b.copy(), t_re_off=offline.t_re.copy(),
-        t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas, selectable=selectable,
+        t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas,
+        selectable=selectable,
     )
 
 
@@ -381,8 +380,8 @@ def reference_case(name):
     return network, offline, device
 
 
-PROFILE_ARRAYS = ("t_f", "t_b_off", "t_re_off", "t_b", "t_dw", "t_dx", "t_re",
-                  "eta", "selectable", "cum_dx", "cum_re")
+PROFILE_ARRAYS = ("t_f", "t_b", "t_dw", "t_dx", "t_re", "eta", "selectable",
+                  "cum_dx", "cum_re")
 PROFILE_TOTALS = ("t_f_total", "t_b_total", "t_re_total", "t_total")
 
 
@@ -494,7 +493,7 @@ class TestLoaders:
     def test_malformed_device_document(self):
         from ttasched.latency import load_device
 
-        with pytest.raises(InputError, match="device document"):
+        with pytest.raises(InputError, match="device: b_cache is missing"):
             load_device({"peak_flops": 1e12})
 
     def test_offline_profile_missing_layer(self):

@@ -1,0 +1,234 @@
+"""Fuzzed command-line inputs.
+
+Whatever JSON stands in an input file of a subcommand, or in any field of
+one, the command exits 0 or exits 2 with a one-line message: it never ends
+in a traceback, and no output it writes holds NaN or an infinity. The cases
+that once crashed or passed silently are pinned as examples.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from ttasched.cli import main
+from ttasched.importance import stats_to_lines
+from ttasched.latency import build_profile, profile_to_document
+from ttasched.pipeline import (
+    ModelResponseState,
+    Scenario,
+    Shift,
+    gaussian_environment,
+    generate_batch,
+)
+from ttasched.presets import (
+    demo_edge_device,
+    device_to_document,
+    network_to_document,
+    offline_from_costs,
+    offline_to_document,
+    resource_conditions,
+    scenario_to_document,
+    static_trace,
+    synthetic_network,
+    trace_to_document,
+)
+
+NAN, INF = math.nan, math.inf
+
+
+def _valid_documents() -> dict:
+    """One valid document per input file, on a four-layer chain so that a
+    fuzzed episode stays cheap; JSON-lines files are lists of records."""
+    network = synthetic_network(4)
+    device = demo_edge_device()
+    offline = offline_from_costs(network, device)
+    env = gaussian_environment(
+        network, shifts=(Shift(batch_index=1, layers=(0,), mean_offset_sigmas=2.0),),
+        batch_size=2,
+    )
+    trace = static_trace(resource_conditions()["offline"])
+    scenario = Scenario(
+        name="fuzz", mode="sequential", seed=0, batches=3, environment=env,
+        network=network, offline=offline, device=device, trace=trace,
+    )
+    model = ModelResponseState.from_environment(env)
+    rng = np.random.default_rng(0)
+    stats = [
+        [json.loads(line) for line in stats_to_lines(batch).splitlines()]
+        for batch in (generate_batch(env, model, i, rng) for i in (0, 1))
+    ]
+    profile = build_profile(network, offline, device, resource_conditions()["combined"])
+    refs = {
+        "network": "network.json",
+        "offline_profile": "offline_profile.json",
+        "device": "device.json",
+        "state_trace": "trace.json",
+    }
+    return {
+        "network.json": network_to_document(network),
+        "offline_profile.json": offline_to_document(network, offline),
+        "device.json": device_to_document(device),
+        "trace.json": trace_to_document(trace),
+        "scenario.json": scenario_to_document(scenario, refs),
+        "history.jsonl": stats[0],
+        "current.jsonl": stats[1],
+        "importance.json": {"a": [1.0, 0.0, 2.0, 0.5]},
+        "profile.json": profile_to_document(network, profile),
+    }
+
+
+DOCUMENTS = _valid_documents()
+
+# per subcommand: its input files and its arguments, given the file paths
+COMMANDS = {
+    "assess": (
+        ("history.jsonl", "current.jsonl", "network.json"),
+        lambda p: ["assess", "--history", p["history.jsonl"], "--current",
+                   p["current.jsonl"], "--network", p["network.json"]],
+    ),
+    "predict": (
+        ("network.json", "offline_profile.json", "device.json", "trace.json"),
+        lambda p: ["predict", "--network", p["network.json"], "--offline-profile",
+                   p["offline_profile.json"], "--device", p["device.json"],
+                   "--state-trace", p["trace.json"]],
+    ),
+    "schedule": (
+        ("importance.json", "profile.json"),
+        lambda p: ["schedule", "--importance", p["importance.json"], "--profile",
+                   p["profile.json"], "--oracle"],
+    ),
+    "simulate": (
+        ("scenario.json", "network.json", "offline_profile.json", "device.json",
+         "trace.json"),
+        lambda p: ["simulate", p["scenario.json"]],
+    ),
+}
+
+
+def _paths(document, prefix=()):
+    """Every path into ``document``, the empty one included."""
+    yield prefix
+    if isinstance(document, dict):
+        items = document.items()
+    elif isinstance(document, list):
+        items = enumerate(document)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+# small magnitudes only: a count in the millions is valid input that would
+# make an episode allocate or run for long
+numbers = st.one_of(
+    st.integers(-3, 40),
+    st.floats(-10.0, 100.0),
+    st.sampled_from([NAN, INF, -INF, 0.5, 2.5, 1e300, 2**64]),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), numbers, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+DELETE = "<delete the field>"
+
+
+@st.composite
+def cases(draw):
+    """(subcommand, input file, path into its document, replacement): an
+    empty path replaces the whole document, DELETE removes the field."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    name = draw(st.sampled_from(COMMANDS[command][0]))
+    path = draw(st.sampled_from(list(_paths(DOCUMENTS[name]))))
+    if path:
+        value = draw(st.one_of(numbers, json_values, st.just(DELETE)))
+    else:
+        value = draw(json_values)
+    return command, name, path, value
+
+
+def _edited(document, path, value):
+    if not path:
+        return value
+    document = copy.deepcopy(document)
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+def _reject_constant(token):
+    raise AssertionError(f"output holds {token}")
+
+
+def _run(argv: list) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # an exception here is the traceback this test forbids
+    return rc, out.getvalue(), err.getvalue()
+
+
+@example(case=("simulate", "scenario.json", ("environment", "shifts"), 5))
+@example(case=("simulate", "scenario.json", ("network",), 5))
+@example(
+    case=("simulate", "scenario.json", ("controller",), {"enabled": True, "window": 2.5})
+)
+@example(
+    case=("simulate", "scenario.json", ("controller",), {"enabled": True, "target_r": "x"})
+)
+@example(case=("simulate", "scenario.json", ("inter_batch_ms",), -5.0))
+@example(case=("simulate", "scenario.json", ("inter_batch_ms",), INF))
+@example(case=("simulate", "scenario.json", ("inter_batch_ms",), NAN))
+@example(case=("predict", "network.json", ("layers",), 5))
+@example(case=("predict", "network.json", ("layers", 0, "hyperparams"), [1]))
+@example(case=("predict", "network.json", ("layers", 0, "mac_count"), "147456"))
+@example(case=("predict", "device.json", ("peak_flops",), NAN))
+@example(case=("predict", "device.json", ("tem_off",), NAN))
+@example(case=("predict", "trace.json", ("records", 0, "t_ms"), NAN))
+@given(case=cases())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_any_input_exits_0_or_2_without_nan_output(case):
+    command, name, path, value = case
+    files, argv = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for file in files:
+            document = DOCUMENTS[file]
+            if file == name:
+                document = _edited(document, path, value)
+            if file.endswith(".jsonl") and isinstance(document, list):
+                text = "".join(json.dumps(rec) + "\n" for rec in document)
+            else:
+                text = json.dumps(document)
+            paths[file] = str(Path(tmp) / file)
+            Path(paths[file]).write_text(text)
+        out = str(Path(tmp) / "out.json")
+        rc, _, err = _run(argv(paths) + ["--out", out])
+        assert rc in (0, 2), err
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            json.loads(Path(out).read_text(), parse_constant=_reject_constant)
+
+
+@example(instances=1, max_n=2)
+@given(instances=st.integers(-1, 3), max_n=st.integers(-3, 9))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_any_oracle_check_arguments_exit_0_or_2(instances, max_n):
+    rc, _, err = _run(
+        ["oracle-check", "--instances", str(instances), "--max-n", str(max_n)]
+    )
+    assert rc in (0, 2), err
