@@ -325,7 +325,9 @@ def layer_divergences(
         sh2 = history.variances + VARIANCE_FLOOR
         se2 = current.variances + VARIANCE_FLOOR
         dmu = history.means - current.means
-        terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
+        # extreme statistics overflow to inf, which ImportanceVector rejects
+        with np.errstate(over="ignore"):
+            terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
         sums = _layer_sums(terms, widths)
     else:
         pair_widths = tuple(2 * w for w in widths)

@@ -335,10 +335,10 @@ class LatencyTable:
     Backward-indexed 1..N, slot 0 zero: the offline latencies ``t_f``,
     ``t_dw``, ``t_dx`` and ``t_re`` as lists (the backward time split as
     ``split_backward`` splits it), and, as read-only arrays, each layer's
-    ``eta`` and the ``selectable`` mask. ``scales(state)`` is the factor
-    ``predict_layer_latency`` applies to each layer under ``state``; the
-    table keeps the blend of the last state ``scales`` was asked for, which
-    is every call's state on a constant trace.
+    ``eta`` ratio and the ``selectable`` mask. ``scales(state)`` is the
+    factor ``predict_layer_latency`` applies to each layer under ``state``;
+    the table keeps the blend of the last state ``scales`` was asked for,
+    which is every call's state on a constant trace.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -353,23 +353,16 @@ class LatencyTable:
         self.device = device
         self.n_layers = n
         self.selectable = network.selectable
-        # eta as ``eta`` computes it, without dividing by zero traffic
-        loaded = network.traffic > 0
-        etas = np.full(n + 1, COMPUTE_BOUND)
-        etas[loaded] = (network.macs[loaded] / device.peak_flops) / (
-            network.traffic[loaded] / device.b_cache
-        )
-        etas[0] = 0.0
-        etas.flags.writeable = False
-        self.eta = etas
-        self._weight = np.zeros(n + 1)
-        self._weight[loaded] = etas[loaded] / (etas[loaded] + 1.0)
-        self._compute_bound = ~loaded  # slot 0 too; it scales a zero
-        # the same weights for one layer at a time; None marks compute-bound
-        self._layer_weight = [
-            w if is_loaded else None
-            for w, is_loaded in zip(self._weight.tolist(), loaded.tolist())
+        etas = [0.0] + [eta(layer, device) for layer in network.layers[::-1]]
+        # the blend weight eta / (eta + 1) per layer; None marks a
+        # compute-bound layer, and slot 0, which scales a zero
+        self._layer_weight = [None] + [
+            None if e == COMPUTE_BOUND else e / (e + 1.0) for e in etas[1:]
         ]
+        self.eta = np.array(etas)
+        self.eta.flags.writeable = False
+        self._compute_bound = np.array([w is None for w in self._layer_weight])
+        self._weight = np.array([w or 0.0 for w in self._layer_weight])
         # weight-gradient share per layer: 0 for parameter-free layers
         self._dw_share = np.where(self.selectable, _DW_SHARE, 0.0)
         t_dw = self._dw_share * offline.t_b

@@ -89,8 +89,14 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
 
     at = f"layer {layer.id}: hyperparams "
 
+    def positive(value, name):
+        value = convert(int, value, at + name)
+        if value < 1:
+            raise InputError(f"{at}{name} must be >= 1, got {value}")
+        return value
+
     def dim(name, default=None):
-        return convert(int, hp.get(name, default), at + name)
+        return positive(hp.get(name, default), name)
 
     def dims(*names):
         return [dim(name) for name in names]
@@ -98,11 +104,9 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
     def kernel(default=None):
         k = hp.get("kernel", default)
         pair = k if isinstance(k, (list, tuple)) and len(k) == 2 else (k, k)
-        return [convert(int, v, at + "kernel") for v in pair]
+        return [positive(v, "kernel") for v in pair]
 
     batch = dim("batch", 1)
-    if batch < 1:
-        raise InputError(f"layer {layer.id}: batch must be >= 1")
     kind = layer.kind
 
     if kind == "conv2d":
@@ -110,16 +114,12 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
         kh, kw = kernel()
         h_in = dim("h_in", h)
         w_in = dim("w_in", w)
-        if min(cin, cout, h, w, kh, kw, h_in, w_in) < 1:
-            raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = kh * kw * cin * cout * h * w * batch
         weights = kh * kw * cin * cout
         activ = (cin * h_in * w_in + cout * h * w) * batch
     elif kind == "linear":
         fin, fout = dims("in_features", "out_features")
         rows = batch * dim("tokens", 1)
-        if min(fin, fout, rows) < 1:
-            raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = rows * fin * fout
         weights = fin * fout
         activ = rows * (fin + fout)
@@ -134,23 +134,17 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
         activ = 2 * layer.out_elements * batch
     elif kind == "pooling":
         kh, kw = kernel(default=1)
-        if min(kh, kw) < 1:
-            raise InputError(f"layer {layer.id}: dimensions must be positive")
         window = kh * kw
         mac = window * layer.out_elements * batch
         weights = 0
         activ = (window + 1) * layer.out_elements * batch
     elif kind == "attention-projection":
         tokens, fin, fout = dims("tokens", "in_features", "out_features")
-        if min(tokens, fin, fout) < 1:
-            raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = batch * tokens * fin * fout
         weights = fin * fout
         activ = batch * tokens * (fin + fout)
     elif kind == "feedforward":
         tokens, hidden, ffn = dims("tokens", "hidden_dim", "ffn_dim")
-        if min(tokens, hidden, ffn) < 1:
-            raise InputError(f"layer {layer.id}: dimensions must be positive")
         mac = 2 * batch * tokens * hidden * ffn
         weights = 2 * hidden * ffn
         activ = batch * tokens * (2 * hidden + 2 * ffn)
@@ -164,10 +158,9 @@ def derive_costs(layer: LayerSpec, element_width: int = DEFAULT_ELEMENT_WIDTH):
 class Network:
     """Ordered layer chain. Layer ids must be contiguous 0..N-1.
 
-    Built once at construction, read-only and backward-indexed 1..N (slot 0
-    is padding): ``selectable``, the mask of layers that carry parameters,
-    and ``macs`` / ``traffic``, each layer's MAC count and memory traffic as
-    floats.
+    ``selectable`` is the mask of layers that carry parameters, built once
+    at construction, read-only and backward-indexed 1..N (slot 0 is
+    padding).
     """
 
     name: str
@@ -185,15 +178,9 @@ class Network:
                 )
         if self.element_width < 1:
             raise InputError("element_width must be >= 1")
-        backward = self.layers[::-1]
-        for name, values, dtype in (
-            ("selectable", [False] + [l.has_params for l in backward], bool),
-            ("macs", [0] + [l.mac_count for l in backward], float),
-            ("traffic", [0] + [l.mem_traffic for l in backward], float),
-        ):
-            arr = np.array(values, dtype=dtype)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        selectable = np.array([False] + [l.has_params for l in self.layers[::-1]])
+        selectable.flags.writeable = False
+        object.__setattr__(self, "selectable", selectable)
 
     @property
     def n_layers(self) -> int:

@@ -181,11 +181,20 @@ def gaussian_environment(
     per channel, at least 1."""
     if positions is None:
         positions = [max(1, l.out_elements // l.channels) for l in network.layers]
+
+    def full(layer, value):
+        try:
+            return np.full(layer.channels, value)
+        except (ValueError, MemoryError):  # numpy's "array is too big"
+            raise InputError(
+                f"layer {layer.id}: {layer.channels} channels do not fit in memory"
+            ) from None
+
     return EnvironmentSpec(
         channels=tuple(l.channels for l in network.layers),
         positions=tuple(positions),
-        base_means=tuple(np.full(l.channels, mean) for l in network.layers),
-        base_vars=tuple(np.full(l.channels, var) for l in network.layers),
+        base_means=tuple(full(l, mean) for l in network.layers),
+        base_vars=tuple(full(l, var) for l in network.layers),
         shifts=tuple(shifts),
         batch_size=batch_size,
     )
@@ -230,7 +239,10 @@ def observed_params(
     env_means, env_vars = env.flat_params_at(batch_index)
     base_means, base_vars = env._flat_epochs[0]
     model_means, model_vars = model._flat
-    return base_means + (env_means - model_means), base_vars * env_vars / model_vars
+    # extreme parameters overflow to inf or nan, which FeatureStats and
+    # Embedding reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        return base_means + (env_means - model_means), base_vars * env_vars / model_vars
 
 
 def observed_embeddings(
@@ -591,16 +603,14 @@ def _full_strategy(network: Network) -> UpdateStrategy:
 
 
 def _replay_full_updates(
-    scenario: Scenario, rng: np.random.Generator, table: LatencyTable
+    scenario: Scenario, rng: np.random.Generator, table: LatencyTable, inter: float
 ) -> float:
     """Mean per-batch executed latency when every selectable layer is
-    updated every batch, on the same arrival process."""
+    updated every batch, on the same arrival process: one batch every
+    ``inter`` ms."""
     network = scenario.network
     full = _full_strategy(network)
     plan = reuse_plan(full, network)
-    inter = scenario.inter_batch_ms
-    if inter is None:
-        inter = float(np.sum(scenario.offline.t_f))
     prev_finish = 0.0
     total = 0.0
     for i in range(scenario.batches):
@@ -739,7 +749,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         if scenario.controller.enabled:
             sigma = sigma_controller(r_history, sigma, scenario.controller)
 
-    replay_mean = _replay_full_updates(scenario, rng_replay, table)
+    replay_mean = _replay_full_updates(scenario, rng_replay, table, inter)
     mean_total = sum(rec.executed_total_ms for rec in records) / len(records)
     aggregates = EpisodeAggregates(
         batches=len(records),

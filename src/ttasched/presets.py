@@ -15,7 +15,7 @@ import numpy as np
 from .errors import json_text
 from .importance import EmbeddingHistory, FeatureStats, ImportanceVector, assess
 from .latency import DeviceSpec, LatencyProfile, OfflineProfile, StateTrace, SystemState
-from .network import LayerSpec, Network
+from .network import PARAM_FREE_KINDS, LayerSpec, Network, derive_costs
 from .pipeline import (
     ControllerConfig,
     ModelResponseState,
@@ -60,83 +60,53 @@ def resource_conditions() -> dict[str, SystemState]:
     }
 
 
+def _costed(
+    kind: str,
+    channels: int,
+    out_elements: int,
+    hyperparams: dict | None = None,
+    layer_id: int = 0,
+) -> LayerSpec:
+    """A layer, with parameters unless its kind has none, whose costs come
+    from ``derive_costs``. It keeps ``hyperparams`` as given; the kinds whose
+    costs need none derive them from an empty set."""
+    layer = LayerSpec(
+        layer_id, kind, kind not in PARAM_FREE_KINDS, channels, out_elements,
+        hyperparams=hyperparams or {},
+    )
+    mac, mem = derive_costs(layer)
+    return replace(layer, mac_count=mac, mem_traffic=mem, hyperparams=hyperparams)
+
+
+def _conv3x3(channels: int, spatial: int) -> dict:
+    return {
+        "kernel": 3,
+        "in_channels": channels,
+        "out_channels": channels,
+        "h_out": spatial,
+        "w_out": spatial,
+    }
+
+
 def synthetic_network(n_layers: int = 24, channels: int = 8, spatial: int = 16) -> Network:
     """Conv / batchnorm / activation triplets, a global pool, and a linear
     head. The pool keeps the output side cheap, as in a standard classifier."""
     if n_layers < 4:
         raise ValueError("need at least four layers")
     out_elements = channels * spatial * spatial
-    layers = []
-    for i in range(n_layers - 2):
-        kind = ("conv2d", "batchnorm", "activation")[i % 3]
-        if kind == "conv2d":
-            hp = {
-                "kernel": 3,
-                "in_channels": channels,
-                "out_channels": channels,
-                "h_out": spatial,
-                "w_out": spatial,
-            }
-            layers.append(
-                LayerSpec(
-                    id=i,
-                    kind="conv2d",
-                    has_params=True,
-                    channels=channels,
-                    out_elements=out_elements,
-                    mac_count=9 * channels * channels * spatial * spatial,
-                    mem_traffic=4
-                    * (9 * channels * channels + 2 * out_elements),
-                    hyperparams=hp,
-                )
-            )
-        elif kind == "batchnorm":
-            layers.append(
-                LayerSpec(
-                    id=i,
-                    kind="batchnorm",
-                    has_params=True,
-                    channels=channels,
-                    out_elements=out_elements,
-                    mac_count=2 * out_elements,
-                    mem_traffic=4 * (2 * channels + 2 * out_elements),
-                )
-            )
-        else:
-            layers.append(
-                LayerSpec(
-                    id=i,
-                    kind="activation",
-                    has_params=False,
-                    channels=channels,
-                    out_elements=out_elements,
-                    mac_count=out_elements,
-                    mem_traffic=4 * 2 * out_elements,
-                )
-            )
-    window = spatial * spatial
+    triplet = (
+        _costed("conv2d", channels, out_elements, _conv3x3(channels, spatial)),
+        _costed("batchnorm", channels, out_elements),
+        _costed("activation", channels, out_elements),
+    )
+    layers = [replace(triplet[i % 3], id=i) for i in range(n_layers - 2)]
     layers.append(
-        LayerSpec(
-            id=n_layers - 2,
-            kind="pooling",
-            has_params=False,
-            channels=channels,
-            out_elements=channels,
-            mac_count=window * channels,
-            mem_traffic=4 * (window + 1) * channels,
-            hyperparams={"kernel": [spatial, spatial]},
-        )
+        _costed("pooling", channels, channels, {"kernel": [spatial, spatial]}, n_layers - 2)
     )
     layers.append(
-        LayerSpec(
-            id=n_layers - 1,
-            kind="linear",
-            has_params=True,
-            channels=channels,
-            out_elements=channels,
-            mac_count=channels * channels,
-            mem_traffic=4 * (channels * channels + 2 * channels),
-            hyperparams={"in_features": channels, "out_features": channels},
+        _costed(
+            "linear", channels, channels,
+            {"in_features": channels, "out_features": channels}, n_layers - 1,
         )
     )
     return Network(name=f"synthetic-{n_layers}", layers=tuple(layers))
@@ -340,34 +310,16 @@ def controller_scenario(seed: int = 11) -> Scenario:
 def recovery_network(n_layers: int = 20, channels: int = 8) -> Network:
     """Alternating conv / batchnorm chain with every layer updateable, used
     by the shift-recovery experiment."""
-    layers = []
     out_elements = channels * 16 * 16
-    for i in range(n_layers):
-        if i % 2 == 0:
-            layers.append(
-                LayerSpec(
-                    id=i,
-                    kind="conv2d",
-                    has_params=True,
-                    channels=channels,
-                    out_elements=out_elements,
-                    mac_count=9 * channels * channels * 256,
-                    mem_traffic=4 * (9 * channels * channels + 2 * out_elements),
-                )
-            )
-        else:
-            layers.append(
-                LayerSpec(
-                    id=i,
-                    kind="batchnorm",
-                    has_params=True,
-                    channels=channels,
-                    out_elements=out_elements,
-                    mac_count=2 * out_elements,
-                    mem_traffic=4 * (2 * channels + 2 * out_elements),
-                )
-            )
-    return Network(name=f"recovery-{n_layers}", layers=tuple(layers))
+    pair = (
+        replace(
+            _costed("conv2d", channels, out_elements, _conv3x3(channels, 16)),
+            hyperparams=None,
+        ),
+        _costed("batchnorm", channels, out_elements),
+    )
+    layers = tuple(replace(pair[i % 2], id=i) for i in range(n_layers))
+    return Network(name=f"recovery-{n_layers}", layers=layers)
 
 
 def importance_recovery_rate(

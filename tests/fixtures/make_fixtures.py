@@ -9,16 +9,17 @@ justify the thresholds asserted by the acceptance suite (recovery rate,
 latency ratio, capture ratio).
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from ttasched.errors import json_text
 from ttasched.importance import stats_to_lines
 from ttasched.pipeline import generate_batch, ModelResponseState, run_episode
 from ttasched.presets import (
     drift_scenario,
     importance_recovery_rate,
+    network_to_document,
     recovery_network,
     write_fixture_tree,
 )
@@ -46,13 +47,7 @@ def write_assess_stats() -> None:
     (HERE / "stats_history.jsonl").write_text(stats_to_lines(history))
     (HERE / "stats_current.jsonl").write_text(stats_to_lines(current))
     (HERE / "network_recovery10.json").write_text(
-        json.dumps(
-            __import__("ttasched.presets", fromlist=["network_to_document"])
-            .network_to_document(network),
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+        json_text(network_to_document(network))
     )
 
 
@@ -82,9 +77,7 @@ def run_pilots() -> None:
             "pinned_capture_ratio_min": 0.6,
         },
     }
-    (HERE / "pilot_results.json").write_text(
-        json.dumps(pilot, indent=2, sort_keys=True) + "\n"
-    )
+    (HERE / "pilot_results.json").write_text(json_text(pilot))
 
 
 if __name__ == "__main__":

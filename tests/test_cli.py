@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,63 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", str(bad)]) == 2
         assert named in capsys.readouterr().err
+
+
+class TestOneLineErrors:
+    """Inputs that overflow numpy exit 2 with one ``error:`` line and no
+    numpy warning before it."""
+
+    def run_main(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        return err
+
+    def scenario_file(self, fixtures_dir, tmp_path, edit):
+        scenario = json.loads((fixtures_dir / "scenario_drift.json").read_text())
+        for ref in ("network", "offline_profile", "device", "state_trace"):
+            scenario[ref] = str(fixtures_dir / scenario[ref])
+        edit(scenario)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        return str(path)
+
+    def test_channels_beyond_memory_name_the_layer(self, fixtures_dir, tmp_path, capsys):
+        # 2**62 channels is refused by numpy before anything is allocated
+        network = json.loads((fixtures_dir / "network.json").read_text())
+        network["layers"][3]["channels"] = 2**62
+        (tmp_path / "network.json").write_text(json.dumps(network))
+        path = self.scenario_file(
+            fixtures_dir, tmp_path,
+            lambda s: s.update(network=str(tmp_path / "network.json")),
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert f"layer 3: {2**62} channels do not fit in memory" in err
+
+    def test_overflowing_base_var(self, fixtures_dir, tmp_path, capsys):
+        path = self.scenario_file(
+            fixtures_dir, tmp_path, lambda s: s["environment"].update(base_var=1e306)
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "stats must be finite" in err
+
+    def test_overflowing_stats_means(self, fixtures_dir, tmp_path, capsys):
+        lines = (fixtures_dir / "stats_history.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["means"] = [1e300] * len(record["means"])
+        lines[0] = json.dumps(record)
+        history = tmp_path / "history.jsonl"
+        history.write_text("\n".join(lines) + "\n")
+        err = self.run_main(
+            ["assess", "--history", str(history),
+             "--current", str(fixtures_dir / "stats_current.jsonl"), "--out", "-"],
+            capsys,
+        )
+        assert "importances must be finite and non-negative" in err
 
 
 class TestOracleCheckCommand:

@@ -1,7 +1,7 @@
 """Golden reports: ``simulate`` output pinned byte for byte.
 
 The digests in ``fixtures/golden_reports.json`` are sha256 sums of episode
-reports (JSON and CSV). A refactor of the simulator's hot path must leave
+reports (JSON and CSV) and of the bundled networks' documents. A refactor of the simulator's hot path must leave
 them unchanged; a deliberate change of the random streams or of the report
 arithmetic must regenerate them and say why. Regenerate with::
 
@@ -27,6 +27,13 @@ SIMULATE_SEEDS = (0, 1, 2, 3)
 # widths on both sides of numpy's 8-wide pairwise-summation unroll, and one
 # past its 128-element block
 ODD_WIDTHS = (1, 7, 8, 9, 129, 8, 7, 1, 9, 129, 8, 8)
+
+# preset chain lengths pinned by their network documents: every phase of the
+# conv / batchnorm / activation triplet before the pool and head, and both
+# parities of the conv / batchnorm alternation
+SYNTHETIC_LAYERS = (4, 6, 9, 10, 12, 24, 120)
+RECOVERY_LAYERS = (1, 2, 3, 4, 10, 20, 21)
+RECOVERY_CHANNELS = (4, 8)
 
 
 def _sha(text: str) -> str:
@@ -119,9 +126,22 @@ def _time_varying_drift():
     return dataclasses.replace(scenario, name="drift-time-varying", trace=trace)
 
 
+def _network_digests(network) -> dict:
+    from ttasched.errors import json_text
+    from ttasched.presets import network_to_document
+
+    return {"json": _sha(json_text(network_to_document(network)))}
+
+
 def golden_cases() -> dict:
-    """Name -> zero-argument function returning that case's digests."""
-    from ttasched.presets import drift_scenario, resnet50_shaped
+    """Name -> function of a scratch directory returning that case's
+    digests."""
+    from ttasched.presets import (
+        drift_scenario,
+        recovery_network,
+        resnet50_shaped,
+        synthetic_network,
+    )
 
     cases = {}
     for scenario in SIMULATE_SCENARIOS:
@@ -147,6 +167,16 @@ def golden_cases() -> dict:
     cases["episode/odd-widths-elementwise"] = lambda tmp: _episode_digests(
         _ragged_scenario(_odd_width_network(), "odd-widths", "elementwise")
     )
+    # the bundled chains, whose layer costs every latency figure derives from
+    for n in SYNTHETIC_LAYERS:
+        cases[f"network/synthetic/n{n}"] = (
+            lambda tmp, n=n: _network_digests(synthetic_network(n))
+        )
+    for n in RECOVERY_LAYERS:
+        for c in RECOVERY_CHANNELS:
+            cases[f"network/recovery/n{n}-c{c}"] = (
+                lambda tmp, n=n, c=c: _network_digests(recovery_network(n, channels=c))
+            )
     return cases
 
 

@@ -129,6 +129,29 @@ class TestDeriveCosts:
         with pytest.raises(InputError):
             derive_costs(conv_layer(h_out=0))
 
+    @pytest.mark.parametrize(
+        "kind, hp, field",
+        [
+            ("conv2d", {"kernel": 3, "in_channels": 16, "out_channels": 32,
+                        "h_out": 0, "w_out": 8}, "h_out"),
+            ("conv2d", {"kernel": [3, 0], "in_channels": 16, "out_channels": 32,
+                        "h_out": 8, "w_out": 8}, "kernel"),
+            ("linear", {"in_features": 4, "out_features": 4, "tokens": 0}, "tokens"),
+            ("pooling", {"kernel": -2}, "kernel"),
+            ("attention-projection", {"tokens": 8, "in_features": 0,
+                                      "out_features": 4}, "in_features"),
+            ("feedforward", {"tokens": 8, "hidden_dim": 32, "ffn_dim": 0}, "ffn_dim"),
+            ("batchnorm", {"batch": 0}, "batch"),
+        ],
+    )
+    def test_dimension_below_one_named(self, kind, hp, field):
+        layer = LayerSpec(
+            id=2, kind=kind, has_params=kind != "pooling", channels=4,
+            out_elements=64, hyperparams=hp,
+        )
+        with pytest.raises(InputError, match=f"layer 2: hyperparams {field} must be >= 1"):
+            derive_costs(layer)
+
     def test_missing_hyperparam_named(self):
         with pytest.raises(InputError, match="in_channels"):
             derive_costs(
