@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .errors import InputError, json_text, read_json
-from .importance import EmbeddingHistory, assess, load_stats_file
+from .importance import KL_MODES, EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
     load_device_file,
@@ -157,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True, help="JSON-lines stats of the tracked history")
     p.add_argument("--current", required=True, help="JSON-lines stats of the current batch")
     p.add_argument("--network", help="optional network file; zeroes parameter-free layers")
-    p.add_argument("--kl-mode", choices=("gaussian", "elementwise"), default="gaussian")
+    p.add_argument("--kl-mode", choices=KL_MODES, default="gaussian")
     p.add_argument("--lenient", action="store_true", help="ignore unknown input fields")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_assess)

@@ -333,7 +333,12 @@ def layer_divergences(
         pair_widths = tuple(2 * w for w in widths)
         p = _layer_softmax(history.values, pair_widths)
         q = _layer_softmax(current.values, pair_widths)
-        sums = _layer_sums(p * np.log(p / q), pair_widths)
+        # 0 log 0 is 0: an entry whose history weight underflowed adds
+        # nothing; an underflowed current weight makes the term inf, which
+        # ImportanceVector rejects
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms = np.where(p > 0.0, p * np.log(p / q), 0.0)
+        sums = _layer_sums(terms, pair_widths)
     # divergences are non-negative; clip float dust from the sums
     return np.where(sums > 0.0, sums, 0.0)
 
@@ -416,7 +421,6 @@ class ImportanceVector:
     """
 
     a: np.ndarray
-    mode: str = "gaussian"
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -426,8 +430,6 @@ class ImportanceVector:
             raise InputError("slot 0 of the importance vector is padding")
         if np.any(a < 0) or not np.all(np.isfinite(a)):
             raise InputError("importances must be finite and non-negative")
-        if self.mode not in KL_MODES:
-            raise InputError(f"unknown divergence mode {self.mode!r}")
         object.__setattr__(self, "a", a)
 
     @property
@@ -445,9 +447,9 @@ def _stats_chain(stats) -> FeatureStats:
     return FeatureStats.concat(list(stats))
 
 
-def assessment_flops(network: Network | None, stats) -> float:
+def assessment_flops(stats) -> float:
     """Analytic op count of one assessment pass (moment extraction + KL)
-    over the layers the stats cover; ``network`` is not consulted."""
+    over the layers the stats cover."""
     stats = _stats_chain(stats)
     total = 0.0
     for n_c, samples in zip(stats.widths, stats.sample_counts):
@@ -496,7 +498,7 @@ def assess(
         for layer in network.layers:
             if not layer.has_params:
                 a[n - layer.id] = 0.0
-    return ImportanceVector(a=a, mode=mode), assessment_flops(network, stats)
+    return ImportanceVector(a=a), assessment_flops(stats)
 
 
 def load_stats_lines(text: str) -> FeatureStats:

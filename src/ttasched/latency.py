@@ -308,22 +308,20 @@ class LatencyProfile:
         return len(self.t_f) - 1
 
     @classmethod
-    def from_components(cls, t_f, t_dw, t_dx, t_re, selectable=None, eta_l=None):
+    def from_components(cls, t_f, t_dw, t_dx, t_re, selectable=None):
         """Assemble a synthetic profile from 1-based component arrays."""
         t_dw = np.asarray(t_dw, dtype=float)
         t_dx = np.asarray(t_dx, dtype=float)
         n = len(t_f) - 1
         if selectable is None:
             selectable = np.concatenate(([False], np.ones(n, dtype=bool)))
-        if eta_l is None:
-            eta_l = np.ones(n + 1)
         return cls(
             t_f=t_f,
             t_b=t_dw + t_dx,
             t_dw=t_dw,
             t_dx=t_dx,
             t_re=t_re,
-            eta=eta_l,
+            eta=np.ones(n + 1),
             selectable=selectable,
         )
 

@@ -27,10 +27,13 @@ import numpy as np
 
 from .errors import InputError, convert, json_text, read_json
 from .importance import (
+    KL_MODES,
     Embedding,
     EmbeddingHistory,
     FeatureStats,
     ImportanceVector,
+    _check_widths,
+    _offsets,
     adaptation_loss,
     assess,
     assessment_flops,
@@ -78,7 +81,8 @@ class EnvironmentSpec:
     deviation of the affected channel.
 
     The parameters of every shift epoch are computed once, at construction,
-    as read-only arrays, per layer and flat over the chain."""
+    as read-only arrays flat over the chain; ``base_means`` and ``base_vars``
+    become read-only per-layer views of the unshifted epoch."""
 
     channels: tuple[int, ...]
     positions: tuple[int, ...]
@@ -100,18 +104,22 @@ class EnvironmentSpec:
         for i in range(n):
             if self.channels[i] < 1 or self.positions[i] < 1:
                 raise InputError(f"layer {i}: channels and positions must be >= 1")
-            m = _frozen(self.base_means[i])
-            v = _frozen(self.base_vars[i])
+            m = np.asarray(self.base_means[i], dtype=float)
+            v = np.asarray(self.base_vars[i], dtype=float)
             if m.shape != (self.channels[i],) or v.shape != (self.channels[i],):
                 raise InputError(f"layer {i}: base params must match channel count")
             if np.any(v <= 0):
                 raise InputError(f"layer {i}: base variances must be positive")
             means.append(m)
             varis.append(v)
-        if not np.isfinite(np.concatenate(means + varis)).all():
+        mean = _frozen(np.concatenate(means))
+        var = _frozen(np.concatenate(varis))
+        if not (np.isfinite(mean).all() and np.isfinite(var).all()):
             raise InputError("environment base means and variances must be finite")
-        object.__setattr__(self, "base_means", tuple(means))
-        object.__setattr__(self, "base_vars", tuple(varis))
+        bounds = _offsets(tuple(self.channels))
+        spans = tuple(zip(bounds[:-1], bounds[1:]))
+        object.__setattr__(self, "base_means", tuple(mean[lo:hi] for lo, hi in spans))
+        object.__setattr__(self, "base_vars", tuple(var[lo:hi] for lo, hi in spans))
         indices = [s.batch_index for s in self.shifts]
         if indices != sorted(indices) or len(set(indices)) != len(indices):
             raise InputError("shift batch indices must be strictly increasing")
@@ -119,47 +127,41 @@ class EnvironmentSpec:
             for layer in s.layers:
                 if not 0 <= layer < n:
                     raise InputError(f"shift names unknown layer {layer}")
-        # epoch k: the first k shifts applied in order; each shift replaces
-        # the arrays of the layers it names
-        epochs = [(tuple(means), tuple(varis))]
+        # epoch k: the first k shifts applied in order, each to the channel
+        # ranges of the layers it names
+        epochs = [(mean, var)]
+        sd = np.sqrt(var)
         for s in self.shifts:
-            for layer in s.layers:
-                means[layer] = _frozen(
-                    means[layer] + s.mean_offset_sigmas * np.sqrt(self.base_vars[layer])
+            mean, var = mean.copy(), var.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for layer in s.layers:
+                    lo, hi = spans[layer]
+                    mean[lo:hi] = mean[lo:hi] + s.mean_offset_sigmas * sd[lo:hi]
+                    var[lo:hi] = var[lo:hi] * s.var_scale
+            if not (np.isfinite(mean).all() and np.isfinite(var).all()):
+                raise InputError(
+                    f"shift at batch {s.batch_index} makes the environment "
+                    "means or variances non-finite"
                 )
-                varis[layer] = _frozen(varis[layer] * s.var_scale)
-            epochs.append((tuple(means), tuple(varis)))
+            mean.flags.writeable = var.flags.writeable = False
+            epochs.append((mean, var))
         object.__setattr__(self, "_shift_batches", tuple(indices))
         object.__setattr__(self, "_epochs", tuple(epochs))
-        object.__setattr__(
-            self, "_flat_epochs", tuple((_flat(m), _flat(v)) for m, v in epochs)
-        )
         counts = tuple(self.batch_size * p for p in self.positions)
         object.__setattr__(self, "sample_counts", counts)
         object.__setattr__(
             self, "_channel_samples", _frozen(np.repeat(np.array(counts, dtype=float), self.channels))
         )
-        bounds = np.cumsum((0,) + tuple(self.channels)).tolist()
-        object.__setattr__(self, "_spans", tuple(zip(bounds[:-1], bounds[1:])))
+        object.__setattr__(self, "_spans", spans)
 
     @property
     def n_layers(self) -> int:
         return len(self.channels)
 
-    def _epoch(self, batch_index: int) -> int:
-        """Number of shifts active at ``batch_index``."""
-        return bisect_right(self._shift_batches, batch_index)
-
-    def params_at(
-        self, batch_index: int
-    ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Environment (mean, variance) per layer with all shifts up to and
-        including ``batch_index`` applied. The arrays are read-only."""
-        return self._epochs[self._epoch(batch_index)]
-
-    def flat_params_at(self, batch_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """``params_at``, each side as one array over the chain."""
-        return self._flat_epochs[self._epoch(batch_index)]
+    def params_at(self, batch_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Environment (means, variances), each one read-only array over the
+        chain, with all shifts up to and including ``batch_index`` applied."""
+        return self._epochs[bisect_right(self._shift_batches, batch_index)]
 
 
 def _frozen(values) -> np.ndarray:
@@ -167,10 +169,6 @@ def _frozen(values) -> np.ndarray:
     out = np.array(values, dtype=float)
     out.flags.writeable = False
     return out
-
-
-def _flat(arrays) -> np.ndarray:
-    return _frozen(np.concatenate(arrays))
 
 
 def gaussian_environment(
@@ -202,30 +200,34 @@ def gaussian_environment(
 
 @dataclass(frozen=True)
 class ModelResponseState:
-    """Distribution the model currently reproduces per layer. The observed
+    """Distribution the model currently reproduces, flat over the chain in
+    forward order: layer ``i`` covers ``widths[i]`` channels. The observed
     feature distribution of a batch is the base distribution displaced by
     the model's remaining gap to the environment."""
 
-    means: tuple[np.ndarray, ...]
-    variances: tuple[np.ndarray, ...]
+    means: np.ndarray
+    variances: np.ndarray
+    widths: tuple[int, ...]
     adaptation_gain: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.adaptation_gain <= 1.0):
             raise InputError("adaptation_gain must lie in (0, 1]")
-        flat_vars = np.concatenate(self.variances)
-        if (flat_vars <= 0).any():
+        means = np.ascontiguousarray(self.means, dtype=float)
+        variances = np.ascontiguousarray(self.variances, dtype=float)
+        if means.ndim != 1 or means.shape != variances.shape:
+            raise InputError("model means and variances must be 1-D and equal length")
+        object.__setattr__(self, "widths", _check_widths(self.widths, means.size))
+        if (variances <= 0).any():
             raise InputError("model variances must be positive")
-        object.__setattr__(self, "_flat", (np.concatenate(self.means), flat_vars))
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
 
     @classmethod
     def from_environment(cls, env: EnvironmentSpec, adaptation_gain: float = 1.0):
         """A model fully adapted to the unshifted base environment."""
-        return cls(
-            means=tuple(m.copy() for m in env.base_means),
-            variances=tuple(v.copy() for v in env.base_vars),
-            adaptation_gain=adaptation_gain,
-        )
+        means, variances = env._epochs[0]
+        return cls(means, variances, env.channels, adaptation_gain)
 
 
 def observed_params(
@@ -236,13 +238,15 @@ def observed_params(
     """Channel (mean, variance) a batch actually exhibits, flat over the
     chain: the base distribution shifted by how far the model lags the
     environment."""
-    env_means, env_vars = env.flat_params_at(batch_index)
-    base_means, base_vars = env._flat_epochs[0]
-    model_means, model_vars = model._flat
+    env_means, env_vars = env.params_at(batch_index)
+    base_means, base_vars = env._epochs[0]
     # extreme parameters overflow to inf or nan, which FeatureStats and
     # Embedding reject
     with np.errstate(over="ignore", invalid="ignore"):
-        return base_means + (env_means - model_means), base_vars * env_vars / model_vars
+        return (
+            base_means + (env_means - model.means),
+            base_vars * env_vars / model.variances,
+        )
 
 
 def observed_embeddings(
@@ -295,43 +299,6 @@ def generate_batch(
 
 
 @dataclass(frozen=True)
-class ReusePlan:
-    """Which layers the reforward pass actually re-executes.
-
-    The input activation of the earliest-updated layer is retained, so every
-    layer before it is skipped; an empty strategy skips the whole pass.
-    """
-
-    n_layers: int
-    first_update_forward_id: int | None
-    retained_forward_id: int | None
-    skipped: tuple[int, ...]
-    executed: tuple[int, ...]
-
-
-def reuse_plan(strategy: UpdateStrategy, network: Network) -> ReusePlan:
-    n = network.n_layers
-    if strategy.n_layers != n:
-        raise InputError("strategy and network disagree on layer count")
-    if strategy.is_empty:
-        return ReusePlan(
-            n_layers=n,
-            first_update_forward_id=None,
-            retained_forward_id=None,
-            skipped=tuple(range(n)),
-            executed=(),
-        )
-    first = network.forward_id(strategy.deepest)
-    return ReusePlan(
-        n_layers=n,
-        first_update_forward_id=first,
-        retained_forward_id=first - 1 if first > 0 else None,
-        skipped=tuple(range(first)),
-        executed=tuple(range(first, n)),
-    )
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
     """Per-layer executed latencies (backward-indexed, slot 0 unused); the
     phase totals are computed once, at construction."""
@@ -362,7 +329,6 @@ def execute_ground_truth(
     table: LatencyTable,
     trace: StateTrace,
     strategy: UpdateStrategy,
-    plan: ReusePlan,
     jitter_eps: float = 0.0,
     rng: np.random.Generator | None = None,
     t_start_ms: float = 0.0,
@@ -379,8 +345,11 @@ def execute_ground_truth(
     Layers run in this order: forward from backward index n down to 1; then,
     for each backward index b up to the deepest selected layer d, the
     activation gradient (if b < d) and the weight gradient (if b is
-    selected); then the reforward over ``plan.executed``. With an ``rng``,
-    one jitter value per run is drawn up front, in that order.
+    selected); then the reforward from b = d down to 1. The input activation
+    of the deepest updated layer is retained, so every layer before it is
+    skipped and an empty strategy (d = 0) skips the whole pass; that is the
+    span the closed form prices as ``cum_re[d]``. With an ``rng``, one
+    jitter value per run is drawn up front, in that order.
     """
     if not (0.0 <= jitter_eps < 1.0):
         raise InputError("jitter_eps must lie in [0, 1)")
@@ -403,9 +372,7 @@ def execute_ground_truth(
             steps.append((dx_exec, b, t_dx[b]))
         if b in selected:
             steps.append((dw_exec, b, t_dw[b]))
-    for forward_id in plan.executed:
-        b = n - forward_id
-        steps.append((re_exec, b, t_re[b]))
+    steps.extend((re_exec, b, t_re[b]) for b in range(d, 0, -1))
 
     if rng is None:
         jitters = [1.0] * len(steps)
@@ -440,20 +407,20 @@ def apply_update(
     env_vars,
 ) -> ModelResponseState:
     """Move each selected layer's response a fraction ``adaptation_gain``
-    toward the current environment distribution."""
-    n = len(model.means)
+    toward the current environment distribution, given flat over the chain
+    as ``params_at`` gives it."""
     if strategy.is_empty:
         return model
     g = model.adaptation_gain
-    means = list(model.means)
-    varis = list(model.variances)
+    n = len(model.widths)
+    bounds = _offsets(model.widths)
+    means = model.means.copy()
+    varis = model.variances.copy()
     for b in strategy.selected:
-        i = n - b
-        means[i] = means[i] + g * (env_means[i] - means[i])
-        varis[i] = varis[i] + g * (env_vars[i] - varis[i])
-    return ModelResponseState(
-        means=tuple(means), variances=tuple(varis), adaptation_gain=g
-    )
+        lo, hi = bounds[n - b], bounds[n - b + 1]
+        means[lo:hi] = means[lo:hi] + g * (env_means[lo:hi] - means[lo:hi])
+        varis[lo:hi] = varis[lo:hi] + g * (env_vars[lo:hi] - varis[lo:hi])
+    return ModelResponseState(means, varis, model.widths, g)
 
 
 @dataclass(frozen=True)
@@ -521,6 +488,8 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("sequential", "parallel"):
             raise InputError(f"unknown mode {self.mode!r}")
+        if self.kl_mode not in KL_MODES:
+            raise InputError(f"unknown divergence mode {self.kl_mode!r}")
         if self.batches < 1:
             raise InputError("episode needs at least one batch")
         if self.seed < 0:
@@ -596,12 +565,6 @@ class EpisodeReport:
     aggregates: EpisodeAggregates
 
 
-def _full_strategy(network: Network) -> UpdateStrategy:
-    return UpdateStrategy(
-        n_layers=network.n_layers, selected=network.selectable_backward()
-    )
-
-
 def _replay_full_updates(
     scenario: Scenario, rng: np.random.Generator, table: LatencyTable, inter: float
 ) -> float:
@@ -609,8 +572,7 @@ def _replay_full_updates(
     updated every batch, on the same arrival process: one batch every
     ``inter`` ms."""
     network = scenario.network
-    full = _full_strategy(network)
-    plan = reuse_plan(full, network)
+    full = UpdateStrategy(network.n_layers, network.selectable_backward())
     prev_finish = 0.0
     total = 0.0
     for i in range(scenario.batches):
@@ -620,7 +582,6 @@ def _replay_full_updates(
             table,
             scenario.trace,
             full,
-            plan,
             jitter_eps=scenario.jitter_eps,
             rng=rng,
             t_start_ms=start,
@@ -666,8 +627,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         embeddings = Embedding.from_stats(stats)
         if history is None:
             history = EmbeddingHistory.seed(embeddings, alpha=scenario.alpha)
-            vector = ImportanceVector(a=np.zeros(n + 1), mode=scenario.kl_mode)
-            flops = assessment_flops(network, stats)
+            vector = ImportanceVector(a=np.zeros(n + 1))
+            flops = assessment_flops(stats)
         else:
             vector, flops = assess(network, history, stats, mode=scenario.kl_mode)
         loss_before = adaptation_loss(
@@ -677,12 +638,10 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         state = scenario.trace.state_at(start)
         profile = build_profile(network, scenario.offline, scenario.device, state)
         sched = solve_dp(vector, profile, SchedulerConfig(sigma=sigma))
-        plan = reuse_plan(sched.strategy, network)
         execd = execute_ground_truth(
             table,
             scenario.trace,
             sched.strategy,
-            plan,
             jitter_eps=scenario.jitter_eps,
             rng=rng_exec,
             t_start_ms=start,

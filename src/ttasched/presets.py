@@ -195,26 +195,23 @@ def resnet50_batch_stats(batch_size: int = 16) -> FeatureStats:
     )
 
 
-def offline_from_costs(
-    network: Network,
-    device: DeviceSpec,
-    backward_scale: float = 4.0,
-    reforward_scale: float = 1.0,
-) -> OfflineProfile:
+# backward time over forward time in ``offline_from_costs``
+_BACKWARD_SCALE = 4.0
+
+
+def offline_from_costs(network: Network, device: DeviceSpec) -> OfflineProfile:
     """Offline latencies derived from the analytic cost model: forward time
-    is compute time plus cache-speed memory time; backward and reforward
-    scale it by fixed factors."""
+    is compute time plus cache-speed memory time; backward takes
+    ``_BACKWARD_SCALE`` times as long, and the reforward as long."""
     n = network.n_layers
     t_f = np.zeros(n + 1)
     t_b = np.zeros(n + 1)
-    t_re = np.zeros(n + 1)
     for b in range(1, n + 1):
         layer = network.layer_by_backward(b)
         seconds = layer.mac_count / device.peak_flops + layer.mem_traffic / device.b_cache
         t_f[b] = seconds * 1e3
-        t_b[b] = backward_scale * t_f[b]
-        t_re[b] = reforward_scale * t_f[b]
-    return OfflineProfile(t_f=t_f, t_b=t_b, t_re=t_re)
+        t_b[b] = _BACKWARD_SCALE * t_f[b]
+    return OfflineProfile(t_f=t_f, t_b=t_b, t_re=t_f)
 
 
 def uniform_profile(

@@ -140,7 +140,7 @@ def test_criterion_4_predictor_bracket_contains_reported_latencies(capsys):
 
 
 def test_criterion_5_executor_prediction_error(capsys):
-    from ttasched.pipeline import execute_ground_truth, reuse_plan
+    from ttasched.pipeline import execute_ground_truth
     from ttasched.latency import LatencyTable, StateTrace
 
     network = synthetic_network(10)
@@ -149,13 +149,12 @@ def test_criterion_5_executor_prediction_error(capsys):
     state = resource_conditions()["cache_poor"]
     profile = build_profile(network, offline, device, state)
     strategy = UpdateStrategy(10, network.selectable_backward())
-    plan = reuse_plan(strategy, network)
     trace = StateTrace.constant(state)
     table = LatencyTable(network, offline, device)
 
     def run(eps, rng):
         return execute_ground_truth(
-            table, trace, strategy, plan, jitter_eps=eps, rng=rng,
+            table, trace, strategy, jitter_eps=eps, rng=rng,
         )
 
     # noise-free, static state: per-layer executed latencies equal the
@@ -208,7 +207,7 @@ def test_criterion_6_importance_recovery_rate(capsys):
 def test_criterion_7_assessment_overhead_arithmetic(capsys):
     network = resnet50_shaped()
     stats = resnet50_batch_stats(batch_size=16)
-    flops = assessment_flops(network, stats)
+    flops = assessment_flops(stats)
     assert 0.05e9 <= flops <= 0.8e9
 
     history = EmbeddingHistory.seed(stats)

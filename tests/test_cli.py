@@ -101,6 +101,29 @@ class TestAssessCommand:
         err = capsys.readouterr().err
         assert "stats line 3: samples must be an integer" in err
 
+    def test_elementwise_underflowed_history_weight_adds_nothing(
+        self, fixtures_dir, tmp_path
+    ):
+        # a history layer of huge means softmaxes its variance slots to 0;
+        # those terms are 0 log 0 = 0, so the layer still scores its drift
+        lines = (fixtures_dir / "stats_history.jsonl").read_text().splitlines()
+        record = json.loads(lines[0])
+        record["means"] = [1e300] * len(record["means"])
+        lines[0] = json.dumps(record)
+        history = tmp_path / "history.jsonl"
+        history.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "imp.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                ["assess", "--history", str(history),
+                 "--current", str(fixtures_dir / "stats_current.jsonl"),
+                 "--kl-mode", "elementwise", "--out", str(out)]
+            )
+        assert rc == 0
+        a = json.loads(out.read_text())["a"]  # backward order
+        assert 1.0 < a[-1] < float("inf")  # forward layer 0
+
     def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
         # the 24-layer synthetic chain has parameter-free layers; only the
         # network zeroes them
@@ -662,6 +685,33 @@ class TestOneLineErrors:
             capsys,
         )
         assert "importances must be finite and non-negative" in err
+
+    def test_overflowing_shift_fails_at_load(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        import ttasched.cli as cli_mod
+
+        def edit(scenario):
+            scenario["exact_stats"] = True
+            scenario["environment"]["base_var"] = 1e306
+            scenario["environment"]["shifts"][0]["mean_offset_sigmas"] = 1e300
+
+        path = self.scenario_file(fixtures_dir, tmp_path, edit)
+        monkeypatch.setattr(cli_mod, "run_episode", lambda s: pytest.fail("ran batches"))
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "shift at batch 5 makes the environment" in err
+
+    def test_unknown_scenario_kl_mode_fails_at_load(
+        self, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        import ttasched.cli as cli_mod
+
+        path = self.scenario_file(
+            fixtures_dir, tmp_path, lambda s: s.update(kl_mode="wasserstein")
+        )
+        monkeypatch.setattr(cli_mod, "run_episode", lambda s: pytest.fail("ran batches"))
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "unknown divergence mode 'wasserstein'" in err
 
 
 class TestOracleCheckCommand:

@@ -512,9 +512,8 @@ class TestStackedValidation:
     def test_sampled_batch_with_overflowing_variance_rejected(self):
         network = recovery_network(3, channels=4)
         env = make_env(network)
-        tiny = tuple(np.full(4, 1e-320) for _ in range(3))
         model = ModelResponseState(
-            means=tuple(np.zeros(4) for _ in range(3)), variances=tiny
+            means=np.zeros(12), variances=np.full(12, 1e-320), widths=(4, 4, 4)
         )
         with np.errstate(over="ignore"), pytest.raises(InputError, match="finite"):
             generate_batch(env, model, 0, np.random.default_rng(0))

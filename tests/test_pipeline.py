@@ -18,7 +18,6 @@ from ttasched.pipeline import (
     observed_embeddings,
     report_csv,
     report_json,
-    reuse_plan,
     run_episode,
     sigma_controller,
 )
@@ -77,9 +76,15 @@ class TestEnvironmentSpec:
         m0, _ = env.params_at(0)
         m1, _ = env.params_at(1)
         m3, _ = env.params_at(3)
-        assert m0[0][0] == 0.0
-        assert m1[0][0] == 1.0
-        assert m3[0][0] == 2.0
+        assert m0[0] == 0.0
+        assert m1[0] == 1.0
+        assert m3[0] == 2.0
+
+
+def layer_slice(env, layer):
+    """The channel range of ``layer`` in the environment's flat arrays."""
+    lo = sum(env.channels[:layer])
+    return slice(lo, lo + env.channels[layer])
 
 
 def reference_params_at(env, batch_index):
@@ -104,8 +109,9 @@ def reference_generate_batch(env, model, batch_index, rng):
     env_means, env_vars = reference_params_at(env, batch_index)
     out = []
     for layer in range(env.n_layers):
-        m = env.base_means[layer] + (env_means[layer] - model.means[layer])
-        v = env.base_vars[layer] * env_vars[layer] / model.variances[layer]
+        span = layer_slice(env, layer)
+        m = env.base_means[layer] + (env_means[layer] - model.means[span])
+        v = env.base_vars[layer] * env_vars[layer] / model.variances[span]
         n = env.batch_size * env.positions[layer]
         c = env.channels[layer]
         mu = m + np.sqrt(v / n) * rng.standard_normal(c)
@@ -135,19 +141,22 @@ class TestEnvironmentEpochs:
         for batch_index in range(-1, 9):
             means, varis = env.params_at(batch_index)
             want_means, want_varis = reference_params_at(env, batch_index)
-            for got, want in zip(means + varis, want_means + want_varis):
-                assert got.tolist() == want.tolist()
-            flat_means, flat_vars = env.flat_params_at(batch_index)
-            assert flat_means.tolist() == np.concatenate(want_means).tolist()
-            assert flat_vars.tolist() == np.concatenate(want_varis).tolist()
+            for layer in range(env.n_layers):
+                span = layer_slice(env, layer)
+                assert means[span].tolist() == want_means[layer].tolist()
+                assert varis[span].tolist() == want_varis[layer].tolist()
+            assert means.tolist() == np.concatenate(want_means).tolist()
+            assert varis.tolist() == np.concatenate(want_varis).tolist()
 
     def test_params_are_read_only(self):
         env = self.ragged_env()
         means, _ = env.params_at(7)
         with pytest.raises(ValueError):
-            means[4][0] = 1.0
+            means[20] = 1.0
         with pytest.raises(ValueError):
-            env.flat_params_at(0)[1][0] = 1.0
+            env.params_at(0)[1][0] = 1.0
+        with pytest.raises(ValueError):
+            env.base_vars[4][0] = 1.0
 
     def test_base_params_are_copied(self):
         base = np.zeros(4)
@@ -156,7 +165,8 @@ class TestEnvironmentEpochs:
             base_vars=(np.ones(4),), shifts=(), batch_size=2,
         )
         base[0] = 5.0
-        assert env.params_at(0)[0][0][0] == 0.0
+        assert env.params_at(0)[0][0] == 0.0
+        assert env.base_means[0][0] == 0.0
 
     def test_sampled_stats_match_per_layer_draws_bit_for_bit(self):
         env = self.ragged_env()
@@ -191,10 +201,14 @@ class TestValidation:
         env = simple_env(net)
         with pytest.raises(InputError):
             ModelResponseState.from_environment(env, adaptation_gain=0.0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="positive"):
             ModelResponseState(
-                means=(np.zeros(2),), variances=(np.array([1.0, 0.0]),)
+                means=np.zeros(2), variances=np.array([1.0, 0.0]), widths=(2,)
             )
+        with pytest.raises(InputError, match="cover"):
+            ModelResponseState(means=np.zeros(2), variances=np.ones(2), widths=(1, 2))
+        with pytest.raises(InputError, match="equal length"):
+            ModelResponseState(means=np.zeros(2), variances=np.ones(3), widths=(2,))
 
     def test_executor_jitter_contract(self):
         net = recovery_network(2)
@@ -203,14 +217,13 @@ class TestValidation:
         device = demo_edge_device()
         offline = offline_from_costs(net, device)
         strategy = UpdateStrategy(2, (1,))
-        plan = reuse_plan(strategy, net)
         table = LatencyTable(net, offline, device)
         trace = StateTrace.constant(resource_conditions()["offline"])
         with pytest.raises(InputError, match="rng"):
-            execute_ground_truth(table, trace, strategy, plan, jitter_eps=0.1)
+            execute_ground_truth(table, trace, strategy, jitter_eps=0.1)
         with pytest.raises(InputError, match="jitter_eps"):
             execute_ground_truth(
-                table, trace, strategy, plan, jitter_eps=1.5,
+                table, trace, strategy, jitter_eps=1.5,
                 rng=np.random.default_rng(0),
             )
 
@@ -324,33 +337,36 @@ class TestGenerateBatch:
 
 
 class TestReusePlan:
+    """The reforward pass reuses the retained input activation of the
+    deepest updated layer: the executor re-runs backward indices 1..deepest
+    and skips every layer before it."""
+
+    def reforward(self, n, selected):
+        net = recovery_network(n)
+        device = demo_edge_device()
+        execd = execute_ground_truth(
+            LatencyTable(net, offline_from_costs(net, device), device),
+            StateTrace.constant(resource_conditions()["offline"]),
+            UpdateStrategy(n, selected),
+        )
+        return execd.re_exec
+
+    def rerun(self, re_exec):
+        return [b for b in range(len(re_exec)) if re_exec[b] != 0.0]
+
     def test_output_layer_only(self):
-        net = recovery_network(10)
-        plan = reuse_plan(UpdateStrategy(10, (1,)), net)
-        assert plan.first_update_forward_id == 9
-        assert plan.executed == (9,)
-        assert plan.skipped == tuple(range(9))
+        assert self.rerun(self.reforward(10, (1,))) == [1]
 
     def test_mid_selection(self):
-        net = recovery_network(10)
-        plan = reuse_plan(UpdateStrategy(10, (2, 4)), net)
-        assert plan.first_update_forward_id == 6
-        assert plan.retained_forward_id == 5
-        assert plan.skipped == tuple(range(6))
-        assert plan.executed == (6, 7, 8, 9)
+        assert self.rerun(self.reforward(10, (2, 4))) == [1, 2, 3, 4]
 
     def test_empty_strategy_skips_everything(self):
-        net = recovery_network(10)
-        plan = reuse_plan(UpdateStrategy(10, ()), net)
-        assert plan.executed == ()
-        assert plan.skipped == tuple(range(10))
-        assert plan.first_update_forward_id is None
+        re_exec = self.reforward(10, ())
+        assert re_exec.shape == (11,) and not re_exec.any()
 
     def test_partition_property(self):
-        net = recovery_network(12)
         for b in range(1, 13):
-            plan = reuse_plan(UpdateStrategy(12, (b,)), net)
-            assert sorted(plan.skipped + plan.executed) == list(range(12))
+            assert self.rerun(self.reforward(12, (b,))) == list(range(1, b + 1))
 
 
 class TestExecuteGroundTruth:
@@ -361,12 +377,10 @@ class TestExecuteGroundTruth:
         self.state = resource_conditions()["offline"]
 
     def run(self, strategy, eps=0.0, rng=None, state=None):
-        plan = reuse_plan(strategy, self.network)
         return execute_ground_truth(
             LatencyTable(self.network, self.offline, self.device),
             StateTrace.constant(state or self.state),
             strategy,
-            plan,
             jitter_eps=eps,
             rng=rng,
         )
@@ -406,11 +420,11 @@ class TestExecuteGroundTruth:
 
     def test_reforward_executes_only_plan_layers(self):
         strategy = UpdateStrategy(9, (3,))  # conv at forward id 6
-        plan = reuse_plan(strategy, self.network)
         execd = self.run(strategy)
-        for forward_id in plan.skipped:
+        # forward ids 0..5 come before the retained activation
+        for forward_id in range(6):
             assert execd.re_exec[self.network.backward_index(forward_id)] == 0.0
-        for forward_id in plan.executed:
+        for forward_id in range(6, 9):
             assert execd.re_exec[self.network.backward_index(forward_id)] > 0.0
 
     def test_dx_chain_stops_at_deepest(self):
@@ -423,10 +437,11 @@ class TestExecuteGroundTruth:
         assert execd.dw_exec[5] > 0.0
 
 
-def reference_execute(network, offline, device, state_at, strategy, plan,
+def reference_execute(network, offline, device, state_at, strategy, deepest,
                       jitter_eps=0.0, rng=None, t_start_ms=0.0):
     """The executor as one scalar loop: every layer run looks up its state,
-    factors, eta and backward split afresh and draws its own jitter."""
+    factors, eta and backward split afresh and draws its own jitter. The
+    reforward re-runs the forward ids from ``deepest``'s on."""
     from ttasched.latency import (
         eta,
         expansion_factors,
@@ -456,7 +471,7 @@ def reference_execute(network, offline, device, state_at, strategy, plan,
             dx_exec[b] = run(b, dx_off)
         if b in strategy.selected:
             dw_exec[b] = run(b, dw_off)
-    for forward_id in plan.executed:
+    for forward_id in range(network.forward_id(deepest), n) if deepest else ():
         b = network.backward_index(forward_id)
         re_exec[b] = run(b, float(offline.t_re[b]))
     return (f_exec, dw_exec, dx_exec, re_exec), now
@@ -489,16 +504,15 @@ class TestExecutorMatchesReference:
         ]
         start = 0.0
         for strategy in strategies:
-            plan = reuse_plan(strategy, network)
             for eps, seed in ((0.02, 11), (0.0, 12), (0.0, None)):
                 rng = None if seed is None else np.random.default_rng(seed)
                 ref_rng = None if seed is None else np.random.default_rng(seed)
                 execd = execute_ground_truth(
-                    table, trace, strategy, plan,
+                    table, trace, strategy,
                     jitter_eps=eps, rng=rng, t_start_ms=start,
                 )
                 arrays, finish = reference_execute(
-                    network, offline, device, trace.state_at, strategy, plan,
+                    network, offline, device, trace.state_at, strategy, strategy.deepest,
                     jitter_eps=eps, rng=ref_rng, t_start_ms=start,
                 )
                 for got, want in zip(
@@ -524,7 +538,6 @@ class TestExecutorTraceSegments:
         self.offline = offline_from_costs(self.network, self.device)
         self.table = LatencyTable(self.network, self.offline, self.device)
         self.strategy = UpdateStrategy(12, self.network.selectable_backward())
-        self.plan = reuse_plan(self.strategy, self.network)
         self.states = list(resource_conditions().values())
 
     def both(self, trace, t_start_ms=0.0, eps=0.0, seed=None):
@@ -532,12 +545,12 @@ class TestExecutorTraceSegments:
         rng = None if seed is None else np.random.default_rng(seed)
         ref_rng = None if seed is None else np.random.default_rng(seed)
         execd = execute_ground_truth(
-            self.table, trace, self.strategy, self.plan,
+            self.table, trace, self.strategy,
             jitter_eps=eps, rng=rng, t_start_ms=t_start_ms,
         )
         arrays, finish = reference_execute(
             self.network, self.offline, self.device, trace.state_at, self.strategy,
-            self.plan, jitter_eps=eps, rng=ref_rng, t_start_ms=t_start_ms,
+            self.strategy.deepest, jitter_eps=eps, rng=ref_rng, t_start_ms=t_start_ms,
         )
         for got, want in zip(
             (execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec), arrays
@@ -558,7 +571,7 @@ class TestExecutorTraceSegments:
 
         reference_execute(
             self.network, self.offline, self.device, state_at, self.strategy,
-            self.plan, t_start_ms=t_start_ms,
+            self.strategy.deepest, t_start_ms=t_start_ms,
         )
         return starts
 
@@ -600,11 +613,11 @@ class TestExecutorTraceSegments:
             horizon_ms=horizon,
         )
         with pytest.raises(TraceExhausted) as got:
-            execute_ground_truth(self.table, trace, self.strategy, self.plan)
+            execute_ground_truth(self.table, trace, self.strategy)
         with pytest.raises(TraceExhausted) as want:
             reference_execute(
                 self.network, self.offline, self.device, trace.state_at,
-                self.strategy, self.plan,
+                self.strategy, self.strategy.deepest,
             )
         assert str(got.value) == str(want.value)
         assert f"t={starts[11]:.3f} ms" in str(got.value)
@@ -617,9 +630,7 @@ class TestExecutorTraceSegments:
     def test_nan_start_rejected(self):
         trace = StateTrace.constant(self.states[0])
         with pytest.raises(InputError, match="must be a number"):
-            execute_ground_truth(
-                self.table, trace, self.strategy, self.plan, t_start_ms=math.nan
-            )
+            execute_ground_truth(self.table, trace, self.strategy, t_start_ms=math.nan)
 
     def test_state_read_once_per_record_reached(self, monkeypatch):
         idle = self.states[0]
@@ -636,7 +647,7 @@ class TestExecutorTraceSegments:
         monkeypatch.setattr(
             StateTrace, "state_at", lambda self, t: calls.append(t) or state_at(self, t)
         )
-        execute_ground_truth(self.table, trace, self.strategy, self.plan)
+        execute_ground_truth(self.table, trace, self.strategy)
         assert calls == [0.0, starts[4], starts[20]]
 
 
@@ -649,7 +660,8 @@ class TestApplyUpdate:
         model = ModelResponseState.from_environment(env, adaptation_gain=1.0)
         em, ev = env.params_at(0)
         updated = apply_update(model, UpdateStrategy(4, (3,)), em, ev)  # forward 1
-        assert np.allclose(updated.means[1], em[1])
+        span = layer_slice(env, 1)
+        assert np.allclose(updated.means[span], em[span])
         obs = observed_embeddings(env, updated, 0)
         assert np.allclose(obs[1].means, 0.0)
 
@@ -661,7 +673,7 @@ class TestApplyUpdate:
         model = ModelResponseState.from_environment(env, adaptation_gain=0.5)
         em, ev = env.params_at(0)
         updated = apply_update(model, UpdateStrategy(2, (2,)), em, ev)
-        assert np.allclose(updated.means[0], 2.0)
+        assert np.allclose(updated.means[layer_slice(env, 0)], 2.0)
 
     def test_empty_strategy_no_change(self):
         net = recovery_network(2)
