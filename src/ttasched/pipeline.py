@@ -21,6 +21,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -408,19 +409,31 @@ def apply_update(
 ) -> ModelResponseState:
     """Move each selected layer's response a fraction ``adaptation_gain``
     toward the current environment distribution, given flat over the chain
-    as ``params_at`` gives it."""
+    as ``params_at`` gives it: one blend ``m + g * (e - m)`` over the chain,
+    kept only on the selected layers' channels."""
     if strategy.is_empty:
         return model
     g = model.adaptation_gain
-    n = len(model.widths)
-    bounds = _offsets(model.widths)
-    means = model.means.copy()
-    varis = model.variances.copy()
-    for b in strategy.selected:
-        lo, hi = bounds[n - b], bounds[n - b + 1]
-        means[lo:hi] = means[lo:hi] + g * (env_means[lo:hi] - means[lo:hi])
-        varis[lo:hi] = varis[lo:hi] + g * (env_vars[lo:hi] - varis[lo:hi])
+    selected = np.zeros(len(model.widths) + 1, dtype=bool)
+    selected[list(strategy.selected)] = True
+    hit = selected[_channel_backward(model.widths)]
+    m, v = model.means, model.variances
+    # a mean gap too wide for a float overflows to inf: discarded on the
+    # unselected channels, and rejected downstream as non-finite statistics
+    # on the selected ones
+    with np.errstate(over="ignore"):
+        means = np.where(hit, m + g * (env_means - m), m)
+        varis = np.where(hit, v + g * (env_vars - v), v)
     return ModelResponseState(means, varis, model.widths, g)
+
+
+@lru_cache(maxsize=64)
+def _channel_backward(widths: tuple[int, ...]) -> np.ndarray:
+    """Backward index of the layer each channel of a flat chain belongs to."""
+    n = len(widths)
+    out = np.repeat(np.arange(n, 0, -1), widths)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -684,6 +684,68 @@ class TestApplyUpdate:
         assert updated is model
 
 
+def reference_apply_update(model, strategy, env_means, env_vars):
+    """The update as one slice assignment per selected layer, the way
+    ``apply_update`` computed it before it blended the whole chain under a
+    channel mask."""
+    if strategy.is_empty:
+        return model
+    g = model.adaptation_gain
+    n = len(model.widths)
+    bounds = np.concatenate(([0], np.cumsum(model.widths)))
+    means = model.means.copy()
+    varis = model.variances.copy()
+    for b in strategy.selected:
+        lo, hi = bounds[n - b], bounds[n - b + 1]
+        means[lo:hi] = means[lo:hi] + g * (env_means[lo:hi] - means[lo:hi])
+        varis[lo:hi] = varis[lo:hi] + g * (env_vars[lo:hi] - varis[lo:hi])
+    return ModelResponseState(means, varis, model.widths, g)
+
+
+class TestApplyUpdateMatchesReference:
+    def setup_method(self):
+        # widths on both sides of numpy's 8-wide unroll and a single channel
+        widths = (1, 7, 8, 9, 129, 3)
+        self.env = EnvironmentSpec(
+            channels=widths,
+            positions=(1,) * len(widths),
+            base_means=tuple(np.linspace(-1.0, 1.0, w) for w in widths),
+            base_vars=tuple(np.linspace(0.3, 3.0, w) for w in widths),
+            shifts=(
+                Shift(batch_index=1, layers=(0, 2, 4), mean_offset_sigmas=1.3, var_scale=1.7),
+                Shift(batch_index=2, layers=(1, 5), mean_offset_sigmas=-0.7, var_scale=0.4),
+            ),
+            batch_size=1,
+        )
+
+    @pytest.mark.parametrize(
+        "selected", [(), (3,), (1, 4, 6), (2, 5), (1, 2, 3, 4, 5, 6)],
+        ids=["empty", "single", "ragged", "ragged-even", "all"],
+    )
+    @pytest.mark.parametrize("gain", [1.0, 0.37])
+    def test_bit_identical_to_per_layer_slices(self, selected, gain):
+        model = ModelResponseState.from_environment(self.env, adaptation_gain=gain)
+        # a model already off the environment, so every blend moves it
+        model = reference_apply_update(
+            model, UpdateStrategy(6, (2, 3, 6)), *self.env.params_at(1)
+        )
+        strategy = UpdateStrategy(6, selected)
+        env_means, env_vars = self.env.params_at(2)
+        got = apply_update(model, strategy, env_means, env_vars)
+        want = reference_apply_update(model, strategy, env_means, env_vars)
+        assert got.means.tolist() == want.means.tolist()
+        assert got.variances.tolist() == want.variances.tolist()
+        assert got.widths == model.widths
+        assert got.adaptation_gain == gain
+        if selected:
+            assert not np.shares_memory(got.means, model.means)
+            assert not np.shares_memory(got.variances, model.variances)
+            assert not np.shares_memory(got.means, env_means)
+            assert not np.shares_memory(got.variances, env_vars)
+        else:
+            assert got is model
+
+
 class TestSigmaController:
     CONFIG = ControllerConfig(enabled=True)
 
