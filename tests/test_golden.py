@@ -3,9 +3,13 @@
 The digests in ``fixtures/golden_reports.json`` are sha256 sums of episode
 reports (JSON and CSV) and of the bundled networks' documents. A refactor of the simulator's hot path must leave
 them unchanged; a deliberate change of the random streams or of the report
-arithmetic must regenerate them and say why. Regenerate with::
+arithmetic must regenerate the digests it changes, and only those, and say
+why. Re-record the cases whose names start with given prefixes with::
 
-    PYTHONPATH=src python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write episode/ simulate/
+
+Every other recorded digest is kept as it is, and each changed digest is
+printed as ``old -> new``.
 """
 
 import dataclasses
@@ -189,12 +193,59 @@ def test_report_matches_golden_digest(case, tmp_path):
     assert golden_cases()[case](tmp_path) == GOLDEN_DIGESTS[case]
 
 
-if __name__ == "__main__":
+def test_write_recomputes_only_the_named_prefixes(monkeypatch):
+    real = GOLDEN_DIGESTS["network/recovery/n1-c4"]["json"]
+    tampered = dict(GOLDEN_DIGESTS)
+    tampered["network/recovery/n1-c4"] = {"json": "0" * 64}
+    tampered["simulate/scenario_drift.json/seed0"] = {"json": "1" * 64, "csv": "2" * 64}
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIGESTS", tampered)
+    lines = []
+    digests = write_digests(["network/recovery/n1-"], out=lines.append)
+    assert lines == [
+        f"network/recovery/n1-c4 [json]: {'0' * 64} -> {real}",
+        f"recomputed 2 of {len(tampered)} digests",
+    ]
+    # a key outside the prefixes keeps its recorded (here: tampered) digest
+    assert digests == {**tampered, "network/recovery/n1-c4": {"json": real}}
+
+
+def write_digests(prefixes, out=print) -> dict:
+    """Recompute the cases whose names start with one of ``prefixes``, keep
+    every other recorded digest, and return the merged table; report each
+    changed digest through ``out``."""
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    cases = golden_cases()
+    unmatched = [p for p in prefixes if not any(name.startswith(p) for name in cases)]
+    if unmatched:
+        raise SystemExit(f"no golden case starts with {unmatched}")
+    chosen = sorted(name for name in cases if name.startswith(tuple(prefixes)))
+    digests = {
+        name: value for name, value in GOLDEN_DIGESTS.items()
+        if not name.startswith(tuple(prefixes))
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: fn(Path(tmp)) for name, fn in sorted(golden_cases().items())}
+        for name in chosen:
+            digests[name] = cases[name](Path(tmp))
+            old = GOLDEN_DIGESTS.get(name, {})
+            for part, new in sorted(digests[name].items()):
+                if old.get(part) != new:
+                    out(f"{name} [{part}]: {old.get(part, '(none)')} -> {new}")
+    for name in sorted(set(GOLDEN_DIGESTS) - set(digests)):
+        out(f"{name}: dropped, no such case")
+    out(f"recomputed {len(chosen)} of {len(digests)} digests")
+    return digests
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description="Re-record golden digests.")
+    parser.add_argument(
+        "--write", nargs="+", metavar="PREFIX", required=True,
+        help="re-record the cases whose names start with a PREFIX "
+        "(e.g. episode/ simulate/; '' names every case)",
+    )
+    digests = write_digests(parser.parse_args().write)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    print(f"wrote {GOLDEN}")
