@@ -75,6 +75,11 @@ class Shift:
             raise InputError("var_scale must be finite and positive")
 
 
+# A channel's sample count n enters the sampler as the float n - 1, which is
+# exact up to 2**53.
+MAX_SAMPLE_COUNT = 2**53
+
+
 @dataclass(frozen=True)
 class EnvironmentSpec:
     """Synthetic environment: per-layer channel distributions plus a shift
@@ -105,6 +110,12 @@ class EnvironmentSpec:
         for i in range(n):
             if self.channels[i] < 1 or self.positions[i] < 1:
                 raise InputError(f"layer {i}: channels and positions must be >= 1")
+            if self.batch_size * self.positions[i] > MAX_SAMPLE_COUNT:
+                raise InputError(
+                    f"layer {i}: batch_size * positions = "
+                    f"{self.batch_size * self.positions[i]} samples per channel "
+                    "exceeds 2**53"
+                )
             m = np.asarray(self.base_means[i], dtype=float)
             v = np.asarray(self.base_vars[i], dtype=float)
             if m.shape != (self.channels[i],) or v.shape != (self.channels[i],):
@@ -150,10 +161,15 @@ class EnvironmentSpec:
         object.__setattr__(self, "_epochs", tuple(epochs))
         counts = tuple(self.batch_size * p for p in self.positions)
         object.__setattr__(self, "sample_counts", counts)
-        object.__setattr__(
-            self, "_channel_samples", _frozen(np.repeat(np.array(counts, dtype=float), self.channels))
-        )
-        object.__setattr__(self, "_spans", spans)
+        # per channel: its sample count n, and for the channels with n > 1,
+        # their indices and chi-square degrees of freedom n - 1 (exact floats,
+        # since n <= 2**53)
+        samples = _frozen(np.repeat(np.array(counts, dtype=float), self.channels))
+        chi2_index = np.flatnonzero(samples > 1)
+        chi2_index.flags.writeable = False
+        object.__setattr__(self, "_channel_samples", samples)
+        object.__setattr__(self, "_chi2_index", chi2_index)
+        object.__setattr__(self, "_chi2_df", _frozen(samples[chi2_index] - 1.0))
 
     @property
     def n_layers(self) -> int:
@@ -275,9 +291,10 @@ def generate_batch(
     those two are drawn from their exact joint sampling distribution and no
     per-sample draws are made: the mean is ``N(mu, var / n)`` and, independent
     of it (Cochran's theorem), the variance is ``var * chi2(n - 1) / n``,
-    exactly 0 when ``n == 1``. Layers are drawn in forward order; per layer,
-    one standard normal per channel, then (if ``n > 1``) one chi-square per
-    channel.
+    exactly 0 when ``n == 1``. A batch makes two draws over the whole chain:
+    one standard normal per channel, in forward order, then one chi-square
+    per channel with ``n > 1``, in forward order (none when no channel has
+    ``n > 1``).
 
     ``exact`` skips sampling and reports the underlying distribution
     parameters directly (the infinite-batch limit).
@@ -287,12 +304,10 @@ def generate_batch(
     means, varis = observed_params(env, model, batch_index)
     if exact:
         return FeatureStats(means, varis, env.sample_counts, env.channels)
-    normals = np.empty(means.size)
+    normals = rng.standard_normal(means.size)
     chi2 = np.zeros(means.size)
-    for (lo, hi), n_samples in zip(env._spans, env.sample_counts):
-        normals[lo:hi] = rng.standard_normal(hi - lo)
-        if n_samples > 1:
-            chi2[lo:hi] = rng.chisquare(n_samples - 1, hi - lo)
+    if env._chi2_df.size:
+        chi2[env._chi2_index] = rng.chisquare(env._chi2_df)
     n = env._channel_samples
     mu = means + np.sqrt(varis / n) * normals
     var = varis * chi2 / n

@@ -103,21 +103,41 @@ def reference_params_at(env, batch_index):
 
 
 def reference_generate_batch(env, model, batch_index, rng):
-    """Per-layer (means, variances, sample count), drawn and computed layer
-    by layer the way ``generate_batch`` did before it wrote into stacked
-    arrays."""
+    """Per-layer (means, variances, sample count) in the whole-chain draw
+    order, drawn layer by layer: first every layer's standard normals in
+    forward order, then the chi-squares of every layer with ``n > 1``, each
+    from a scalar degrees of freedom, in forward order."""
     env_means, env_vars = reference_params_at(env, batch_index)
-    out = []
+    layers = []
     for layer in range(env.n_layers):
         span = layer_slice(env, layer)
         m = env.base_means[layer] + (env_means[layer] - model.means[span])
         v = env.base_vars[layer] * env_vars[layer] / model.variances[span]
-        n = env.batch_size * env.positions[layer]
-        c = env.channels[layer]
-        mu = m + np.sqrt(v / n) * rng.standard_normal(c)
-        var = v * rng.chisquare(n - 1, c) / n if n > 1 else np.zeros(c)
-        out.append((mu, var, n))
+        layers.append((m, v, env.batch_size * env.positions[layer], env.channels[layer]))
+    normals = [rng.standard_normal(c) for _, _, _, c in layers]
+    chi2 = [rng.chisquare(n - 1, c) if n > 1 else None for _, _, n, c in layers]
+    out = []
+    for (m, v, n, c), z, x in zip(layers, normals, chi2):
+        var = v * x / n if n > 1 else np.zeros(c)
+        out.append((m + np.sqrt(v / n) * z, var, n))
     return out
+
+
+class RecordingGenerator:
+    """A generator stand-in that records the name of every draw it serves."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return draw(*args, **kwargs)
+
+        return recorded
 
 
 class TestEnvironmentEpochs:
@@ -168,8 +188,10 @@ class TestEnvironmentEpochs:
         assert env.params_at(0)[0][0] == 0.0
         assert env.base_means[0][0] == 0.0
 
-    def test_sampled_stats_match_per_layer_draws_bit_for_bit(self):
+    def test_sampled_stats_match_whole_chain_draws_bit_for_bit(self):
+        # the chain mixes n == 1 layers (0 and 2) with n > 1 ones
         env = self.ragged_env()
+        assert [env.batch_size * p for p in env.positions] == [1, 3, 1, 5, 2, 4]
         model = ModelResponseState.from_environment(env, adaptation_gain=0.5)
         model = apply_update(
             model, UpdateStrategy(6, (2, 5)), *env.params_at(3)
@@ -185,6 +207,47 @@ class TestEnvironmentEpochs:
                 assert layer.variances.tolist() == var.tolist()
                 assert layer.sample_count == n
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sampled_stats_follow_their_laws_over_a_ragged_chain(self):
+        # 400 batches over the ragged chain after all three shifts: means
+        # standardized by N(mu, var / n) are N(0, 1); n * variance / var is
+        # chi2(n - 1) for each distinct n > 1; n == 1 variances are 0
+        import warnings
+
+        from scipy import stats as st
+
+        from ttasched.pipeline import observed_params
+
+        env = self.ragged_env()
+        model = ModelResponseState.from_environment(env)
+        mu, var = observed_params(env, model, 7)
+        n = np.repeat([env.batch_size * p for p in env.positions], env.channels)
+        rng = np.random.default_rng(8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batches = [generate_batch(env, model, 7, rng) for _ in range(400)]
+        means = np.array([b.means for b in batches])
+        varis = np.array([b.variances for b in batches])
+        z = (means - mu) / np.sqrt(var / n)
+        assert st.kstest(z.ravel(), "norm").pvalue > 1e-3
+        assert np.all(varis[:, n == 1] == 0.0)
+        for count in (2, 3, 4, 5):
+            scaled = (count * varis / var)[:, n == count]
+            assert st.kstest(scaled.ravel(), "chi2", args=(count - 1,)).pvalue > 1e-3
+
+    def test_two_draws_per_batch_whatever_the_layer_count(self):
+        for env, per_batch in (
+            (self.ragged_env(), ["standard_normal", "chisquare"]),
+            (simple_env(synthetic_network(96), batch_size=4), ["standard_normal", "chisquare"]),
+            (simple_env(recovery_network(9), batch_size=1, positions=(1,) * 9), ["standard_normal"]),
+        ):
+            model = ModelResponseState.from_environment(env)
+            rng = RecordingGenerator(3)
+            for batch_index in range(3):
+                generate_batch(env, model, batch_index, rng)
+            assert rng.calls == per_batch * 3
+            generate_batch(env, model, 0, rng, exact=True)
+            assert rng.calls == per_batch * 3
 
 
 class TestValidation:
