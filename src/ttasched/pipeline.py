@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -493,6 +494,11 @@ def sigma_controller(
     return min(max(sigma, config.sigma_min), config.sigma_max)
 
 
+# An episode keeps one record per batch (~1.3 KB), and writing its report
+# peaks near 8 KB per batch.
+MAX_BATCHES = 50_000
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -518,8 +524,10 @@ class Scenario:
             raise InputError(f"unknown mode {self.mode!r}")
         if self.kl_mode not in KL_MODES:
             raise InputError(f"unknown divergence mode {self.kl_mode!r}")
-        if self.batches < 1:
-            raise InputError("episode needs at least one batch")
+        if not 1 <= self.batches <= MAX_BATCHES:
+            raise InputError(
+                f"batches must lie in 1..{MAX_BATCHES}, got {self.batches}"
+            )
         if self.seed < 0:
             raise InputError("seed must be non-negative")
         if self.inter_batch_ms is not None and not 0.0 <= self.inter_batch_ms < math.inf:
@@ -637,8 +645,15 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
     sequential = scenario.mode == "sequential"
 
     prev_finish = 0.0
-    r_history: list[float] = []
-    adapt_log: list[tuple[int, float]] = []  # (batch index, adaptation finish)
+    # the controller's window of turnarounds; no window outlasts the episode
+    r_recent: deque[float] = deque(
+        maxlen=min(scenario.controller.window, scenario.batches)
+    )
+    # (batch index, adaptation finish) of the adaptations still running at
+    # the latest arrival; finish times never decrease, so those finished by
+    # an arrival leave from the front
+    running: deque[tuple[int, float]] = deque()
+    latest = -1  # the last batch whose adaptation has finished
     records: list[BatchRecord] = []
 
     for i in range(scenario.batches):
@@ -647,8 +662,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         wait = start - arrival if sequential else 0.0
         staleness = 0
         if not sequential:
-            fresh = [idx for idx, finish in adapt_log if finish <= arrival]
-            latest = fresh[-1] if fresh else -1
+            while running and running[0][1] <= arrival:
+                latest = running.popleft()[0]
             staleness = i - 1 - latest
 
         stats = generate_batch(env, model, i, rng_env, exact=scenario.exact_stats)
@@ -699,7 +714,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         )
 
         prev_finish = execd.finish_ms
-        adapt_log.append((i, execd.finish_ms))
+        if not sequential:
+            running.append((i, execd.finish_ms))
         records.append(
             BatchRecord(
                 index=i,
@@ -732,9 +748,9 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             )
         )
 
-        r_history.append(r)
+        r_recent.append(r)
         if scenario.controller.enabled:
-            sigma = sigma_controller(r_history, sigma, scenario.controller)
+            sigma = sigma_controller(r_recent, sigma, scenario.controller)
 
     replay_mean = _replay_full_updates(scenario, rng_replay, table, inter)
     mean_total = sum(rec.executed_total_ms for rec in records) / len(records)

@@ -8,6 +8,7 @@ that once crashed or passed silently are pinned as examples.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -15,12 +16,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ttasched.cli import main
 from ttasched.importance import stats_to_lines
 from ttasched.latency import build_profile, profile_to_document
 from ttasched.pipeline import (
+    MAX_BATCHES,
     ModelResponseState,
     Scenario,
     Shift,
@@ -30,6 +33,7 @@ from ttasched.pipeline import (
 from ttasched.presets import (
     demo_edge_device,
     device_to_document,
+    drift_scenario,
     network_to_document,
     offline_from_costs,
     offline_to_document,
@@ -189,6 +193,12 @@ def _run(argv: list) -> tuple[int, str, str]:
 @example(
     case=("simulate", "scenario.json", ("controller",), {"enabled": True, "target_r": "x"})
 )
+@example(case=("simulate", "scenario.json", ("batches",), 2**64))
+@example(case=("simulate", "scenario.json", ("batch_size",), 2**64))
+@example(case=("simulate", "scenario.json", ("environment", "positions", 2), 2**64))
+@example(
+    case=("simulate", "scenario.json", ("controller",), {"enabled": True, "window": 2**64})
+)
 @example(case=("simulate", "scenario.json", ("inter_batch_ms",), -5.0))
 @example(case=("simulate", "scenario.json", ("inter_batch_ms",), INF))
 @example(case=("simulate", "scenario.json", ("inter_batch_ms",), NAN))
@@ -232,3 +242,49 @@ def test_any_oracle_check_arguments_exit_0_or_2(instances, max_n):
         ["oracle-check", "--instances", str(instances), "--max-n", str(max_n)]
     )
     assert rc in (0, 2), err
+
+
+def _simulate(tmp, edit) -> tuple[int, str]:
+    """Run ``simulate`` on the valid scenario after ``edit(document)``."""
+    files, argv = COMMANDS["simulate"]
+    paths = {}
+    for file in files:
+        document = copy.deepcopy(DOCUMENTS[file])
+        if file == "scenario.json":
+            edit(document)
+        paths[file] = str(Path(tmp) / file)
+        Path(paths[file]).write_text(json.dumps(document))
+    out = str(Path(tmp) / "out.json")
+    rc, _, err = _run(argv(paths) + ["--out", out])
+    if rc == 0:
+        json.loads(Path(out).read_text(), parse_constant=_reject_constant)
+    return rc, err
+
+
+# the valid scenario's positions are (256, 256, 1, 1) at batch size 2
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda d: d.update(batches=MAX_BATCHES + 1),
+         f"batches must lie in 1..{MAX_BATCHES}, got {MAX_BATCHES + 1}"),
+        (lambda d: d.update(batches=0), f"batches must lie in 1..{MAX_BATCHES}, got 0"),
+        (lambda d: d.update(batch_size=2**45 + 1),
+         f"layer 0: batch_size * positions = {(2**45 + 1) * 256} samples per channel "
+         "exceeds 2**53"),
+        (lambda d: d["environment"].update(positions=[1, 1, 2**52 + 1, 1]),
+         f"layer 2: batch_size * positions = {2**53 + 2} samples per channel "
+         "exceeds 2**53"),
+    ],
+    ids=["batches-above", "batches-zero", "batch-size", "positions"],
+)
+def test_counts_past_their_bounds_exit_2_naming_the_field(edit, named, tmp_path):
+    rc, err = _simulate(tmp_path, edit)
+    assert (rc, err) == (2, f"error: {named}\n")
+
+
+def test_counts_on_their_bounds_are_accepted(tmp_path):
+    # 2**53 samples per channel on layers 0 and 1: the chi-square degrees of
+    # freedom 2**53 - 1 are still an exact float
+    rc, err = _simulate(tmp_path, lambda d: d.update(batch_size=2**45))
+    assert rc == 0, err
+    assert dataclasses.replace(drift_scenario(), batches=MAX_BATCHES).batches == MAX_BATCHES

@@ -935,6 +935,27 @@ class TestRunEpisode:
         assert all(rec.staleness >= 0 for rec in report.records)
         assert any(rec.staleness > 0 for rec in report.records[1:])
 
+    @pytest.mark.parametrize("make", [drift_scenario, controller_scenario])
+    def test_parallel_staleness_matches_the_report_columns(self, make):
+        # a batch is as stale as the batches since the last one whose
+        # adaptation had finished when it arrived
+        report = run_episode(dataclasses.replace(make(), mode="parallel", batches=60))
+        records = report.records
+        for rec in records:
+            done = [r.index for r in records[: rec.index] if r.finish_ms <= rec.arrival_ms]
+            assert rec.staleness == rec.index - 1 - (done[-1] if done else -1)
+        assert len({rec.staleness for rec in records}) > 1
+
+    def test_controller_window_longer_than_the_episode(self):
+        # the window's mean covers every turnaround so far, as a list would
+        base = controller_scenario()
+        long_window = dataclasses.replace(base.controller, window=10**9)
+        whole = dataclasses.replace(base.controller, window=base.batches)
+        a = run_episode(dataclasses.replace(base, controller=long_window))
+        b = run_episode(dataclasses.replace(base, controller=whole))
+        assert report_json(a) == report_json(b)
+        assert a.aggregates.final_sigma != base.sigma
+
     def test_controller_reduces_sigma_under_pressure(self):
         report = run_episode(controller_scenario())
         sigmas = [rec.sigma for rec in report.records]
