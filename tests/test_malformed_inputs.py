@@ -185,6 +185,33 @@ def _run(argv: list) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def _run_edited(tmp, command, name, path, value) -> tuple[int, str]:
+    """Run ``command`` on the valid input files, the document of ``name``
+    edited at ``path`` (see ``_edited``); return its exit code and stderr.
+    It must exit 0 with output free of NaN and infinities, or exit 2 with
+    one ``error:`` line."""
+    files, argv = COMMANDS[command]
+    paths = {}
+    for file in files:
+        document = DOCUMENTS[file]
+        if file == name:
+            document = _edited(document, path, value)
+        if file.endswith(".jsonl") and isinstance(document, list):
+            text = "".join(json.dumps(rec) + "\n" for rec in document)
+        else:
+            text = json.dumps(document)
+        paths[file] = str(Path(tmp) / file)
+        Path(paths[file]).write_text(text)
+    out = str(Path(tmp) / "out.json")
+    rc, _, err = _run(argv(paths) + ["--out", out])
+    assert rc in (0, 2), err
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        json.loads(Path(out).read_text(), parse_constant=_reject_constant)
+    return rc, err
+
+
 @example(case=("simulate", "scenario.json", ("environment", "shifts"), 5))
 @example(case=("simulate", "scenario.json", ("network",), 5))
 @example(
@@ -211,27 +238,8 @@ def _run(argv: list) -> tuple[int, str, str]:
 @given(case=cases())
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 def test_any_input_exits_0_or_2_without_nan_output(case):
-    command, name, path, value = case
-    files, argv = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {}
-        for file in files:
-            document = DOCUMENTS[file]
-            if file == name:
-                document = _edited(document, path, value)
-            if file.endswith(".jsonl") and isinstance(document, list):
-                text = "".join(json.dumps(rec) + "\n" for rec in document)
-            else:
-                text = json.dumps(document)
-            paths[file] = str(Path(tmp) / file)
-            Path(paths[file]).write_text(text)
-        out = str(Path(tmp) / "out.json")
-        rc, _, err = _run(argv(paths) + ["--out", out])
-        assert rc in (0, 2), err
-        if rc == 2:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-        else:
-            json.loads(Path(out).read_text(), parse_constant=_reject_constant)
+        _run_edited(tmp, *case)
 
 
 @example(instances=1, max_n=2)
@@ -244,47 +252,30 @@ def test_any_oracle_check_arguments_exit_0_or_2(instances, max_n):
     assert rc in (0, 2), err
 
 
-def _simulate(tmp, edit) -> tuple[int, str]:
-    """Run ``simulate`` on the valid scenario after ``edit(document)``."""
-    files, argv = COMMANDS["simulate"]
-    paths = {}
-    for file in files:
-        document = copy.deepcopy(DOCUMENTS[file])
-        if file == "scenario.json":
-            edit(document)
-        paths[file] = str(Path(tmp) / file)
-        Path(paths[file]).write_text(json.dumps(document))
-    out = str(Path(tmp) / "out.json")
-    rc, _, err = _run(argv(paths) + ["--out", out])
-    if rc == 0:
-        json.loads(Path(out).read_text(), parse_constant=_reject_constant)
-    return rc, err
-
-
 # the valid scenario's positions are (256, 256, 1, 1) at batch size 2
 @pytest.mark.parametrize(
-    "edit, named",
+    "path, value, named",
     [
-        (lambda d: d.update(batches=MAX_BATCHES + 1),
+        (("batches",), MAX_BATCHES + 1,
          f"batches must lie in 1..{MAX_BATCHES}, got {MAX_BATCHES + 1}"),
-        (lambda d: d.update(batches=0), f"batches must lie in 1..{MAX_BATCHES}, got 0"),
-        (lambda d: d.update(batch_size=2**45 + 1),
+        (("batches",), 0, f"batches must lie in 1..{MAX_BATCHES}, got 0"),
+        (("batch_size",), 2**45 + 1,
          f"layer 0: batch_size * positions = {(2**45 + 1) * 256} samples per channel "
          "exceeds 2**53"),
-        (lambda d: d["environment"].update(positions=[1, 1, 2**52 + 1, 1]),
+        (("environment", "positions"), [1, 1, 2**52 + 1, 1],
          f"layer 2: batch_size * positions = {2**53 + 2} samples per channel "
          "exceeds 2**53"),
     ],
     ids=["batches-above", "batches-zero", "batch-size", "positions"],
 )
-def test_counts_past_their_bounds_exit_2_naming_the_field(edit, named, tmp_path):
-    rc, err = _simulate(tmp_path, edit)
+def test_counts_past_their_bounds_exit_2_naming_the_field(path, value, named, tmp_path):
+    rc, err = _run_edited(tmp_path, "simulate", "scenario.json", path, value)
     assert (rc, err) == (2, f"error: {named}\n")
 
 
 def test_counts_on_their_bounds_are_accepted(tmp_path):
     # 2**53 samples per channel on layers 0 and 1: the chi-square degrees of
     # freedom 2**53 - 1 are still an exact float
-    rc, err = _simulate(tmp_path, lambda d: d.update(batch_size=2**45))
+    rc, err = _run_edited(tmp_path, "simulate", "scenario.json", ("batch_size",), 2**45)
     assert rc == 0, err
     assert dataclasses.replace(drift_scenario(), batches=MAX_BATCHES).batches == MAX_BATCHES
