@@ -557,13 +557,15 @@ def _layer_columns(document, what: str, keys, n_layers: int | None = None, **def
     Each field is required, or, when it has a default, omitted or null in a
     record to take it; it converts to the type of its default (float when
     it has none). The records must cover layer ids 0..n_layers-1, or
-    0..count-1 when ``n_layers`` is None; others are ignored."""
+    0..count-1 when ``n_layers`` is None, each once; others are ignored."""
     doc = convert(dict, document, what)
     records = convert(list[dict], doc.get("layers"), f"{what} layers")
-    by_id = {
-        convert(int, rec.get("layer_id"), f"{what} layers[{i}].layer_id"): rec
-        for i, rec in enumerate(records)
-    }
+    by_id = {}
+    for i, rec in enumerate(records):
+        layer_id = convert(int, rec.get("layer_id"), f"{what} layers[{i}].layer_id")
+        if layer_id in by_id:
+            raise InputError(f"{what}: duplicate layer {layer_id}")
+        by_id[layer_id] = rec
     n = len(by_id) if n_layers is None else n_layers
     kinds = [type(defaults.get(key, 0.0)) for key in keys]
     arrays = [np.zeros(n + 1, dtype=kind) for kind in kinds]

@@ -70,6 +70,10 @@ class Shift:
             raise InputError("shift batch_index must be non-negative")
         if not self.layers:
             raise InputError("shift must name at least one layer")
+        ordered = sorted(self.layers)
+        for layer, after in zip(ordered, ordered[1:]):
+            if layer == after:
+                raise InputError(f"shift names layer {layer} more than once")
         if not math.isfinite(self.mean_offset_sigmas):
             raise InputError("shift mean_offset_sigmas must be finite")
         if not 0.0 < self.var_scale < math.inf:

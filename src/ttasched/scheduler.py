@@ -103,77 +103,46 @@ class ScheduleResult:
 
 
 def _exact_gain(selected: tuple[int, ...], a: np.ndarray) -> float:
-    """Importance of a selection, accumulated in ascending backward order.
-
-    Both the search and the oracle report gains through this one summation
-    so equal selections compare bit-identically.
-    """
+    """Importance of a selection, summed in ascending backward order: the
+    order in which the search accumulates its gains, so equal selections
+    compare bit-identically."""
     total = 0.0
     for b in selected:
         total += float(a[b])
     return total
 
 
-def _vector_key(selected: tuple[int, ...]) -> tuple[int, ...]:
-    """Selection as a 0/1 vector over backward indices 1..deepest.
-
-    Lexicographic order on these vectors is the final tie-break; trailing
-    zeros beyond the deepest selection never decide a comparison between
-    strategies whose deepest indices already tie.
-    """
-    if not selected:
-        return ()
-    vec = [0] * selected[-1]
-    for b in selected:
-        vec[b - 1] = 1
-    return tuple(vec)
-
-
-def _better(cand, best) -> bool:
-    """Deterministic preference: more importance, then cheaper, then a
-    shallower deepest layer, then the lexicographically smaller selection
-    vector."""
-    gain_c, cost_c, sel_c = cand
-    gain_b, cost_b, sel_b = best
-    if gain_c != gain_b:
-        return gain_c > gain_b
-    if cost_c != cost_b:
-        return cost_c < cost_b
-    deep_c = sel_c[-1] if sel_c else 0
-    deep_b = sel_b[-1] if sel_b else 0
-    if deep_c != deep_b:
-        return deep_c < deep_b
-    return _vector_key(sel_c) < _vector_key(sel_b)
+def _selection(key: int, n: int) -> tuple[int, ...]:
+    """The ascending backward indices whose bits ``n - b`` are set in ``key``."""
+    return tuple(b for b in range(1, n + 1) if key >> (n - b) & 1)
 
 
 def _staircase(entries: list, cost_slack: float, gain_slack: float) -> list:
-    """Cost-sorted Pareto staircase of ``(t_dw_sum, gain, selected)`` entries.
+    """Cost-sorted Pareto staircase of ``(t_dw_sum, -gain, key)`` entries.
 
-    An entry is dropped when the current leader (the most important entry
-    no more expensive) is at least as good on both axes and one of: the
-    leader's selection vector is smaller, so it also wins every exact tie
-    after extension; or the leader is cheaper by more than ``cost_slack`` or
-    more important by more than ``gain_slack``, gaps that no rounding along
-    an extension can close. Otherwise the dominated entry stays, since the
-    same deeper layers added to both could round the two to an exact tie
-    that its smaller vector wins. Exact (cost, gain) duplicates collapse to
-    the smaller vector.
+    Plain tuple order sorts them by cost, then gain descending, then
+    selection vector (key order, see ``solve_dp``). An entry is dropped
+    when the current leader (the most important entry no more expensive) is
+    at least as good on both axes and one of: the leader's vector is
+    smaller, so it also wins every exact tie after extension; or the leader
+    is cheaper by more than ``cost_slack`` or more important by more than
+    ``gain_slack``, gaps that no rounding along an extension can close.
+    Otherwise the dominated entry stays, since the same deeper layers added
+    to both could round the two to an exact tie that its smaller vector
+    wins. Of exact (cost, gain) duplicates the smaller vector sorts first
+    and leads.
     """
-    entries.sort(key=lambda e: (e[0], -e[1]))
+    entries.sort()
     kept: list = []
     lead = None
     for entry in entries:
-        if lead is None or entry[1] > lead[1]:
+        if lead is None or entry[1] < lead[1]:
             kept.append(entry)
             lead = entry
-            continue
-        if entry[0] == lead[0] and entry[1] == lead[1]:
-            if _vector_key(entry[2]) < _vector_key(lead[2]):
-                kept[-1] = lead = entry  # duplicates of the leader sort next to it
         elif (
             entry[0] - lead[0] <= cost_slack
-            and lead[1] - entry[1] <= gain_slack
-            and _vector_key(entry[2]) < _vector_key(lead[2])
+            and entry[1] - lead[1] <= gain_slack
+            and entry[2] < lead[2]
         ):
             kept.append(entry)
     return kept
@@ -194,6 +163,12 @@ def solve_dp(
     prefix ``cum_dx[l - 1]`` alone exceeds the budget, no strategy reaching
     ``l`` or deeper fits and the walk stops. Both cuts rely on latencies
     being finite and non-negative, which ``LatencyProfile`` enforces.
+
+    The strategy kept is the least ``(-gain, cost, deepest, key)``: more
+    importance, then cheaper, then a shallower deepest layer, then the
+    lexicographically smaller 0/1 selection vector. ``key`` sets bit
+    ``n - b`` for each selected backward layer ``b``; layer 1 is the most
+    significant bit, so numeric key order is vector order.
     """
     config = config or SchedulerConfig()
     n = profile.n_layers
@@ -216,8 +191,9 @@ def solve_dp(
     cost_slack = (n + 2) * math.ulp(2.0 * bud.ms)
     gain_slack = (n + 2) * math.ulp(2.0 * _exact_gain(tuple(layers), a))
 
-    stairs = [(0.0, 0.0, ())]  # (t_dw_sum, gain, selected), cost-sorted
-    best = (0.0, 0.0, ())  # (gain, cost, selection) of the empty strategy
+    # negated gains start at -0.0, so a zero gain is reported as 0.0
+    stairs = [(0.0, -0.0, 0)]  # (t_dw_sum, -gain, key), cost-sorted
+    best = (-0.0, 0.0, 0, 0)  # (-gain, cost, deepest, key): the empty strategy
     explored = 0
     pruned = 0
     for l in layers:
@@ -225,26 +201,26 @@ def solve_dp(
         if dx_l > bud.ms:
             pruned += len(stairs)
             break
-        dw_l, re_l, a_l = t_dw[l], cum_re[l], a[l]
+        dw_l, re_l, a_l, bit = t_dw[l], cum_re[l], a[l], 1 << (n - l)
         extended = []
-        for t_dw_sum, gain, selected in stairs:
+        for t_dw_sum, neg_gain, key in stairs:
             explored += 1
             grown = t_dw_sum + dw_l
             cost = (grown + dx_l) + re_l  # the order of closed_form_cost
             if cost > bud.ms:
                 pruned += 1
                 break
-            cand = (gain + a_l, cost, selected + (l,))
-            if _better(cand, best):
-                best = cand
-            extended.append((grown, cand[0], cand[2]))
+            entry = (grown, neg_gain - a_l, key | bit)
+            if (entry[1], cost, l, entry[2]) < best:
+                best = (entry[1], cost, l, entry[2])
+            extended.append(entry)
         stairs = _staircase(stairs + extended, cost_slack, gain_slack)
 
-    gain, _, selected = best
+    selected = _selection(best[3], n)
     extra = closed_form_cost(profile, selected)
     return ScheduleResult(
         strategy=UpdateStrategy(n_layers=n, selected=selected),
-        achieved_importance=gain,
+        achieved_importance=-best[0],
         predicted_extra=extra,
         budget_ms=bud.ms,
         slack_ms=bud.ms - extra.t_total_extra,
@@ -261,8 +237,10 @@ def brute_force(
 ) -> ScheduleResult:
     """Exhaustive certification oracle over all selectable subsets.
 
-    Shares the search's exact cost arithmetic and tie-break order, so on any
-    instance within the layer guard the two return identical strategies.
+    Shares the search's exact cost arithmetic and preference order, so on
+    any instance within the layer guard the two return identical strategies.
+    An exact ``(-gain, cost, deepest)`` tie goes to the larger ascending
+    tuple, which at the same deepest layer is the smaller selection vector.
     """
     n = profile.n_layers
     if importance.n_layers != n:
@@ -275,7 +253,8 @@ def brute_force(
         )
     a = importance.a
     selectable = [b for b in range(1, n + 1) if profile.selectable[b]]
-    best = (0.0, 0.0, ())
+    best = (-0.0, 0.0, 0)  # (-gain, cost, deepest) of the empty strategy
+    selected = ()
     explored = 0
     pruned = 0
     for r in range(len(selectable) + 1):
@@ -285,13 +264,13 @@ def brute_force(
             if cost.t_total_extra > budget_ms:
                 pruned += 1
                 continue
-            cand = (_exact_gain(combo, a), cost.t_total_extra, combo)
-            if _better(cand, best):
-                best = cand
-    extra = closed_form_cost(profile, best[2])
+            cand = (-_exact_gain(combo, a), cost.t_total_extra, combo[-1] if combo else 0)
+            if cand < best or (cand == best and combo > selected):
+                best, selected = cand, combo
+    extra = closed_form_cost(profile, selected)
     return ScheduleResult(
-        strategy=UpdateStrategy(n_layers=n, selected=best[2]),
-        achieved_importance=best[0],
+        strategy=UpdateStrategy(n_layers=n, selected=selected),
+        achieved_importance=-best[0],
         predicted_extra=extra,
         budget_ms=budget_ms,
         slack_ms=budget_ms - extra.t_total_extra,

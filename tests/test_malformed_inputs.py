@@ -279,3 +279,32 @@ def test_counts_on_their_bounds_are_accepted(tmp_path):
     rc, err = _run_edited(tmp_path, "simulate", "scenario.json", ("batch_size",), 2**45)
     assert rc == 0, err
     assert dataclasses.replace(drift_scenario(), batches=MAX_BATCHES).batches == MAX_BATCHES
+
+
+def _with_repeated_first_layer(document):
+    """The profile's layer records plus a second, different record for
+    layer id 0."""
+    layers = copy.deepcopy(document["layers"])
+    layers.append(dict(layers[0], t_f_ms=2 * layers[0]["t_f_ms"]))
+    return layers
+
+
+@pytest.mark.parametrize(
+    "command, name, path, value, named",
+    [
+        ("schedule", "profile.json", ("layers",),
+         _with_repeated_first_layer(DOCUMENTS["profile.json"]),
+         "runtime profile: duplicate layer 0"),
+        ("predict", "offline_profile.json", ("layers",),
+         _with_repeated_first_layer(DOCUMENTS["offline_profile.json"]),
+         "offline profile: duplicate layer 0"),
+        ("simulate", "scenario.json", ("environment", "shifts", 0, "layers"), [0, 2, 0],
+         "shift names layer 0 more than once"),
+    ],
+    ids=["runtime-profile", "offline-profile", "shift"],
+)
+def test_repeated_layers_exit_2_naming_the_layer(
+    command, name, path, value, named, tmp_path
+):
+    rc, err = _run_edited(tmp_path, command, name, path, value)
+    assert (rc, err) == (2, f"error: {named}\n")

@@ -150,7 +150,7 @@ class TestEnvironmentEpochs:
             base_vars=tuple(np.linspace(0.3, 3.0, w) for w in widths),
             shifts=(
                 Shift(batch_index=2, layers=(0, 4), mean_offset_sigmas=1.3, var_scale=1.7),
-                Shift(batch_index=5, layers=(4, 4, 1), mean_offset_sigmas=-0.7),
+                Shift(batch_index=5, layers=(4, 1), mean_offset_sigmas=-0.7),
                 Shift(batch_index=6, layers=(5,), mean_offset_sigmas=0.1, var_scale=0.3),
             ),
             batch_size=1,
@@ -258,6 +258,9 @@ class TestValidation:
             Shift(batch_index=0, layers=(), mean_offset_sigmas=1.0)
         with pytest.raises(InputError):
             Shift(batch_index=0, layers=(0,), mean_offset_sigmas=1.0, var_scale=0.0)
+        # a repeated layer would take the offset and the scale twice
+        with pytest.raises(InputError, match="shift names layer 3 more than once"):
+            Shift(batch_index=0, layers=(3, 1, 3), mean_offset_sigmas=2.0, var_scale=2.0)
 
     def test_model_state_validation(self):
         net = recovery_network(2)

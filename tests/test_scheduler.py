@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ttasched.errors import InputError
 from ttasched.importance import ImportanceVector
@@ -9,6 +11,7 @@ from ttasched.network import closed_form_cost
 from ttasched.presets import uniform_profile, worked_instance
 from ttasched.scheduler import (
     SchedulerConfig,
+    _selection,
     brute_force,
     budget,
     certify,
@@ -408,6 +411,120 @@ class TestScale:
         assert result.predicted_extra.t_total_extra <= result.budget_ms
 
 
+def _vector_key(selected: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference: a selection as a 0/1 vector over backward indices
+    1..deepest, whose tuple order is the search's final tie-break."""
+    if not selected:
+        return ()
+    vec = [0] * selected[-1]
+    for b in selected:
+        vec[b - 1] = 1
+    return tuple(vec)
+
+
+def _key(selected: tuple[int, ...], n: int) -> int:
+    key = 0
+    for b in selected:
+        key |= 1 << (n - b)
+    return key
+
+
+@st.composite
+def selection_pairs(draw):
+    n = draw(st.integers(1, 64))
+    subset = st.lists(st.integers(1, n), unique=True).map(lambda s: tuple(sorted(s)))
+    return n, draw(subset), draw(subset)
+
+
+class TestSelectionKey:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @example(pair=(3, (1,), (1, 2)))
+    @example(pair=(3, (), (3,)))
+    @example(pair=(5, (2,), (1, 5)))
+    @example(pair=(5, (1, 3, 5), (2, 3, 5)))
+    @given(pair=selection_pairs())
+    def test_key_order_is_vector_order(self, pair):
+        n, first, second = pair
+        k1, k2 = _key(first, n), _key(second, n)
+        v1, v2 = _vector_key(first), _vector_key(second)
+        assert (k1 < k2, k1 == k2) == (v1 < v2, v1 == v2)
+        assert _selection(k1, n) == first and _selection(k2, n) == second
+        if first and second and first[-1] == second[-1]:
+            # the oracle's tie-break: reverse tuple order is vector order
+            assert (first > second) == (v1 < v2)
+
+
+SWEEP_PINS = [
+    (24, 0.4, "2.38079624633605", 32, 16, (
+        1, 3, 5, 6, 8,
+    )),
+    (24, 0.8, "7.047304759436306", 212, 4, (
+        1, 5, 6, 8, 9, 11, 14, 15, 17, 18, 20,
+    )),
+    (96, 0.4, "10.276015204981125", 551, 58, (
+        1, 3, 5, 6, 8, 9, 12, 14, 15, 17, 21, 23, 24, 26, 29, 30,
+    )),
+    (96, 0.8, "26.30577796566946", 5153, 15, (
+        1, 3, 5, 6, 8, 9, 12, 14, 15, 17, 21, 23, 24, 26, 29, 30, 32, 36, 38, 39, 41,
+        44, 45, 50, 51, 53, 54, 56, 57, 59, 60, 62, 63, 65, 66, 68, 69, 71, 72, 74, 75,
+        77, 78,
+    )),
+    (240, 0.4, "23.841135708651045", 4183, 189, (
+        1, 5, 6, 8, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35,
+        38, 39, 41, 42, 45, 47, 48, 50, 51, 53, 54, 56, 57, 59, 60, 62, 63, 66, 68, 69,
+        71,
+    )),
+    (240, 0.8, "63.6800603233724", 54836, 38, (
+        1, 5, 6, 8, 11, 12, 14, 15, 17, 18, 20, 21, 23, 24, 26, 27, 29, 30, 32, 33, 35,
+        39, 41, 42, 45, 47, 48, 50, 51, 53, 54, 57, 59, 60, 62, 63, 66, 68, 69, 71, 74,
+        75, 77, 78, 80, 81, 83, 84, 86, 87, 89, 90, 92, 93, 95, 96, 98, 99, 101, 102,
+        105, 107, 108, 110, 113, 114, 116, 117, 119, 120, 122, 123, 125, 126, 128, 131,
+        132, 134, 135, 137, 138, 140, 141, 143, 144, 146, 147, 149, 150, 152, 153, 155,
+        156, 158, 159, 162, 164, 167, 168, 170, 173, 174, 176, 177, 179, 180, 182, 183,
+        188, 189, 191,
+    )),
+]
+
+
+class TestPinnedSweep:
+    """The sweep's instances (``benchmarks/sweep.py``: ``synthetic_network(n)``
+    under the ``contended`` condition, seeded uniform importances), with the
+    search's selection, gain, explored and pruned counts pinned to the last
+    bit: a rewrite of the search must reproduce them exactly."""
+
+    @pytest.mark.parametrize(
+        "n, sigma, gain, explored, pruned, selected",
+        SWEEP_PINS,
+        ids=[f"n{p[0]}_sigma{p[1]}" for p in SWEEP_PINS],
+    )
+    def test_search_reproduces_pinned_results(
+        self, n, sigma, gain, explored, pruned, selected
+    ):
+        from ttasched.latency import build_profile
+        from ttasched.presets import (
+            demo_edge_device,
+            offline_from_costs,
+            resource_conditions,
+            synthetic_network,
+        )
+
+        network = synthetic_network(n)
+        device = demo_edge_device()
+        profile = build_profile(
+            network,
+            offline_from_costs(network, device),
+            device,
+            resource_conditions()["contended"],
+        )
+        rng = np.random.default_rng(n)
+        a = np.zeros(n + 1)
+        a[profile.selectable] = rng.uniform(0.0, 1.0, int(profile.selectable.sum()))
+        result = solve_dp(ImportanceVector(a=a), profile, SchedulerConfig(sigma=sigma))
+        assert result.strategy.selected == selected
+        assert repr(result.achieved_importance) == gain
+        assert (result.explored, result.pruned) == (explored, pruned)
+
+
 class TestTieBreaks:
     def test_equal_importance_prefers_cheaper(self):
         profile = uniform_profile(3)
@@ -424,6 +541,15 @@ class TestTieBreaks:
         imp = ImportanceVector(a=np.zeros(5))
         result = solve_dp(imp, profile, config_for_budget(profile, 12.0))
         assert result.strategy.is_empty
+
+    def test_zero_gain_is_reported_as_positive_zero(self):
+        profile = uniform_profile(3)
+        imp = ImportanceVector(a=np.array([0.0, -0.0, 0.0, -0.0]))
+        dp = solve_dp(imp, profile, config_for_budget(profile, 9.0))
+        bf = brute_force(imp, profile, dp.budget_ms)
+        for result in (dp, bf):
+            assert result.strategy.is_empty
+            assert math.copysign(1.0, result.achieved_importance) == 1.0
 
     def test_dp_and_oracle_agree_on_constructed_ties(self):
         # uniform costs and equal importances create many exact ties
