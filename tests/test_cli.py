@@ -686,6 +686,30 @@ class TestOneLineErrors:
         )
         assert "importances must be finite and non-negative" in err
 
+    def test_variance_blend_rounding_to_zero(self, fixtures_dir, tmp_path, capsys):
+        # at full gain the updated layers' variance 1.0 + (1e-300 - 1.0)
+        # rounds to 0.0
+        def edit(scenario):
+            scenario["adaptation_gain"] = 1.0
+            scenario["environment"]["shifts"][0]["var_scale"] = 1e-300
+
+        path = self.scenario_file(fixtures_dir, tmp_path, edit)
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "model variances must be positive" in err
+
+    def test_overflowing_sampled_variance(self, fixtures_dir, tmp_path, capsys):
+        # the shifted environment variance 1e308 is finite, and so is the
+        # observed one; the sampled variance 1e308 * chi2(2047) / 2048 is not
+        path = self.scenario_file(
+            fixtures_dir, tmp_path,
+            lambda s: s["environment"]["shifts"][0].update(var_scale=1e308),
+        )
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            rc = main(["simulate", path, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        assert "error: stats must be finite" in capsys.readouterr().err
+
     def test_overflowing_shift_fails_at_load(
         self, fixtures_dir, tmp_path, capsys, monkeypatch
     ):

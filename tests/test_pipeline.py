@@ -14,6 +14,7 @@ from ttasched.pipeline import (
     Shift,
     apply_update,
     execute_ground_truth,
+    gaussian_environment,
     generate_batch,
     observed_embeddings,
     report_csv,
@@ -275,6 +276,17 @@ class TestValidation:
             ModelResponseState(means=np.zeros(2), variances=np.ones(2), widths=(1, 2))
         with pytest.raises(InputError, match="equal length"):
             ModelResponseState(means=np.zeros(2), variances=np.ones(3), widths=(2,))
+
+    def test_overflowing_observed_embedding_rejected(self):
+        # 1e308 + (1e308 - -1e308) overflows
+        env = gaussian_environment(recovery_network(2), mean=1e308)
+        model = ModelResponseState(
+            means=np.full(sum(env.channels), -1e308),
+            variances=np.ones(sum(env.channels)),
+            widths=env.channels,
+        )
+        with pytest.raises(InputError, match="must be finite"):
+            observed_embeddings(env, model, 0)
 
     def test_executor_jitter_contract(self):
         net = recovery_network(2)
