@@ -1,5 +1,7 @@
 """Input errors, and the one place where input files are read and field
-values converted, and where output JSON is written."""
+values converted, and where output JSON is written (the episode report,
+written field by field in ``pipeline``, matches ``json_text`` byte for
+byte)."""
 
 import json
 from types import GenericAlias

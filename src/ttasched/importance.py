@@ -18,12 +18,20 @@ channel's (mean, variance) pair as a Gaussian and sums closed-form Gaussian
 KL over channels; it is well-defined for arbitrary real means. The
 ``elementwise`` mode softmax-normalizes each layer's embedding vector and
 applies the discrete KL sum, kept for comparison.
+
+Public constructors validate; derivations from validated objects use the
+trusted path. A constructor called with outside values checks every width,
+shape, sign and finiteness fact. An object derived from objects that were
+already checked (an embedding from stats, a blended history) is built by
+``_derived``, which skips those checks; the derivation keeps one check only
+where its arithmetic can first make a value go bad, such as an overflow in
+a blend.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Sequence
 
@@ -46,6 +54,15 @@ DEFAULT_ALPHA = 0.1
 _EXTRACT_OPS_PER_SAMPLE = 4
 _EXTRACT_OPS_PER_CHANNEL = 2
 _KL_OPS_PER_CHANNEL = 12
+
+
+def _derived(cls, **fields):
+    """A ``cls`` holding ``fields`` as they are, without its constructor's
+    checks: for objects derived from already validated ones, whose fields
+    are valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_widths(widths, size: int) -> tuple[int, ...]:
@@ -253,10 +270,11 @@ class Embedding(_Chain):
 
     @classmethod
     def from_stats(cls, stats: FeatureStats) -> "Embedding":
+        # the stats' moments are finite with non-negative variances
         values = np.empty(2 * stats.channels)
         values[0::2] = stats.means
         values[1::2] = stats.variances
-        return cls(values, stats.widths)
+        return _derived(cls, values=values, widths=stats.widths)
 
     @classmethod
     def concat(cls, parts: Sequence["Embedding"]) -> "Embedding":
@@ -392,8 +410,15 @@ def update_history(history: EmbeddingHistory, currents) -> EmbeddingHistory:
     if current.widths != past.widths:
         raise InputError("embedding shape changed between batches")
     a = history.alpha
-    return EmbeddingHistory(
-        embeddings=Embedding(a * current.values + (1.0 - a) * past.values, past.widths),
+    # a blend of non-negative variances with alpha in [0, 1] stays
+    # non-negative, but two huge values may round past the largest float
+    with np.errstate(over="ignore"):
+        values = a * current.values + (1.0 - a) * past.values
+    if not np.isfinite(values).all():
+        raise InputError("embedding must be finite")
+    return _derived(
+        EmbeddingHistory,
+        embeddings=_derived(Embedding, values=values, widths=past.widths),
         alpha=a,
         batches_seen=history.batches_seen + 1,
     )
@@ -418,9 +443,11 @@ class ImportanceVector:
 
     Parameter-free layers carry importance 0 by convention; they can never
     be selected, so any drift they register is unusable by the scheduler.
+    ``total`` is computed once, at construction.
     """
 
     a: np.ndarray
+    total: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -431,14 +458,12 @@ class ImportanceVector:
         if np.any(a < 0) or not np.all(np.isfinite(a)):
             raise InputError("importances must be finite and non-negative")
         object.__setattr__(self, "a", a)
+        # ndarray.sum is np.sum's pairwise reduction without its dispatch
+        object.__setattr__(self, "total", float(a.sum()))
 
     @property
     def n_layers(self) -> int:
         return self.a.size - 1
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.a))
 
 
 def _stats_chain(stats) -> FeatureStats:

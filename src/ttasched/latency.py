@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, TraceExhausted, convert, read_json
-from .network import LayerSpec, Network
+from .network import LayerSpec, Network, UpdateStrategy
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
+
+# strategies whose executor step lists a latency table keeps
+_STEP_LISTS = 256
 
 # fraction of backward time attributed to the weight gradient of a layer
 # with parameters (parameter-free layers spend it all on the activation
@@ -336,7 +339,8 @@ class LatencyTable:
     ``eta`` ratio and the ``selectable`` mask. ``scales(state)`` is the
     factor ``predict_layer_latency`` applies to each layer under ``state``;
     the table keeps the blend of the last state ``scales`` was asked for,
-    which is every call's state on a constant trace.
+    which is every call's state on a constant trace. ``steps(strategy)``
+    is the executor's run list of a strategy, built once per strategy.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -371,6 +375,35 @@ class LatencyTable:
         self._state: SystemState | None = None
         self._scales = np.empty(0)
         self._scale_list: list = []
+        self._steps: dict = {}
+
+    def steps(self, strategy: UpdateStrategy) -> tuple:
+        """The runs of the validated ``strategy`` in execution order, as
+        ``(slot, b, t_off)``: the run's position ``phase * (n + 1) + b`` in
+        the executor's flat output (phases forward, weight gradient,
+        activation gradient, reforward), its backward index and its offline
+        latency. The order is the one ``pipeline.execute_ground_truth``
+        documents."""
+        key = (strategy.n_layers, strategy.selected)
+        steps = self._steps.get(key)
+        if steps is None:
+            strategy.validate_against(self.network)
+            n = self.n_layers
+            f, dw, dx, re = (phase * (n + 1) for phase in range(4))
+            steps = [(f + b, b, self.t_f[b]) for b in range(n, 0, -1)]
+            d = strategy.deepest
+            selected = set(strategy.selected)
+            for b in range(1, d + 1):
+                if b < d:
+                    steps.append((dx + b, b, self.t_dx[b]))
+                if b in selected:
+                    steps.append((dw + b, b, self.t_dw[b]))
+            steps.extend((re + b, b, self.t_re[b]) for b in range(d, 0, -1))
+            steps = tuple(steps)
+            if len(self._steps) >= _STEP_LISTS:
+                self._steps.clear()
+            self._steps[key] = steps
+        return steps
 
     def scales(self, state: SystemState) -> np.ndarray:
         """Per-layer blend ``p2 + (p1 - p2) * eta / (eta + 1)`` of the
@@ -557,16 +590,20 @@ def _layer_columns(document, what: str, keys, n_layers: int | None = None, **def
     Each field is required, or, when it has a default, omitted or null in a
     record to take it; it converts to the type of its default (float when
     it has none). The records must cover layer ids 0..n_layers-1, or
-    0..count-1 when ``n_layers`` is None, each once; others are ignored."""
+    0..count-1 when ``n_layers`` is None, each once; an id outside that
+    range is an error naming it."""
     doc = convert(dict, document, what)
     records = convert(list[dict], doc.get("layers"), f"{what} layers")
+    n = len(records) if n_layers is None else n_layers
     by_id = {}
     for i, rec in enumerate(records):
-        layer_id = convert(int, rec.get("layer_id"), f"{what} layers[{i}].layer_id")
+        name = f"{what} layers[{i}].layer_id"
+        layer_id = convert(int, rec.get("layer_id"), name)
+        if not 0 <= layer_id < n:
+            raise InputError(f"{name} {layer_id} lies outside 0..{n - 1}")
         if layer_id in by_id:
             raise InputError(f"{what}: duplicate layer {layer_id}")
         by_id[layer_id] = rec
-    n = len(by_id) if n_layers is None else n_layers
     kinds = [type(defaults.get(key, 0.0)) for key in keys]
     arrays = [np.zeros(n + 1, dtype=kind) for kind in kinds]
     for layer_id in range(n):

@@ -12,12 +12,22 @@ The model itself is a response-distribution proxy: updating a layer closes
 a fraction of its gap to the current environment distribution. Real weights
 and gradients are out of scope; importance capture and the adaptation loss
 stand in for accuracy.
+
+Public constructors validate; derivations from validated objects use the
+trusted path. The per-batch objects of an episode (the sampled stats, the
+observed embedding, the updated model) are derived from the scenario's
+validated environment and model through ``importance._derived``, which
+skips the constructors' width, shape and sign checks. Each derivation keeps
+a finiteness or positivity check where its own arithmetic can first make a
+value go bad: the sampled and observed moments can overflow, and the
+variance blend ``v + g * (e - v)`` can round to 0.0.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from bisect import bisect_right
 from collections import deque
@@ -27,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, convert, json_text, read_json
+from .errors import InputError, convert, read_json
 from .importance import (
     KL_MODES,
     Embedding,
@@ -35,6 +45,7 @@ from .importance import (
     FeatureStats,
     ImportanceVector,
     _check_widths,
+    _derived,
     _offsets,
     adaptation_loss,
     assess,
@@ -129,6 +140,8 @@ class EnvironmentSpec:
                 raise InputError(f"layer {i}: base variances must be positive")
             means.append(m)
             varis.append(v)
+        # integer widths: the sampled stats take theirs from the environment
+        object.__setattr__(self, "channels", tuple(map(int, self.channels)))
         mean = _frozen(np.concatenate(means))
         var = _frozen(np.concatenate(varis))
         if not (np.isfinite(mean).all() and np.isfinite(var).all()):
@@ -165,7 +178,7 @@ class EnvironmentSpec:
         object.__setattr__(self, "_shift_batches", tuple(indices))
         object.__setattr__(self, "_epochs", tuple(epochs))
         counts = tuple(self.batch_size * p for p in self.positions)
-        object.__setattr__(self, "sample_counts", counts)
+        object.__setattr__(self, "sample_counts", tuple(map(int, counts)))
         # per channel: its sample count n, and for the channels with n > 1,
         # their indices and chi-square degrees of freedom n - 1 (exact floats,
         # since n <= 2**53)
@@ -279,7 +292,10 @@ def observed_embeddings(
     values = np.empty(2 * means.size)
     values[0::2] = means
     values[1::2] = varis
-    return Embedding(values, env.channels)
+    # the variances are products and quotients of positive ones
+    if not np.isfinite(values).all():
+        raise InputError("embedding must be finite")
+    return _derived(Embedding, values=values, widths=env.channels)
 
 
 def generate_batch(
@@ -306,17 +322,29 @@ def generate_batch(
     """
     if batch_index < 0:
         raise InputError("batch_index must be non-negative")
-    means, varis = observed_params(env, model, batch_index)
-    if exact:
-        return FeatureStats(means, varis, env.sample_counts, env.channels)
-    normals = rng.standard_normal(means.size)
-    chi2 = np.zeros(means.size)
-    if env._chi2_df.size:
-        chi2[env._chi2_index] = rng.chisquare(env._chi2_df)
-    n = env._channel_samples
-    mu = means + np.sqrt(varis / n) * normals
-    var = varis * chi2 / n
-    return FeatureStats(mu, var, env.sample_counts, env.channels)
+    mu, var = observed_params(env, model, batch_index)
+    if not exact:
+        normals = rng.standard_normal(mu.size)
+        chi2 = np.zeros(mu.size)
+        if env._chi2_df.size:
+            chi2[env._chi2_index] = rng.chisquare(env._chi2_df)
+        n = env._channel_samples
+        # an overflow to inf or nan is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = mu + np.sqrt(var / n) * normals
+            var = var * chi2 / n
+    # the variances are non-negative: products and quotients of the
+    # environment's and the model's positive variances and of chi-square
+    # draws; the widths and counts are the environment's
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise InputError("stats must be finite")
+    return _derived(
+        FeatureStats,
+        means=mu,
+        variances=var,
+        sample_counts=env.sample_counts,
+        widths=env.channels,
+    )
 
 
 @dataclass(frozen=True)
@@ -377,23 +405,10 @@ def execute_ground_truth(
     if jitter_eps > 0 and rng is None:
         raise InputError("jitter requires an rng")
     n = table.n_layers
-    strategy.validate_against(table.network)
-    f_exec = [0.0] * (n + 1)
-    dw_exec = [0.0] * (n + 1)
-    dx_exec = [0.0] * (n + 1)
-    re_exec = [0.0] * (n + 1)
-
-    # (output list, backward index, offline latency), in execution order
-    t_f, t_dw, t_dx, t_re = table.t_f, table.t_dw, table.t_dx, table.t_re
-    steps = [(f_exec, b, t_f[b]) for b in range(n, 0, -1)]
-    d = strategy.deepest
-    selected = set(strategy.selected)
-    for b in range(1, d + 1):
-        if b < d:
-            steps.append((dx_exec, b, t_dx[b]))
-        if b in selected:
-            steps.append((dw_exec, b, t_dw[b]))
-    steps.extend((re_exec, b, t_re[b]) for b in range(d, 0, -1))
+    steps = table.steps(strategy)
+    # the four phases' per-layer latencies back to back, as the steps'
+    # slots index them
+    out = [0.0] * (4 * (n + 1))
 
     if rng is None:
         jitters = [1.0] * len(steps)
@@ -403,19 +418,20 @@ def execute_ground_truth(
     horizon = trace.horizon_ms
     now = t_start_ms
     next_record = -math.inf  # forces a read before the first run
-    for (out, b, t_off), jit in zip(steps, jitters):
+    for (slot, b, t_off), jit in zip(steps, jitters):
         if not (now < next_record and now <= horizon):
             scale = table.layer_scales(trace.state_at(now))
             next_record = trace.next_record_ms(now)
         lat = scale[b] * t_off * jit
-        out[b] = lat
+        out[slot] = lat
         now += lat
 
+    f_exec, dw_exec, dx_exec, re_exec = np.array(out).reshape(4, n + 1)
     return ExecutionResult(
-        f_exec=np.array(f_exec),
-        dw_exec=np.array(dw_exec),
-        dx_exec=np.array(dx_exec),
-        re_exec=np.array(re_exec),
+        f_exec=f_exec,
+        dw_exec=dw_exec,
+        dx_exec=dx_exec,
+        re_exec=re_exec,
         start_ms=t_start_ms,
         finish_ms=now,
     )
@@ -444,7 +460,16 @@ def apply_update(
     with np.errstate(over="ignore"):
         means = np.where(hit, m + g * (env_means - m), m)
         varis = np.where(hit, v + g * (env_vars - v), v)
-    return ModelResponseState(means, varis, model.widths, g)
+    # the blend of two positive variances can round to 0.0
+    if not varis.min() > 0.0:
+        raise InputError("model variances must be positive")
+    return _derived(
+        ModelResponseState,
+        means=means,
+        variances=varis,
+        widths=model.widths,
+        adaptation_gain=g,
+    )
 
 
 @lru_cache(maxsize=64)
@@ -498,8 +523,10 @@ def sigma_controller(
     return min(max(sigma, config.sigma_min), config.sigma_max)
 
 
-# An episode keeps one record per batch (~1.3 KB), and writing its report
-# peaks near 8 KB per batch.
+# An episode keeps one record per batch (~1.3 KB). Writing its JSON report
+# peaks ~2.2 KB per batch above that: each record's text and the joined
+# text, ~1.06 KB per batch each (tracemalloc, 2,000-batch drift episode).
+# At the bound, records and report peak near 175 MB.
 MAX_BATCHES = 50_000
 
 
@@ -795,26 +822,76 @@ def _record_row(rec: BatchRecord) -> list:
     return row
 
 
-def report_to_document(report: EpisodeReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "mode": report.mode,
-        "seed": report.seed,
-        "aggregates": dict(report.aggregates.__dict__),
-        "batches": [
-            {
-                **{
-                    k: (list(v) if isinstance(v, tuple) else v)
-                    for k, v in rec.__dict__.items()
-                }
-            }
-            for rec in report.records
-        ],
-    }
+# ``report_json`` writes the text ``json_text`` writes for the report as a
+# document (indent 2, sorted keys), without building the document: each
+# record's fields go through one format compiled from BatchRecord's fields.
+
+
+def _json_value(value, depth: int) -> str:
+    """A field value as ``json`` writes it inside an object at nesting
+    ``depth``: a boolean, an integer, a float by ``float.__repr__`` (NaN and
+    infinities are a ValueError, as under ``allow_nan=False``) or a list or
+    tuple of those."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {value!r}"
+        )
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        pad = "  " * (depth + 2)
+        items = f",\n{pad}".join(_json_value(item, depth + 1) for item in value)
+        return f"[\n{pad}{items}\n{'  ' * (depth + 1)}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _object_format(cls, depth: int) -> tuple[tuple[str, ...], str]:
+    """The sorted field names of dataclass ``cls``, and a format with one
+    ``%s`` per field, in that order, that writes an instance as ``json``
+    writes the object at nesting ``depth``."""
+    names = tuple(sorted(cls.__dataclass_fields__))
+    pad = "  " * (depth + 1)
+    body = ",\n".join(f"{pad}{json.dumps(name)}: %s" for name in names)
+    return names, f"{{\n{body}\n{'  ' * depth}}}"
+
+
+def _object_json(obj, names: tuple[str, ...], form: str, depth: int) -> str:
+    fields = obj.__dict__
+    return form % tuple(_json_value(fields[name], depth) for name in names)
+
+
+_AGGREGATE_FIELDS, _AGGREGATE_FORMAT = _object_format(EpisodeAggregates, 1)
+_RECORD_FIELDS, _RECORD_FORMAT = _object_format(BatchRecord, 2)
 
 
 def report_json(report: EpisodeReport) -> str:
-    return json_text(report_to_document(report))
+    """The report as JSON text, indented by 2 with sorted keys and ending
+    in a newline."""
+    aggregates = _object_json(report.aggregates, _AGGREGATE_FIELDS, _AGGREGATE_FORMAT, 1)
+    head = f'{{\n  "aggregates": {aggregates},\n  "batches": '
+    tail = (
+        f',\n  "mode": {json.dumps(report.mode)},\n'
+        f'  "scenario": {json.dumps(report.scenario)},\n'
+        f'  "seed": {_json_value(report.seed, 0)}\n}}\n'
+    )
+    if not report.records:
+        return f"{head}[]{tail}"
+    # one join over the records' texts, the first and last carrying the
+    # document around them, so the text is built once
+    records = [
+        _object_json(rec, _RECORD_FIELDS, _RECORD_FORMAT, 2) for rec in report.records
+    ]
+    records[0] = f"{head}[\n    {records[0]}"
+    records[-1] = f"{records[-1]}\n  ]{tail}"
+    return ",\n    ".join(records)
 
 
 def report_csv(report: EpisodeReport) -> str:

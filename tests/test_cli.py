@@ -208,6 +208,29 @@ class TestPredictCommand:
         # pi1 = 1.6 * 4.3 = 6.88, pi2 = 2.4 on this device
         assert 2.4 * off_total <= got_total <= 6.88 * off_total
 
+    @pytest.mark.parametrize("layer_id", [99, -1])
+    def test_out_of_range_layer_id_exits_2(self, fixtures_dir, tmp_path, capsys, layer_id):
+        offline = json.loads((fixtures_dir / "offline_profile.json").read_text())
+        n = len(offline["layers"])
+        offline["layers"].append(
+            {"layer_id": layer_id, "t_f_ms": 1e9, "t_b_off_ms": 1.0, "t_re_off_ms": 1.0}
+        )
+        path = tmp_path / "offline_profile.json"
+        path.write_text(json.dumps(offline))
+        rc = main(
+            ["predict",
+             "--network", str(fixtures_dir / "network.json"),
+             "--offline-profile", str(path),
+             "--device", str(fixtures_dir / "device.json"),
+             "--state-trace", str(fixtures_dir / "trace.json"),
+             "--out", str(tmp_path / "profile.json")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: offline profile layers[{n}].layer_id {layer_id} "
+            f"lies outside 0..{n - 1}\n"
+        )
+
     def test_missing_device_file_exits_2(self, fixtures_dir, tmp_path, capsys):
         rc = main(
             ["predict",
@@ -386,6 +409,22 @@ class TestScheduleCommand:
         assert doc["selected_backward_indices"] == []
         assert doc["budget_ms"] == 0.0
 
+
+    @pytest.mark.parametrize("layer_id", [99, -1])
+    def test_out_of_range_layer_id_exits_2(self, tmp_path, capsys, layer_id):
+        imp_path, profile_path = write_worked_instance(tmp_path)
+        doc = json.loads(profile_path.read_text())
+        # the runtime profile's layer count is its record count, here 4
+        doc["layers"].append(dict(doc["layers"][0], layer_id=layer_id))
+        profile_path.write_text(json.dumps(doc))
+        rc = main(
+            ["schedule", "--importance", str(imp_path), "--profile",
+             str(profile_path), "--sigma", "0.5"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: runtime profile layers[3].layer_id {layer_id} lies outside 0..3\n"
+        )
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -50.0])
     def test_unusable_latency_exits_2(self, tmp_path, capsys, bad):
@@ -704,11 +743,8 @@ class TestOneLineErrors:
             fixtures_dir, tmp_path,
             lambda s: s["environment"]["shifts"][0].update(var_scale=1e308),
         )
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            rc = main(["simulate", path, "--out", str(tmp_path / "r.json")])
-        assert rc == 2
-        assert "error: stats must be finite" in capsys.readouterr().err
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "stats must be finite" in err
 
     def test_overflowing_shift_fails_at_load(
         self, fixtures_dir, tmp_path, capsys, monkeypatch

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ttasched.errors import InputError
 from ttasched.importance import (
@@ -10,6 +12,7 @@ from ttasched.importance import (
     Embedding,
     EmbeddingHistory,
     FeatureStats,
+    ImportanceVector,
     adaptation_loss,
     assess,
     embed,
@@ -256,6 +259,23 @@ def make_env(network, shifts=(), batch_size=8):
         shifts=shifts,
         batch_size=batch_size,
     )
+
+
+class TestImportanceTotal:
+    @given(
+        a=arrays(
+            np.float64,
+            st.integers(1, 300),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+                st.floats(0.0, 1e300),
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_total_is_np_sum_bit_for_bit(self, a):
+        a = np.concatenate(([0.0], a))
+        assert ImportanceVector(a).total.hex() == float(np.sum(a)).hex()
 
 
 class TestAssess:

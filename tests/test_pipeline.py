@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ttasched.errors import InputError, TraceExhausted
+from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
 from ttasched.latency import LatencyTable, StateTrace
 from ttasched.network import UpdateStrategy, strategy_cost
 from ttasched.pipeline import (
@@ -463,6 +464,22 @@ class TestExecuteGroundTruth:
             rng=rng,
         )
 
+    def test_step_list_built_once_per_strategy_and_checked_first(self):
+        table = LatencyTable(self.network, self.offline, self.device)
+        trace = StateTrace.constant(self.state)
+        selectable = self.network.selectable_backward()
+        chosen = UpdateStrategy(9, selectable[:2])
+        steps = table.steps(chosen)
+        assert table.steps(UpdateStrategy(9, selectable[:2])) is steps
+        # a strategy that fails validation is refused on every call, and a
+        # cached selection does not stand for one over another layer count
+        frozen = next(b for b in range(1, 10) if b not in selectable)
+        for _ in range(2):
+            with pytest.raises(InputError, match="parameter-free"):
+                execute_ground_truth(table, trace, UpdateStrategy(9, (frozen,)))
+            with pytest.raises(InputError, match="covers 10 layers"):
+                execute_ground_truth(table, trace, UpdateStrategy(10, selectable[:2]))
+
     def test_noise_free_static_matches_prediction_exactly(self):
         from ttasched.latency import build_profile
 
@@ -727,6 +744,81 @@ class TestExecutorTraceSegments:
         )
         execute_ground_truth(self.table, trace, self.strategy)
         assert calls == [0.0, starts[4], starts[20]]
+
+
+def _same_object(derived, built):
+    """``derived`` holds what the public constructor put into ``built``:
+    equal fields of the same types, arrays C-contiguous float64."""
+    assert type(derived) is type(built)
+    assert list(vars(derived)) == list(vars(built))
+    for name, value in vars(built).items():
+        got = vars(derived)[name]
+        if isinstance(value, np.ndarray):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got, value), name
+        elif isinstance(value, (Embedding, FeatureStats)):
+            _same_object(got, value)
+        else:
+            assert type(got) is type(value) and got == value, name
+            if isinstance(value, tuple):
+                assert [type(x) for x in got] == [type(x) for x in value], name
+
+
+class TestTrustedDerivations:
+    """The per-batch objects an episode derives without the public
+    constructors' checks hold exactly what those constructors would build."""
+
+    def setup_method(self):
+        network = synthetic_network(12)
+        shifts = (Shift(batch_index=1, layers=(2, 5), mean_offset_sigmas=1.5, var_scale=2.0),)
+        # numpy integer channel counts: the derived widths are still ints
+        self.env = EnvironmentSpec(
+            channels=tuple(np.int64(l.channels) for l in network.layers),
+            positions=tuple(max(1, l.out_elements // l.channels) for l in network.layers),
+            base_means=tuple(np.zeros(l.channels) for l in network.layers),
+            base_vars=tuple(np.ones(l.channels) for l in network.layers),
+            shifts=shifts,
+            batch_size=3,
+        )
+        self.model = ModelResponseState.from_environment(self.env, adaptation_gain=0.5)
+        self.n = network.n_layers
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sampled_stats(self, exact):
+        stats = generate_batch(self.env, self.model, 1, np.random.default_rng(3), exact)
+        built = FeatureStats(
+            stats.means.copy(), stats.variances.copy(), self.env.sample_counts,
+            self.env.channels,
+        )
+        _same_object(stats, built)
+        _same_object(Embedding.from_stats(stats), Embedding(
+            np.column_stack([stats.means, stats.variances]).ravel(), stats.widths
+        ))
+
+    def test_observed_embedding(self):
+        got = observed_embeddings(self.env, self.model, 1)
+        _same_object(got, Embedding(got.values.copy(), self.env.channels))
+
+    def test_updated_model(self):
+        means, variances = self.env.params_at(1)
+        got = apply_update(self.model, UpdateStrategy(self.n, (1, 4, 7)), means, variances)
+        _same_object(
+            got,
+            ModelResponseState(got.means.copy(), got.variances.copy(), self.model.widths, 0.5),
+        )
+
+    def test_blended_history(self):
+        rng = np.random.default_rng(4)
+        first = Embedding.from_stats(generate_batch(self.env, self.model, 0, rng))
+        second = Embedding.from_stats(generate_batch(self.env, self.model, 1, rng))
+        history = EmbeddingHistory.seed(first, alpha=0.25)
+        got = update_history(history, second)
+        built = EmbeddingHistory(
+            Embedding(0.25 * second.values + 0.75 * first.values, first.widths),
+            alpha=0.25,
+            batches_seen=2,
+        )
+        _same_object(got, built)
 
 
 class TestApplyUpdate:
