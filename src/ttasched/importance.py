@@ -31,6 +31,7 @@ a blend.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Sequence
@@ -455,7 +456,8 @@ class ImportanceVector:
             raise InputError("importance vector must be 1-D with slot 0 padding")
         if a[0] != 0.0:
             raise InputError("slot 0 of the importance vector is padding")
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
+        # NaN fails both comparisons
+        if not (a.min() >= 0.0 and a.max() < math.inf):
             raise InputError("importances must be finite and non-negative")
         object.__setattr__(self, "a", a)
         # ndarray.sum is np.sum's pairwise reduction without its dispatch

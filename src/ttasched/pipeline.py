@@ -832,18 +832,18 @@ def _json_value(value, depth: int) -> str:
     ``depth``: a boolean, an integer, a float by ``float.__repr__`` (NaN and
     infinities are a ValueError, as under ``allow_nan=False``) or a list or
     tuple of those."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     if isinstance(value, float):
         if math.isfinite(value):
             return float.__repr__(value)
         raise ValueError(
             f"Out of range float values are not JSON compliant: {value!r}"
         )
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
