@@ -6,7 +6,7 @@ import pytest
 
 from ttasched.errors import InputError, TraceExhausted
 from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
-from ttasched.latency import LatencyTable, StateTrace
+from ttasched.latency import COMPUTE_BOUND, LatencyTable, StateTrace
 from ttasched.network import UpdateStrategy, strategy_cost
 from ttasched.pipeline import (
     ControllerConfig,
@@ -618,6 +618,46 @@ class TestExecutorMatchesReference:
                 assert execd.start_ms == start
                 if rng is not None:
                     assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert finish - start > 2 * step  # spans several records
+                start = finish
+
+
+    def test_bit_identical_with_compute_bound_layers(self):
+        # the mixed chain's three zero-traffic layers take the compute
+        # factor alone; the others blend both factors by their eta
+        from test_latency import mixed_chain
+
+        network, offline = mixed_chain()
+        device = demo_edge_device()
+        table = LatencyTable(network, offline, device)
+        assert np.sum(table.eta == COMPUTE_BOUND) == 3
+        conditions = list(resource_conditions().values())
+        step = float(np.sum(offline.t_f)) / 5
+        trace = StateTrace(
+            records=tuple(
+                (k * step, conditions[k % len(conditions)]) for k in range(500)
+            ),
+            horizon_ms=math.inf,
+        )
+        selectable = network.selectable_backward()
+        start = 0.0
+        for selected in ((), selectable, selectable[:2], selectable[-1:]):
+            strategy = UpdateStrategy(network.n_layers, selected)
+            for eps, seed in ((0.02, 5), (0.0, None)):
+                rng = None if seed is None else np.random.default_rng(seed)
+                ref_rng = None if seed is None else np.random.default_rng(seed)
+                execd = execute_ground_truth(
+                    table, trace, strategy, jitter_eps=eps, rng=rng, t_start_ms=start
+                )
+                arrays, finish = reference_execute(
+                    network, offline, device, trace.state_at, strategy, strategy.deepest,
+                    jitter_eps=eps, rng=ref_rng, t_start_ms=start,
+                )
+                for got, want in zip(
+                    (execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec), arrays
+                ):
+                    assert np.array_equal(got, want)
+                assert execd.finish_ms == finish
                 assert finish - start > 2 * step  # spans several records
                 start = finish
 
