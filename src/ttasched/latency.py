@@ -102,13 +102,22 @@ class ExpansionFactors:
     pi2: float
 
 
+def _finite_factor(name: str, value: float, state: SystemState) -> float:
+    """``value``, the factor ``name`` under ``state``; a device whose clock
+    or bandwidth ratio overflows makes it inf or NaN."""
+    if not math.isfinite(value):
+        raise InputError(
+            f"expansion factor {name} must be finite, got {value} at state "
+            f"(n={state.n}, tem_c={state.tem_on}, phi={state.phi})"
+        )
+    return value
+
+
 def pi1(device: DeviceSpec, state: SystemState) -> float:
     """Compute expansion: thermal frequency ratio times process contention."""
-    f_on = device.freq(state.tem_on)
-    if f_on <= 0:
-        raise InputError(f"dvfs frequency undefined at {state.tem_on} C")
-    return (device.freq(device.tem_off) / f_on) * (
-        1.0 + device.proc_overhead_k * state.n
+    ratio = device.freq(device.tem_off) / device.freq(state.tem_on)
+    return _finite_factor(
+        "pi1", ratio * (1.0 + device.proc_overhead_k * state.n), state
     )
 
 
@@ -120,12 +129,10 @@ def pi2(device: DeviceSpec, state: SystemState) -> float:
     all-hit traffic; normalizing by the offline mix yields a factor that is
     1.0 offline and grows as the hit rate drops.
     """
-    if device.b_dram <= 0:
-        raise InputError("b_dram must be positive")
     ratio = device.b_cache / device.b_dram
     mix_on = state.phi + (1.0 - state.phi) * ratio
     mix_off = device.phi_off + (1.0 - device.phi_off) * ratio
-    return mix_on / mix_off
+    return _finite_factor("pi2", mix_on / mix_off, state)
 
 
 def expansion_factors(device: DeviceSpec, state: SystemState) -> ExpansionFactors:
@@ -164,7 +171,13 @@ def eta(layer: LayerSpec, device: DeviceSpec) -> float:
         return COMPUTE_BOUND
     t_compute = layer.mac_count / device.peak_flops
     t_memory = layer.mem_traffic / device.b_cache
-    return t_compute / t_memory
+    ratio = t_compute / t_memory
+    if math.isnan(ratio):  # inf / inf
+        raise InputError(
+            f"layer {layer.id}: eta is undefined, since its compute time and "
+            "memory time both overflow on this device"
+        )
+    return ratio
 
 
 def predict_layer_latency(t_off: float, eta_l: float, factors: ExpansionFactors) -> float:
@@ -671,6 +684,13 @@ def profile_from_document(document: dict) -> LatencyProfile:
         eta=COMPUTE_BOUND,
         selectable=True,
     )
+    bad = np.flatnonzero(~(etas >= 0.0))  # NaN fails the comparison
+    if bad.size:
+        b = int(bad[0])
+        raise InputError(
+            f"runtime profile layer {len(etas) - 1 - b}: eta must be "
+            f"non-negative or null, got {etas[b]}"
+        )
     return LatencyProfile(
         t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas, selectable=selectable
     )

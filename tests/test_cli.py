@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -773,6 +774,99 @@ class TestOneLineErrors:
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
         assert "unknown divergence mode 'wasserstein'" in err
 
+
+    def edited(self, fixtures_dir, tmp_path, name, edit):
+        """Path of a copy of the fixture file ``name`` after ``edit`` on its
+        document."""
+        document = json.loads((fixtures_dir / name).read_text())
+        edit(document)
+        path = tmp_path / name
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def predict_argv(self, fixtures_dir, **paths):
+        """``predict`` on the fixtures, ``paths`` replacing some of them."""
+        files = {
+            "network": "network.json", "offline_profile": "offline_profile.json",
+            "device": "device.json", "state_trace": "trace.json",
+        }
+        argv = ["predict"]
+        for key, name in files.items():
+            argv += ["--" + key.replace("_", "-"), paths.get(key, str(fixtures_dir / name))]
+        return argv + ["--out", "-"]
+
+    def hot_trace(self, fixtures_dir, tmp_path):
+        return self.edited(
+            fixtures_dir, tmp_path, "trace.json",
+            lambda t: t["records"][0].update(tem_c=60.0),
+        )
+
+    def test_overflowing_clock_ratio_names_pi1(self, fixtures_dir, tmp_path, capsys):
+        # 1e300 Hz at the offline 25 C over 1e-300 Hz at 60 C overflows
+        device = self.edited(
+            fixtures_dir, tmp_path, "device.json",
+            lambda d: d.update(dvfs=[{"tem_c": 25.0, "freq_hz": 1e300},
+                                     {"tem_c": 60.0, "freq_hz": 1e-300}]),
+        )
+        trace = self.hot_trace(fixtures_dir, tmp_path)
+        err = self.run_main(
+            self.predict_argv(fixtures_dir, device=device, state_trace=trace), capsys
+        )
+        assert ("expansion factor pi1 must be finite, got inf at state "
+                "(n=0, tem_c=60.0, phi=1.0)") in err
+        path = self.scenario_file(
+            fixtures_dir, tmp_path, lambda s: s.update(device=device, state_trace=trace)
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "expansion factor pi1 must be finite" in err
+
+    def test_overflowing_bandwidth_ratio_names_pi2(self, fixtures_dir, tmp_path, capsys):
+        device = self.edited(
+            fixtures_dir, tmp_path, "device.json",
+            lambda d: d.update(b_cache=1e300, b_dram=1e-300),
+        )
+        err = self.run_main(self.predict_argv(fixtures_dir, device=device), capsys)
+        assert ("expansion factor pi2 must be finite, got nan at state "
+                "(n=0, tem_c=25.0, phi=1.0)") in err
+
+    def test_undefined_eta_names_the_layer(self, fixtures_dir, tmp_path, capsys):
+        # every layer's compute and memory times overflow; the last layer,
+        # 23, is the first one blended
+        device = self.edited(
+            fixtures_dir, tmp_path, "device.json",
+            lambda d: d.update(peak_flops=1e-310, b_cache=1e-310, b_dram=1e-320),
+        )
+        err = self.run_main(self.predict_argv(fixtures_dir, device=device), capsys)
+        assert ("layer 23: eta is undefined, since its compute time and memory "
+                "time both overflow on this device") in err
+        path = self.scenario_file(fixtures_dir, tmp_path, lambda s: s.update(device=device))
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "layer 23: eta is undefined" in err
+
+    def runtime_profile(self, fixtures_dir, tmp_path, capsys, edit):
+        """A ``predict`` output after ``edit`` on its document, and a
+        matching importance file."""
+        out = tmp_path / "profile.json"
+        argv = self.predict_argv(fixtures_dir)
+        assert main(argv[:-1] + [str(out)]) == 0
+        document = json.loads(out.read_text())
+        edit(document)
+        out.write_text(json.dumps(document))
+        importance = tmp_path / "importance.json"
+        importance.write_text(json.dumps({"a": [1.0] * len(document["layers"])}))
+        return ["schedule", "--importance", str(importance), "--profile", str(out),
+                "--sigma", "0.9", "--out", str(tmp_path / "s.json")]
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_runtime_profile_eta_must_be_non_negative(
+        self, fixtures_dir, tmp_path, capsys, value
+    ):
+        argv = self.runtime_profile(
+            fixtures_dir, tmp_path, capsys,
+            lambda d: d["layers"][2].update(eta=value),
+        )
+        err = self.run_main(argv, capsys)
+        assert f"runtime profile layer 2: eta must be non-negative or null, got {value}" in err
 
 class TestOracleCheckCommand:
     def test_small_run_reports_matches(self, capsys):
