@@ -349,11 +349,13 @@ class LatencyTable:
     Backward-indexed 1..N, slot 0 zero: the offline latencies ``t_f``,
     ``t_dw``, ``t_dx`` and ``t_re`` as lists (the backward time split as
     ``split_backward`` splits it), and, as read-only arrays, each layer's
-    ``eta`` ratio and the ``selectable`` mask. ``scales(state)`` is the
-    factor ``predict_layer_latency`` applies to each layer under ``state``;
-    the table keeps the blend of the last state ``scales`` was asked for,
-    which is every call's state on a constant trace. ``steps(strategy)``
-    is the executor's run list of a strategy, built once per strategy.
+    ``eta`` ratio and the ``selectable`` mask. Under expansion factors
+    ``(p1, p2)`` a layer scales by ``p1 if w is None else p2 + (p1 - p2) * w``
+    for its blend weight ``w = eta / (eta + 1)`` (None: compute-bound).
+    ``factors(state)`` is ``(p1, p2)`` and ``scales(state)`` every layer's
+    scale (read by ``build_profile``) under ``state``; both are kept for the
+    last state. ``steps(strategy)`` is the executor's run list of a
+    strategy, built once per strategy.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -369,15 +371,13 @@ class LatencyTable:
         self.n_layers = n
         self.selectable = network.selectable
         etas = [0.0] + [eta(layer, device) for layer in network.layers[::-1]]
-        # the blend weight eta / (eta + 1) per layer; None marks a
-        # compute-bound layer, and slot 0, which scales a zero
-        self._layer_weight = [None] + [
+        # the blend weight eta / (eta + 1) per layer, in [0, 1]; None marks
+        # a compute-bound layer, and slot 0, which scales a zero
+        self._weight = [None] + [
             None if e == COMPUTE_BOUND else e / (e + 1.0) for e in etas[1:]
         ]
         self.eta = np.array(etas)
         self.eta.flags.writeable = False
-        self._compute_bound = np.array([w is None for w in self._layer_weight])
-        self._weight = np.array([w or 0.0 for w in self._layer_weight])
         # weight-gradient share per layer: 0 for parameter-free layers
         self._dw_share = np.where(self.selectable, _DW_SHARE, 0.0)
         t_dw = self._dw_share * offline.t_b
@@ -386,84 +386,59 @@ class LatencyTable:
         self.t_dx = (offline.t_b - t_dw).tolist()
         self.t_re = offline.t_re.tolist()
         self._state: SystemState | None = None
-        self._scales = np.empty(0)
-        self._scale_list: list = []
+        self._factors: tuple[float, float] | None = None
+        self._scales: np.ndarray | None = None
         self._steps: dict = {}
 
     def steps(self, strategy: UpdateStrategy) -> tuple:
         """The runs of the validated ``strategy`` in execution order, as
-        ``(slot, b, t_off)``: the run's position ``phase * (n + 1) + b`` in
+        ``(slot, t_off, w)``: the run's position ``phase * (n + 1) + b`` in
         the executor's flat output (phases forward, weight gradient,
-        activation gradient, reforward), its backward index and its offline
-        latency. The order is the one ``pipeline.execute_ground_truth``
-        documents."""
+        activation gradient, reforward, for backward index b), its offline
+        latency and its layer's blend weight. The order is the one
+        ``pipeline.execute_ground_truth`` documents."""
         key = (strategy.n_layers, strategy.selected)
         steps = self._steps.get(key)
         if steps is None:
             strategy.validate_against(self.network)
             n = self.n_layers
+            w = self._weight
             f, dw, dx, re = (phase * (n + 1) for phase in range(4))
-            steps = [(f + b, b, self.t_f[b]) for b in range(n, 0, -1)]
+            steps = [(f + b, self.t_f[b], w[b]) for b in range(n, 0, -1)]
             d = strategy.deepest
             selected = set(strategy.selected)
             for b in range(1, d + 1):
                 if b < d:
-                    steps.append((dx + b, b, self.t_dx[b]))
+                    steps.append((dx + b, self.t_dx[b], w[b]))
                 if b in selected:
-                    steps.append((dw + b, b, self.t_dw[b]))
-            steps.extend((re + b, b, self.t_re[b]) for b in range(d, 0, -1))
+                    steps.append((dw + b, self.t_dw[b], w[b]))
+            steps.extend((re + b, self.t_re[b], w[b]) for b in range(d, 0, -1))
             steps = tuple(steps)
             if len(self._steps) >= _STEP_LISTS:
                 self._steps.clear()
             self._steps[key] = steps
         return steps
 
-    def scales(self, state: SystemState) -> np.ndarray:
-        """Per-layer blend ``p2 + (p1 - p2) * eta / (eta + 1)`` of the
-        expansion factors (``p1`` for compute-bound layers or when
-        ``p1 == p2``), read-only; a repeat of the last state reuses it."""
+    def factors(self, state: SystemState) -> tuple[float, float]:
+        """The expansion factors ``(pi1, pi2)`` under ``state``; a repeat of
+        the last state reuses them."""
         if state != self._state:
-            factors = expansion_factors(self.device, state)
-            p1, p2 = factors.pi1, factors.pi2
-            if p1 == p2:
-                scale = np.full(self.n_layers + 1, p1)
-            else:
-                scale = p2 + (p1 - p2) * self._weight
-                scale[self._compute_bound] = p1
-            scale.flags.writeable = False
+            self._factors = (pi1(self.device, state), pi2(self.device, state))
             self._state = state
+            self._scales = None
+        return self._factors
+
+    def scales(self, state: SystemState) -> np.ndarray:
+        """Every layer's scale under ``state``, read-only; a repeat of the
+        last state reuses it."""
+        p1, p2 = self.factors(state)
+        if self._scales is None:
+            scale = np.array(
+                [p1 if w is None else p2 + (p1 - p2) * w for w in self._weight]
+            )
+            scale.flags.writeable = False
             self._scales = scale
-            self._scale_list = scale.tolist()
         return self._scales
-
-    def layer_scales(self, state: SystemState):
-        """``scales(state)`` indexed by backward index, as floats: the kept
-        list when ``state`` is the last state ``scales`` blended, otherwise
-        each layer blended when it is read, since a time-varying trace
-        often moves on after a few layers."""
-        if state == self._state:
-            return self._scale_list
-        factors = expansion_factors(self.device, state)
-        return _LayerBlend(factors.pi1, factors.pi2, self._layer_weight)
-
-
-class _LayerBlend:
-    """One state's per-layer blend, each layer's computed when it is read
-    with the same operations as ``LatencyTable.scales``."""
-
-    __slots__ = ("_p1", "_p2", "_weight")
-
-    def __init__(self, p1: float, p2: float, weight: list):
-        self._p1 = p1
-        self._p2 = p2
-        self._weight = weight
-
-    def __getitem__(self, b: int) -> float:
-        w = self._weight[b]
-        p1, p2 = self._p1, self._p2
-        if w is None or p1 == p2:
-            return p1
-        return p2 + (p1 - p2) * w
 
 
 def _table_for(

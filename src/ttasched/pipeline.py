@@ -384,12 +384,13 @@ def execute_ground_truth(
 ) -> ExecutionResult:
     """Run the three phases against the live state trace.
 
-    Uses the same latency physics as the predictor (the table's per-layer
-    scale under the state in force), but takes the state at each layer's own
-    execution instant and applies multiplicative jitter Uniform(1-eps, 1+eps),
-    so prediction error is exactly zero only for a static state with eps=0.
-    The state is read again only when the clock reaches the trace's next
-    record time or passes its horizon, where ``state_at`` raises.
+    Uses the same latency physics as the predictor (the table's blend of the
+    factors in force), but takes the state at each layer's own execution
+    instant and applies multiplicative jitter Uniform(1-eps, 1+eps), so
+    prediction error is exactly zero only for a static state with eps=0.
+    The state, and with it the table's factors, is read again only when the
+    clock reaches the trace's next record time or passes its horizon, where
+    ``state_at`` raises.
 
     Layers run in this order: forward from backward index n down to 1; then,
     for each backward index b up to the deepest selected layer d, the
@@ -418,11 +419,11 @@ def execute_ground_truth(
     horizon = trace.horizon_ms
     now = t_start_ms
     next_record = -math.inf  # forces a read before the first run
-    for (slot, b, t_off), jit in zip(steps, jitters):
+    for (slot, t_off, w), jit in zip(steps, jitters):
         if not (now < next_record and now <= horizon):
-            scale = table.layer_scales(trace.state_at(now))
+            p1, p2 = table.factors(trace.state_at(now))
             next_record = trace.next_record_ms(now)
-        lat = scale[b] * t_off * jit
+        lat = (p1 if w is None else p2 + (p1 - p2) * w) * t_off * jit
         out[slot] = lat
         now += lat
 

@@ -428,20 +428,6 @@ class TestBuildProfileMatchesReference:
                         want = predict_layer_latency(t, float(table.eta[b]), factors)
                         assert scale[b] * t == want
 
-    def test_layer_scales_equal_scales_kept_or_not(self):
-        conditions = list(resource_conditions().values())
-        for case in REFERENCE_CASES:
-            network, offline, device = reference_case(case)
-            table = LatencyTable(network, offline, device)
-            want = {id(s): table.scales(s).tolist() for s in conditions}
-            for state in conditions:
-                lazy = table.layer_scales(state)  # another state is kept
-                assert not isinstance(lazy, list)
-                got = [lazy[b] for b in range(network.n_layers + 1)]
-                assert got == want[id(state)]
-                table.scales(state)
-                assert table.layer_scales(state) == want[id(state)]
-
     def test_table_is_reused_for_the_same_inputs(self):
         network = synthetic_network(6)
         device = demo_edge_device()
