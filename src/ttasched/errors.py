@@ -1,7 +1,7 @@
-"""Input errors, and the one place where input files are read and field
-values converted, and where output JSON is written (the episode report,
-written field by field in ``pipeline``, matches ``json_text`` byte for
-byte)."""
+"""Input errors, and the one place where input files are read, field
+values converted and unknown keys rejected, and where output JSON is
+written (the episode report, written field by field in ``pipeline``,
+matches ``json_text`` byte for byte)."""
 
 import json
 from types import GenericAlias
@@ -62,6 +62,18 @@ def convert(kind, value, name: str):
     else:
         noun = _JSON_TYPES[kind]
     raise InputError(f"{name} must be {noun}, got {value!r}")
+
+
+def reject_unknown(
+    obj: dict, known, what: str, form: str = "{what}: unknown fields {names}"
+) -> None:
+    """Reject the keys of the input object ``obj`` outside ``known``, so a
+    misspelt optional key is an error rather than a silent default. The
+    InputError's message is ``form`` with ``what`` and the sorted list of
+    unknown keys filled in."""
+    unknown = obj.keys() - known
+    if unknown:
+        raise InputError(form.format(what=what, names=sorted(unknown)))
 
 
 def json_text(document, indent: int | None = 2, sort_keys: bool = True) -> str:

@@ -38,7 +38,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InputError, convert, json_text
+from .errors import InputError, convert, json_text, reject_unknown
 from .network import Network
 
 KL_MODES = ("gaussian", "elementwise")
@@ -528,6 +528,9 @@ def assess(
     return ImportanceVector(a=a), assessment_flops(stats)
 
 
+_STATS_FIELDS = frozenset({"layer_id", "means", "vars", "samples"})
+
+
 def load_stats_lines(text: str) -> FeatureStats:
     """Parse JSON-lines feature stats (one record per layer) into one
     forward-ordered chain."""
@@ -542,6 +545,7 @@ def load_stats_lines(text: str) -> FeatureStats:
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{what}: invalid JSON ({exc})") from None
         rec = convert(dict, rec, what)
+        reject_unknown(rec, _STATS_FIELDS, what)
         layer_id = convert(int, rec.get("layer_id"), f"{what}: layer_id")
         stats = FeatureStats(
             means=convert(list[float], rec.get("means"), f"{what}: means"),

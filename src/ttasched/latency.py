@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TraceExhausted, convert, read_json
+from .errors import InputError, TraceExhausted, convert, read_json, reject_unknown
 from .network import LayerSpec, Network, UpdateStrategy
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
@@ -528,19 +528,33 @@ class StateTrace:
         return cls(records=((0.0, state),), horizon_ms=horizon_ms)
 
 
+_DEVICE_FIELDS = frozenset(
+    {"peak_flops", "b_cache", "b_dram", "dvfs", "proc_overhead_k", "tem_off", "phi_off"}
+)
+_DVFS_FIELDS = frozenset({"tem_c", "freq_hz"})
+_TRACE_FIELDS = frozenset({"records", "horizon_ms"})
+_RECORD_FIELDS = frozenset({"t_ms", "n", "tem_c", "phi"})
+
+
 def load_device(document: dict) -> DeviceSpec:
     doc = convert(dict, document, "device document")
+    reject_unknown(doc, _DEVICE_FIELDS, "device")
 
     def number(key, default=None):
         return convert(float, doc.get(key, default), f"device: {key}")
+
+    def knot(i, d):
+        name = f"device: dvfs[{i}]"
+        reject_unknown(d, _DVFS_FIELDS, name)
+        return (convert(float, d.get("tem_c"), f"{name}.tem_c"),
+                convert(float, d.get("freq_hz"), f"{name}.freq_hz"))
 
     return DeviceSpec(
         peak_flops=number("peak_flops"),
         b_cache=number("b_cache"),
         b_dram=number("b_dram"),
         dvfs=tuple(
-            (convert(float, d.get("tem_c"), f"device: dvfs[{i}].tem_c"),
-             convert(float, d.get("freq_hz"), f"device: dvfs[{i}].freq_hz"))
+            knot(i, d)
             for i, d in enumerate(convert(list[dict], doc.get("dvfs"), "device: dvfs"))
         ),
         proc_overhead_k=number("proc_overhead_k"),
@@ -555,9 +569,11 @@ def load_device_file(path) -> DeviceSpec:
 
 def load_trace(document: dict) -> StateTrace:
     doc = convert(dict, document, "trace document")
+    reject_unknown(doc, _TRACE_FIELDS, "trace")
     records = []
     for i, rec in enumerate(convert(list[dict], doc.get("records"), "trace: records")):
         name = f"trace: records[{i}]"
+        reject_unknown(rec, _RECORD_FIELDS, name)
         state = SystemState(
             n=convert(int, rec.get("n"), f"{name}.n"),
             tem_on=convert(float, rec.get("tem_c"), f"{name}.tem_c"),
@@ -572,19 +588,25 @@ def load_trace_file(path) -> StateTrace:
     return load_trace(read_json(path))
 
 
-def _layer_columns(document, what: str, keys, n_layers: int | None = None, **defaults):
+def _layer_columns(
+    document, what: str, keys, n_layers: int | None = None, top=("layers",), **defaults
+):
     """The per-layer records ``{layers: [{layer_id, ...}]}`` of a profile
     file as one backward-indexed array per field in ``keys`` (slot 0 zero).
-    Each field is required, or, when it has a default, omitted or null in a
-    record to take it; it converts to the type of its default (float when
-    it has none). The records must cover layer ids 0..n_layers-1, or
-    0..count-1 when ``n_layers`` is None, each once; an id outside that
-    range is an error naming it."""
+    The document may hold only the keys in ``top``, and a record only
+    ``layer_id`` and ``keys``. Each field is required, or, when it has a
+    default, omitted or null in a record to take it; it converts to the
+    type of its default (float when it has none). The records must cover
+    layer ids 0..n_layers-1, or 0..count-1 when ``n_layers`` is None, each
+    once; an id outside that range is an error naming it."""
     doc = convert(dict, document, what)
+    reject_unknown(doc, top, what)
     records = convert(list[dict], doc.get("layers"), f"{what} layers")
     n = len(records) if n_layers is None else n_layers
+    fields = {"layer_id", *keys}
     by_id = {}
     for i, rec in enumerate(records):
+        reject_unknown(rec, fields, f"{what} layers[{i}]")
         name = f"{what} layers[{i}].layer_id"
         layer_id = convert(int, rec.get("layer_id"), name)
         if not 0 <= layer_id < n:
@@ -656,6 +678,7 @@ def profile_from_document(document: dict) -> LatencyProfile:
         document,
         "runtime profile",
         ("t_f_ms", "t_b_ms", "t_dw_ms", "t_dx_ms", "t_re_ms", "eta", "selectable"),
+        top=("layers", "totals"),
         eta=COMPUTE_BOUND,
         selectable=True,
     )

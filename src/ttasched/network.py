@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, convert, read_json
+from .errors import InputError, convert, read_json, reject_unknown
 
 LAYER_KINDS = (
     "conv2d",
@@ -305,9 +305,9 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     """
     document = convert(dict, document, "network document")
     if not lenient:
-        unknown = set(document) - _NETWORK_FIELDS
-        if unknown:
-            raise InputError(f"unknown network fields: {sorted(unknown)}")
+        reject_unknown(
+            document, _NETWORK_FIELDS, "network", "unknown {what} fields: {names}"
+        )
     raw_layers = convert(list[dict], document.get("layers", []), "layers")
     if not raw_layers:
         raise InputError("empty network")
@@ -319,11 +319,7 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     layers = []
     for raw in raw_layers:
         if not lenient:
-            unknown = set(raw) - _LAYER_FIELDS
-            if unknown:
-                raise InputError(
-                    f"layer {raw.get('id')}: unknown fields {sorted(unknown)}"
-                )
+            reject_unknown(raw, _LAYER_FIELDS, f"layer {raw.get('id')}")
         layer_id = convert(int, raw.get("id"), "layer id")
         if layer_id in seen_ids:
             raise InputError(f"duplicate layer id {layer_id}")

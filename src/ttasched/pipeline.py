@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, convert, read_json
+from .errors import InputError, convert, read_json, reject_unknown
 from .importance import (
     KL_MODES,
     Embedding,
@@ -914,12 +914,11 @@ _SCENARIO_FIELDS = frozenset(
     }
 )
 _ENV_FIELDS = frozenset({"base_mean", "base_var", "positions", "shifts"})
+_SHIFT_FIELDS = frozenset({"batch", "layers", "mean_offset_sigmas", "var_scale"})
 
 
 def environment_from_config(network: Network, cfg: dict, batch_size: int) -> EnvironmentSpec:
-    unknown = set(cfg) - _ENV_FIELDS
-    if unknown:
-        raise InputError(f"environment: unknown fields {sorted(unknown)}")
+    reject_unknown(cfg, _ENV_FIELDS, "environment")
     n = network.n_layers
     positions = cfg.get("positions", 1)
     if isinstance(positions, (int, float)):
@@ -931,6 +930,7 @@ def environment_from_config(network: Network, cfg: dict, batch_size: int) -> Env
     raw_shifts = convert(list[dict], cfg.get("shifts", []), "environment.shifts")
     for k, raw in enumerate(raw_shifts):
         name = f"environment.shifts[{k}]"
+        reject_unknown(raw, _SHIFT_FIELDS, name)
         shifts.append(
             Shift(
                 batch_index=convert(int, raw.get("batch"), f"{name}.batch"),
@@ -954,9 +954,7 @@ def environment_from_config(network: Network, cfg: dict, batch_size: int) -> Env
 def load_scenario_file(path) -> Scenario:
     path = Path(path)
     cfg = convert(dict, read_json(path), f"{path}: scenario")
-    unknown = set(cfg) - _SCENARIO_FIELDS
-    if unknown:
-        raise InputError(f"{path}: unknown fields {sorted(unknown)}")
+    reject_unknown(cfg, _SCENARIO_FIELDS, str(path))
 
     def read(kind, key, default=None):
         return convert(kind, cfg.get(key, default), f"{path}: {key}")
@@ -965,9 +963,7 @@ def load_scenario_file(path) -> Scenario:
         # a ``cls`` dataclass from the object ``key``, each of whose fields
         # converts to the type of the field's default
         obj = read(dict, key, {})
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise InputError(f"{path}: {key}: unknown fields {sorted(unknown)}")
+        reject_unknown(obj, cls.__dataclass_fields__, f"{path}: {key}")
         return cls(**{
             k: convert(type(getattr(cls, k)), v, f"{path}: {key}.{k}")
             for k, v in obj.items()

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, convert, read_json
+from .errors import InputError, convert, read_json, reject_unknown
 from .importance import ImportanceVector
 from .latency import LatencyProfile
 from .network import StrategyCost, UpdateStrategy, closed_form_cost
@@ -396,6 +396,7 @@ def certify(instances: int, max_n: int = 14, seed: int = 0) -> CertificationRepo
 
 def load_importance(document: dict) -> ImportanceVector:
     doc = convert(dict, document, "importance file")
+    reject_unknown(doc, ("a",), "importance file")
     a = convert(list[float], doc.get("a"), "importance file: a")
     return ImportanceVector(a=np.array([0.0] + a))
 

@@ -671,8 +671,8 @@ class TestSimulateCommand:
 
 
 class TestOneLineErrors:
-    """Inputs that overflow numpy exit 2 with one ``error:`` line and no
-    numpy warning before it."""
+    """Inputs that overflow numpy or hold a misspelt key exit 2 with one
+    ``error:`` line and no numpy warning before it."""
 
     def run_main(self, argv, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -867,6 +867,78 @@ class TestOneLineErrors:
         )
         err = self.run_main(argv, capsys)
         assert f"runtime profile layer 2: eta must be non-negative or null, got {value}" in err
+
+    def test_misspelt_runtime_profile_key(self, fixtures_dir, tmp_path, capsys):
+        # with the key ignored, every parameter-free layer became selectable
+        def misspell(document):
+            for record in document["layers"]:
+                if record["selectable"] is False:
+                    record["selectible"] = record.pop("selectable")
+
+        argv = self.runtime_profile(fixtures_dir, tmp_path, capsys, misspell)
+        err = self.run_main(argv, capsys)
+        assert "runtime profile layers[2]: unknown fields ['selectible']" in err
+        argv = self.runtime_profile(
+            fixtures_dir, tmp_path, capsys, lambda d: d.update(total={})
+        )
+        err = self.run_main(argv, capsys)
+        assert "runtime profile: unknown fields ['total']" in err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("device.json", lambda d: d.update(phi_of=0.5),
+             "device: unknown fields ['phi_of']"),
+            ("device.json", lambda d: d["dvfs"][1].update(freq=1e9),
+             "device: dvfs[1]: unknown fields ['freq']"),
+            ("trace.json", lambda t: t.update(horizon=5.0),
+             "trace: unknown fields ['horizon']"),
+            ("trace.json", lambda t: t["records"][0].update(tem=60.0),
+             "trace: records[0]: unknown fields ['tem']"),
+            ("offline_profile.json", lambda o: o["layers"][3].update(t_re_ms=1.0),
+             "offline profile layers[3]: unknown fields ['t_re_ms']"),
+            ("offline_profile.json", lambda o: o.update(totals={}),
+             "offline profile: unknown fields ['totals']"),
+        ],
+    )
+    def test_misspelt_predict_input_key(
+        self, fixtures_dir, tmp_path, capsys, name, edit, message
+    ):
+        key = {"device.json": "device", "trace.json": "state_trace",
+               "offline_profile.json": "offline_profile"}[name]
+        path = self.edited(fixtures_dir, tmp_path, name, edit)
+        err = self.run_main(self.predict_argv(fixtures_dir, **{key: path}), capsys)
+        assert message in err
+
+    def test_misspelt_importance_key(self, fixtures_dir, tmp_path, capsys):
+        argv = self.runtime_profile(fixtures_dir, tmp_path, capsys, lambda d: None)
+        importance = tmp_path / "importance.json"
+        importance.write_text(json.dumps({"a": [1.0] * 24, "sigma": 0.5}))
+        err = self.run_main(argv, capsys)
+        assert "importance file: unknown fields ['sigma']" in err
+
+    def test_misspelt_stats_key(self, fixtures_dir, tmp_path, capsys):
+        lines = (fixtures_dir / "stats_current.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["sample"] = record.pop("samples")
+        lines[1] = json.dumps(record)
+        current = tmp_path / "current.jsonl"
+        current.write_text("\n".join(lines) + "\n")
+        err = self.run_main(
+            ["assess", "--history", str(fixtures_dir / "stats_history.jsonl"),
+             "--current", str(current), "--out", "-"],
+            capsys,
+        )
+        assert "stats line 2: unknown fields ['sample']" in err
+
+    def test_misspelt_shift_key(self, fixtures_dir, tmp_path, capsys):
+        path = self.scenario_file(
+            fixtures_dir, tmp_path,
+            lambda s: s["environment"]["shifts"][0].update(var_scal=2.0),
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert "environment.shifts[0]: unknown fields ['var_scal']" in err
+
 
 class TestOracleCheckCommand:
     def test_small_run_reports_matches(self, capsys):
