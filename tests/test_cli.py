@@ -795,12 +795,6 @@ class TestOneLineErrors:
             argv += ["--" + key.replace("_", "-"), paths.get(key, str(fixtures_dir / name))]
         return argv + ["--out", "-"]
 
-    def hot_trace(self, fixtures_dir, tmp_path):
-        return self.edited(
-            fixtures_dir, tmp_path, "trace.json",
-            lambda t: t["records"][0].update(tem_c=60.0),
-        )
-
     def test_overflowing_clock_ratio_names_pi1(self, fixtures_dir, tmp_path, capsys):
         # 1e300 Hz at the offline 25 C over 1e-300 Hz at 60 C overflows
         device = self.edited(
@@ -808,7 +802,10 @@ class TestOneLineErrors:
             lambda d: d.update(dvfs=[{"tem_c": 25.0, "freq_hz": 1e300},
                                      {"tem_c": 60.0, "freq_hz": 1e-300}]),
         )
-        trace = self.hot_trace(fixtures_dir, tmp_path)
+        trace = self.edited(
+            fixtures_dir, tmp_path, "trace.json",
+            lambda t: t["records"][0].update(tem_c=60.0),
+        )
         err = self.run_main(
             self.predict_argv(fixtures_dir, device=device, state_trace=trace), capsys
         )
@@ -843,7 +840,7 @@ class TestOneLineErrors:
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
         assert "layer 23: eta is undefined" in err
 
-    def runtime_profile(self, fixtures_dir, tmp_path, capsys, edit):
+    def runtime_profile(self, fixtures_dir, tmp_path, edit):
         """A ``predict`` output after ``edit`` on its document, and a
         matching importance file."""
         out = tmp_path / "profile.json"
@@ -862,11 +859,12 @@ class TestOneLineErrors:
         self, fixtures_dir, tmp_path, capsys, value
     ):
         argv = self.runtime_profile(
-            fixtures_dir, tmp_path, capsys,
+            fixtures_dir, tmp_path,
             lambda d: d["layers"][2].update(eta=value),
         )
         err = self.run_main(argv, capsys)
-        assert f"runtime profile layer 2: eta must be non-negative or null, got {value}" in err
+        assert (f"runtime profile layer 2: eta must be non-negative or null, "
+                f"got {value}") in err
 
     def test_misspelt_runtime_profile_key(self, fixtures_dir, tmp_path, capsys):
         # with the key ignored, every parameter-free layer became selectable
@@ -875,12 +873,10 @@ class TestOneLineErrors:
                 if record["selectable"] is False:
                     record["selectible"] = record.pop("selectable")
 
-        argv = self.runtime_profile(fixtures_dir, tmp_path, capsys, misspell)
+        argv = self.runtime_profile(fixtures_dir, tmp_path, misspell)
         err = self.run_main(argv, capsys)
         assert "runtime profile layers[2]: unknown fields ['selectible']" in err
-        argv = self.runtime_profile(
-            fixtures_dir, tmp_path, capsys, lambda d: d.update(total={})
-        )
+        argv = self.runtime_profile(fixtures_dir, tmp_path, lambda d: d.update(total={}))
         err = self.run_main(argv, capsys)
         assert "runtime profile: unknown fields ['total']" in err
 
@@ -911,7 +907,7 @@ class TestOneLineErrors:
         assert message in err
 
     def test_misspelt_importance_key(self, fixtures_dir, tmp_path, capsys):
-        argv = self.runtime_profile(fixtures_dir, tmp_path, capsys, lambda d: None)
+        argv = self.runtime_profile(fixtures_dir, tmp_path, lambda d: None)
         importance = tmp_path / "importance.json"
         importance.write_text(json.dumps({"a": [1.0] * 24, "sigma": 0.5}))
         err = self.run_main(argv, capsys)
