@@ -11,22 +11,29 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, TraceExhausted, convert, read_json, reject_unknown
+from .importance import _derived
 from .network import LayerSpec, Network, UpdateStrategy
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
 
-# strategies whose executor step lists a latency table keeps
+# strategies whose executor step lists (and run latencies under the kept
+# state) a latency table keeps
 _STEP_LISTS = 256
 
 # fraction of backward time attributed to the weight gradient of a layer
 # with parameters (parameter-free layers spend it all on the activation
 # gradient)
 _DW_SHARE = 0.5
+
+# a bound on scaled latencies and clock readings far below the float range
+# (2**1024): below it, sums of up to 2**20 of them cannot overflow
+_QUIET_BOUND = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -102,12 +109,14 @@ class ExpansionFactors:
     pi2: float
 
 
-def _finite_factor(name: str, value: float, state: SystemState) -> float:
-    """``value``, the factor ``name`` under ``state``; a device whose clock
-    or bandwidth ratio overflows makes it inf or NaN."""
-    if not math.isfinite(value):
+def _checked_factor(name: str, value: float, state: SystemState) -> float:
+    """``value``, the factor ``name`` under ``state``, which must be finite
+    and positive; a device whose clock or bandwidth ratio overflows makes it
+    inf or NaN, and one whose ratio underflows makes it 0."""
+    if not 0.0 < value < math.inf:
+        need = "positive" if math.isfinite(value) else "finite"
         raise InputError(
-            f"expansion factor {name} must be finite, got {value} at state "
+            f"expansion factor {name} must be {need}, got {value} at state "
             f"(n={state.n}, tem_c={state.tem_on}, phi={state.phi})"
         )
     return value
@@ -116,7 +125,7 @@ def _finite_factor(name: str, value: float, state: SystemState) -> float:
 def pi1(device: DeviceSpec, state: SystemState) -> float:
     """Compute expansion: thermal frequency ratio times process contention."""
     ratio = device.freq(device.tem_off) / device.freq(state.tem_on)
-    return _finite_factor(
+    return _checked_factor(
         "pi1", ratio * (1.0 + device.proc_overhead_k * state.n), state
     )
 
@@ -132,7 +141,7 @@ def pi2(device: DeviceSpec, state: SystemState) -> float:
     ratio = device.b_cache / device.b_dram
     mix_on = state.phi + (1.0 - state.phi) * ratio
     mix_off = device.phi_off + (1.0 - device.phi_off) * ratio
-    return _finite_factor("pi2", mix_on / mix_off, state)
+    return _checked_factor("pi2", mix_on / mix_off, state)
 
 
 def expansion_factors(device: DeviceSpec, state: SystemState) -> ExpansionFactors:
@@ -355,7 +364,9 @@ class LatencyTable:
     ``factors(state)`` is ``(p1, p2)`` and ``scales(state)`` every layer's
     scale (read by ``build_profile``) under ``state``; both are kept for the
     last state. ``steps(strategy)`` is the executor's run list of a
-    strategy, built once per strategy.
+    strategy, built once per strategy, and ``runs(strategy, state)`` the
+    same runs' latencies under ``state`` as arrays, kept per strategy for
+    the last state.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -385,10 +396,16 @@ class LatencyTable:
         self.t_dw = t_dw.tolist()
         self.t_dx = (offline.t_b - t_dw).tolist()
         self.t_re = offline.t_re.tolist()
+        # the offline t_f, t_b and t_re as the rows of one block, which
+        # build_profile scales in one product; its largest entry bounds
+        # every scaled latency
+        self._offline = np.stack([offline.t_f, offline.t_b, offline.t_re])
+        self._offline_max = float(self._offline.max())
         self._state: SystemState | None = None
         self._factors: tuple[float, float] | None = None
         self._scales: np.ndarray | None = None
         self._steps: dict = {}
+        self._runs: dict = {}
 
     def steps(self, strategy: UpdateStrategy) -> tuple:
         """The runs of the validated ``strategy`` in execution order, as
@@ -426,6 +443,7 @@ class LatencyTable:
             self._factors = (pi1(self.device, state), pi2(self.device, state))
             self._state = state
             self._scales = None
+            self._runs.clear()
         return self._factors
 
     def scales(self, state: SystemState) -> np.ndarray:
@@ -439,6 +457,35 @@ class LatencyTable:
             scale.flags.writeable = False
             self._scales = scale
         return self._scales
+
+    def quiet(self, state: SystemState, start_ms: float = 0.0) -> bool:
+        """Whether array arithmetic on latencies under ``state`` is sure not
+        to overflow, so numpy has nothing to warn about: every scaled
+        latency, times a jitter below 2, and a clock starting at
+        ``start_ms`` stay below ``_QUIET_BOUND``."""
+        bound = max(self.factors(state)) * self._offline_max
+        return 2.0 * bound < _QUIET_BOUND and start_ms < _QUIET_BOUND
+
+    def runs(
+        self, strategy: UpdateStrategy, state: SystemState
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The validated ``strategy``'s runs under ``state`` as two read-only
+        arrays in execution order: each run's slot, as in ``steps``, and its
+        latency ``scale * t_off`` (the executor's per-run product before
+        jitter); a repeat of the last state reuses them."""
+        scale = self.scales(state)
+        key = (strategy.n_layers, strategy.selected)
+        runs = self._runs.get(key)
+        if runs is None:
+            steps = self.steps(strategy)
+            slots = np.array([slot for slot, _, _ in steps], dtype=np.intp)
+            t_off = np.array([t for _, t, _ in steps])
+            latencies = scale[slots % (self.n_layers + 1)] * t_off
+            slots.flags.writeable = latencies.flags.writeable = False
+            if len(self._runs) >= _STEP_LISTS:
+                self._runs.clear()
+            runs = self._runs[key] = (slots, latencies)
+        return runs
 
 
 def _table_for(
@@ -466,20 +513,44 @@ def build_profile(
     ``predict_layer_latency`` applied to every layer at once; the forward
     total only enters budget arithmetic, never the per-strategy cost, since
     it is identical across strategies.
+
+    The profile is derived from validated objects, so it skips the public
+    constructor's checks, which hold by construction: ``pi1`` and ``pi2``
+    are finite and positive (``_checked_factor``), so every layer's scale
+    is finite and non-negative; the offline latencies are finite and
+    non-negative (``OfflineProfile``); and the 0.5 split gives
+    ``t_dw + t_dx == t_b`` exactly for every such ``t_b``. Only the scaled
+    latencies can go bad, by overflowing to inf, which makes the total
+    inf: such a profile is handed to the public constructor, which names
+    the latency that overflowed (or accepts it, when only a sum did).
     """
     table = _table_for(network, offline, device)
     scale = table.scales(state)
-    t_b = scale * offline.t_b
-    t_dw = table._dw_share * t_b
-    return LatencyProfile(
-        t_f=scale * offline.t_f,
-        t_b=t_b,
-        t_dw=t_dw,
-        t_dx=t_b - t_dw,
-        t_re=scale * offline.t_re,
-        eta=table.eta,
-        selectable=table.selectable,
-    )
+    with nullcontext() if table.quiet(state) else np.errstate(over="ignore"):
+        block = scale * table._offline
+        t_f, t_b, t_re = block
+        t_dw = table._dw_share * t_b
+        t_dx = t_b - t_dw
+        # the block's row sums are the same pairwise reductions as each
+        # row's ndarray.sum in LatencyProfile.__post_init__
+        t_f_total, t_b_total, t_re_total = block.sum(axis=1).tolist()
+        t_total = t_f_total + t_b_total + t_re_total
+        fields = dict(
+            t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re,
+            eta=table.eta, selectable=table.selectable,
+        )
+        if not t_total < math.inf:
+            return LatencyProfile(**fields)
+        return _derived(
+            LatencyProfile,
+            **fields,
+            cum_dx=t_dx.cumsum(),
+            cum_re=t_re.cumsum(),
+            t_f_total=t_f_total,
+            t_b_total=t_b_total,
+            t_re_total=t_re_total,
+            t_total=t_total,
+        )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ Public constructors validate; derivations from validated objects use the
 trusted path. The per-batch objects of an episode (the sampled stats, the
 observed embedding, the updated model) are derived from the scenario's
 validated environment and model through ``importance._derived``, which
-skips the constructors' width, shape and sign checks. Each derivation keeps
+skips the constructors' width, shape and sign checks; the executor's
+results are built the same way, with their totals taken in one reduction. Each derivation keeps
 a finiteness or positivity check where its own arithmetic can first make a
 value go bad: the sampled and observed moments can overflow, and the
 variance blend ``v + g * (e - v)`` can round to 0.0.
@@ -31,6 +32,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -121,32 +123,38 @@ class EnvironmentSpec:
             raise InputError("environment per-layer fields must share one length")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
-        means = []
-        varis = []
-        for i in range(n):
-            if self.channels[i] < 1 or self.positions[i] < 1:
+        for i, (c, p) in enumerate(zip(self.channels, self.positions)):
+            if c < 1 or p < 1:
                 raise InputError(f"layer {i}: channels and positions must be >= 1")
-            if self.batch_size * self.positions[i] > MAX_SAMPLE_COUNT:
+            if self.batch_size * p > MAX_SAMPLE_COUNT:
                 raise InputError(
-                    f"layer {i}: batch_size * positions = "
-                    f"{self.batch_size * self.positions[i]} samples per channel "
-                    "exceeds 2**53"
+                    f"layer {i}: batch_size * positions = {self.batch_size * p} "
+                    "samples per channel exceeds 2**53"
                 )
-            m = np.asarray(self.base_means[i], dtype=float)
-            v = np.asarray(self.base_vars[i], dtype=float)
-            if m.shape != (self.channels[i],) or v.shape != (self.channels[i],):
-                raise InputError(f"layer {i}: base params must match channel count")
-            if np.any(v <= 0):
-                raise InputError(f"layer {i}: base variances must be positive")
-            means.append(m)
-            varis.append(v)
         # integer widths: the sampled stats take theirs from the environment
         object.__setattr__(self, "channels", tuple(map(int, self.channels)))
-        mean = _frozen(np.concatenate(means))
-        var = _frozen(np.concatenate(varis))
+        means = [np.asarray(m, dtype=float) for m in self.base_means]
+        varis = [np.asarray(v, dtype=float) for v in self.base_vars]
+        shapes = [(c,) for c in self.channels]
+        if [m.shape for m in means] != shapes or [v.shape for v in varis] != shapes:
+            i = next(
+                i for i, shape in enumerate(shapes)
+                if means[i].shape != shape or varis[i].shape != shape
+            )
+            raise InputError(f"layer {i}: base params must match channel count")
+        # one flat read-only copy per moment, checked once over the chain
+        mean = np.concatenate(means)
+        var = np.concatenate(varis)
+        mean.flags.writeable = var.flags.writeable = False
+        bounds = _offsets(self.channels)
+        if (var <= 0).any():
+            first = int(np.flatnonzero(var <= 0)[0])
+            raise InputError(
+                f"layer {bisect_right(bounds, first) - 1}: base variances must be "
+                "positive"
+            )
         if not (np.isfinite(mean).all() and np.isfinite(var).all()):
             raise InputError("environment base means and variances must be finite")
-        bounds = _offsets(tuple(self.channels))
         spans = tuple(zip(bounds[:-1], bounds[1:]))
         object.__setattr__(self, "base_means", tuple(mean[lo:hi] for lo, hi in spans))
         object.__setattr__(self, "base_vars", tuple(var[lo:hi] for lo, hi in spans))
@@ -214,20 +222,22 @@ def gaussian_environment(
     per channel, at least 1."""
     if positions is None:
         positions = [max(1, l.out_elements // l.channels) for l in network.layers]
-
-    def full(layer, value):
-        try:
-            return np.full(layer.channels, value)
-        except (ValueError, MemoryError):  # numpy's "array is too big"
-            raise InputError(
-                f"layer {layer.id}: {layer.channels} channels do not fit in memory"
-            ) from None
-
+    widths = tuple(l.channels for l in network.layers)
+    try:
+        means = np.full(sum(widths), mean, dtype=float)
+        varis = np.full(sum(widths), var, dtype=float)
+    except (ValueError, MemoryError, OverflowError):  # "array is too big"
+        widest = max(network.layers, key=lambda l: l.channels)
+        raise InputError(
+            f"layer {widest.id}: {widest.channels} channels do not fit in memory"
+        ) from None
+    bounds = _offsets(widths)
+    spans = tuple(zip(bounds[:-1], bounds[1:]))
     return EnvironmentSpec(
-        channels=tuple(l.channels for l in network.layers),
+        channels=widths,
         positions=tuple(positions),
-        base_means=tuple(full(l, mean) for l in network.layers),
-        base_vars=tuple(full(l, var) for l in network.layers),
+        base_means=tuple(means[lo:hi] for lo, hi in spans),
+        base_vars=tuple(varis[lo:hi] for lo, hi in spans),
         shifts=tuple(shifts),
         batch_size=batch_size,
     )
@@ -390,7 +400,10 @@ def execute_ground_truth(
     prediction error is exactly zero only for a static state with eps=0.
     The state, and with it the table's factors, is read again only when the
     clock reaches the trace's next record time or passes its horizon, where
-    ``state_at`` raises.
+    ``state_at`` raises. Once a read finds no record ahead, the state holds
+    for the rest of the call, and the remaining runs are one array product
+    of their latencies under it (``LatencyTable.runs``) and their jitter,
+    with the clock summed in run order.
 
     Layers run in this order: forward from backward index n down to 1; then,
     for each backward index b up to the deepest selected layer d, the
@@ -407,34 +420,72 @@ def execute_ground_truth(
         raise InputError("jitter requires an rng")
     n = table.n_layers
     steps = table.steps(strategy)
-    # the four phases' per-layer latencies back to back, as the steps'
-    # slots index them
-    out = [0.0] * (4 * (n + 1))
-
-    if rng is None:
-        jitters = [1.0] * len(steps)
-    else:
-        jitters = rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps, len(steps)).tolist()
-
+    if rng is not None:
+        draws = rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps, len(steps))
     horizon = trace.horizon_ms
     now = t_start_ms
-    next_record = -math.inf  # forces a read before the first run
-    for (slot, t_off, w), jit in zip(steps, jitters):
-        if not (now < next_record and now <= horizon):
-            p1, p2 = table.factors(trace.state_at(now))
-            next_record = trace.next_record_ms(now)
-        lat = (p1 if w is None else p2 + (p1 - p2) * w) * t_off * jit
-        out[slot] = lat
-        now += lat
+    state = trace.state_at(now)
+    next_record = trace.next_record_ms(now)
+    first = 0  # the first run left to the array product
+    if next_record < math.inf:
+        # the four phases' per-layer latencies back to back, as the steps'
+        # slots index them
+        out = [0.0] * (4 * (n + 1))
+        jitters = [1.0] * len(steps) if rng is None else draws.tolist()
+        p1, p2 = table.factors(state)
+        for first, ((slot, t_off, w), jit) in enumerate(zip(steps, jitters)):
+            if not (now < next_record and now <= horizon):
+                state = trace.state_at(now)
+                next_record = trace.next_record_ms(now)
+                if next_record == math.inf:
+                    break
+                p1, p2 = table.factors(state)
+            lat = (p1 if w is None else p2 + (p1 - p2) * w) * t_off * jit
+            out[slot] = lat
+            now += lat
+        else:
+            return _execution_result(np.array(out), n, t_start_ms, now)
+        out = np.array(out)
+    else:
+        out = np.zeros(4 * (n + 1))
+    with nullcontext() if table.quiet(state, now) else np.errstate(over="ignore"):
+        slots, latencies = table.runs(strategy, state)
+        if first:
+            slots, latencies = slots[first:], latencies[first:]
+        if rng is not None:
+            latencies = latencies * draws[first:]
+        # each run's start time, then the finish; accumulate adds in order
+        clock = np.concatenate(([now], latencies)).cumsum()
+    if clock[-2] > horizon:
+        # the first run starting past the horizon: state_at raises there
+        trace.state_at(float(clock[np.argmax(clock > horizon)]))
+    out[slots] = latencies
+    return _execution_result(out, n, t_start_ms, float(clock[-1]))
 
-    f_exec, dw_exec, dx_exec, re_exec = np.array(out).reshape(4, n + 1)
-    return ExecutionResult(
+
+def _execution_result(
+    out: np.ndarray, n: int, start_ms: float, finish_ms: float
+) -> ExecutionResult:
+    """The result of a call whose four phase arrays lie back to back in
+    ``out``, built without ``ExecutionResult.__post_init__``: the row sums
+    of the (4, n + 1) block are the same pairwise reductions as the phases'
+    ``ndarray.sum``, so the totals are the constructor's bit for bit."""
+    block = out.reshape(4, n + 1)
+    f_exec, dw_exec, dx_exec, re_exec = block
+    t_f_total, dw_total, dx_total, t_re_total = block.sum(axis=1).tolist()
+    t_b_total = dw_total + dx_total
+    return _derived(
+        ExecutionResult,
         f_exec=f_exec,
         dw_exec=dw_exec,
         dx_exec=dx_exec,
         re_exec=re_exec,
-        start_ms=t_start_ms,
-        finish_ms=now,
+        start_ms=start_ms,
+        finish_ms=finish_ms,
+        t_f_total=t_f_total,
+        t_b_total=t_b_total,
+        t_re_total=t_re_total,
+        t_total=t_f_total + t_b_total + t_re_total,
     )
 
 
