@@ -817,6 +817,38 @@ class TestOneLineErrors:
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
         assert "expansion factor pi1 must be finite" in err
 
+    def test_underflowing_clock_ratio_names_pi1(self, fixtures_dir, tmp_path, capsys):
+        # 1e-300 Hz at the offline 60 C over 1e300 Hz at 25 C rounds to 0
+        device = self.edited(
+            fixtures_dir, tmp_path, "device.json",
+            lambda d: d.update(dvfs=[{"tem_c": 25.0, "freq_hz": 1e300},
+                                     {"tem_c": 60.0, "freq_hz": 1e-300}], tem_off=60.0),
+        )
+        err = self.run_main(self.predict_argv(fixtures_dir, device=device), capsys)
+        assert err == ("error: expansion factor pi1 must be positive, got 0.0 at state "
+                       "(n=0, tem_c=25.0, phi=1.0)\n")
+
+    def test_overflowing_scaled_latency_names_it(self, fixtures_dir, tmp_path, capsys):
+        # under three processes, pi1 = 4.3 blends to a scale of 1.53 on
+        # layer 0, whose finite offline forward latency then overflows
+        offline = self.edited(
+            fixtures_dir, tmp_path, "offline_profile.json",
+            lambda d: d["layers"][0].update(t_f_ms=1.5e308),
+        )
+        trace = self.edited(
+            fixtures_dir, tmp_path, "trace.json", lambda t: t["records"][0].update(n=3)
+        )
+        err = self.run_main(
+            self.predict_argv(fixtures_dir, offline_profile=offline, state_trace=trace),
+            capsys,
+        )
+        assert err == "error: profile t_f[24] must be finite and non-negative, got inf\n"
+        path = self.scenario_file(
+            fixtures_dir, tmp_path, lambda s: s.update(offline_profile=offline, state_trace=trace)
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert err == "error: profile t_f[24] must be finite and non-negative, got inf\n"
+
     def test_overflowing_bandwidth_ratio_names_pi2(self, fixtures_dir, tmp_path, capsys):
         device = self.edited(
             fixtures_dir, tmp_path, "device.json",

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ttasched.errors import InputError, TraceExhausted
 from ttasched.latency import (
@@ -383,6 +384,7 @@ def reference_case(name):
 PROFILE_ARRAYS = ("t_f", "t_b", "t_dw", "t_dx", "t_re", "eta", "selectable",
                   "cum_dx", "cum_re")
 PROFILE_TOTALS = ("t_f_total", "t_b_total", "t_re_total", "t_total")
+PROFILE_INPUTS = ("t_f", "t_b", "t_dw", "t_dx", "t_re", "eta", "selectable")
 
 
 class TestBuildProfileMatchesReference:
@@ -396,6 +398,69 @@ class TestBuildProfileMatchesReference:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
             for field in PROFILE_TOTALS:
                 assert getattr(got, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    def test_trusted_profile_is_what_the_constructor_builds(self, case):
+        network, offline, device = reference_case(case)
+        for state in resource_conditions().values():
+            got = build_profile(network, offline, device, state)
+            want = LatencyProfile(
+                **{name: getattr(got, name) for name in PROFILE_INPUTS}
+            )
+            assert type(got) is LatencyProfile
+            assert list(vars(got)) == list(vars(want))
+            for name, value in vars(want).items():
+                derived = vars(got)[name]
+                if isinstance(value, np.ndarray):
+                    assert derived.dtype == value.dtype, name
+                    assert derived.flags.writeable == value.flags.writeable, name
+                    assert derived.tobytes() == value.tobytes(), name
+                else:
+                    assert type(derived) is float, name
+                    assert math.copysign(1.0, derived) == math.copysign(1.0, value)
+                    assert derived == value, name
+
+    @example(5e-324)
+    @example(3 * 5e-324)
+    @example(2.2250738585072014e-308)  # the smallest normal
+    @example(2.225073858507201e-308)  # the largest subnormal
+    @example(1.7976931348623157e308)
+    @given(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_weight_gradient_split_is_exact(self, t_b):
+        # a one-layer chain at the offline state, where every scale is 1
+        network = Network(
+            name="one",
+            layers=(LayerSpec(id=0, kind="conv2d", has_params=True, channels=1,
+                              out_elements=1, mac_count=10, mem_traffic=10),),
+        )
+        offline = OfflineProfile(
+            t_f=np.zeros(2), t_b=np.array([0.0, t_b]), t_re=np.zeros(2)
+        )
+        profile = build_profile(
+            network, offline, demo_edge_device(), resource_conditions()["offline"]
+        )
+        assert profile.t_b[1] == t_b
+        assert profile.t_dw[1] + profile.t_dx[1] == t_b
+        assert profile.t_dw[1] >= 0.0 and profile.t_dx[1] >= 0.0
+
+    def test_overflowing_latency_named_without_warning(self):
+        network = synthetic_network(4)
+        device = demo_edge_device()
+        offline = offline_from_costs(network, device)
+        t_re = offline.t_re.copy()
+        t_re[2] = 1e308
+        offline = OfflineProfile(t_f=offline.t_f, t_b=offline.t_b, t_re=t_re)
+        combined = resource_conditions()["combined"]
+        with pytest.raises(InputError, match=r"^profile t_re\[2\] must be finite"):
+            build_profile(network, offline, device, combined)
+        # finite latencies whose sum overflows are accepted, as the
+        # constructor accepts them
+        t_f = offline.t_f.copy()
+        t_f[1:] = 1e308
+        offline = OfflineProfile(t_f=t_f, t_b=offline.t_b, t_re=offline.t_re * 0)
+        profile = build_profile(network, offline, device, resource_conditions()["offline"])
+        assert profile.t_f_total == math.inf and profile.t_f.max() == 1e308
 
     def test_mixed_chain_has_compute_bound_and_parameter_free_layers(self):
         network, offline = mixed_chain()

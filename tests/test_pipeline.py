@@ -6,7 +6,7 @@ import pytest
 
 from ttasched.errors import InputError, TraceExhausted
 from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
-from ttasched.latency import COMPUTE_BOUND, LatencyTable, StateTrace
+from ttasched.latency import COMPUTE_BOUND, LatencyTable, OfflineProfile, StateTrace
 from ttasched.network import UpdateStrategy, strategy_cost
 from ttasched.pipeline import (
     ControllerConfig,
@@ -81,6 +81,42 @@ class TestEnvironmentSpec:
         assert m0[0] == 0.0
         assert m1[0] == 1.0
         assert m3[0] == 2.0
+
+    def test_checks_over_the_chain_name_the_first_bad_layer(self):
+        widths = (2, 3, 4)
+
+        def env(means=None, varis=None):
+            return EnvironmentSpec(
+                channels=widths, positions=(1, 1, 1),
+                base_means=means or tuple(np.zeros(w) for w in widths),
+                base_vars=varis or tuple(np.ones(w) for w in widths),
+                shifts=(), batch_size=1,
+            )
+
+        bad_vars = (np.ones(2), np.array([1.0, 0.0, 1.0]), -np.ones(4))
+        with pytest.raises(InputError, match="^layer 1: base variances must be positive$"):
+            env(varis=bad_vars)
+        for bad_means, layer in (
+            ((np.zeros(2), np.zeros(3), np.zeros(5)), 2),
+            ((np.zeros((2, 1)), np.zeros(3), np.zeros(5)), 0),
+            ((np.zeros(2), [0.0, 0.0], np.zeros(4)), 1),
+        ):
+            with pytest.raises(
+                InputError, match=f"^layer {layer}: base params must match channel count$"
+            ):
+                env(means=bad_means)
+        assert env(means=((1.0, 2.0), [0.0] * 3, np.zeros(4))).base_means[0].tolist() == [
+            1.0, 2.0
+        ]
+
+    def test_gaussian_environment_fills_each_layer(self):
+        net = recovery_network(5)
+        env = gaussian_environment(net, mean=0.25, var=3.0, batch_size=2)
+        assert env.channels == tuple(l.channels for l in net.layers)
+        for layer, means, varis in zip(net.layers, env.base_means, env.base_vars):
+            assert means.tolist() == [0.25] * layer.channels
+            assert varis.tolist() == [3.0] * layer.channels
+            assert means.dtype == varis.dtype == np.float64
 
 
 def layer_slice(env, layer):
@@ -662,42 +698,37 @@ class TestExecutorMatchesReference:
                 start = finish
 
 
-class TestExecutorTraceSegments:
-    """The executor reads the state again only when its clock reaches the
-    next record time or passes the horizon, and still matches the per-layer
-    reference bit for bit."""
+class ExecutorHarness:
+    """Runs of the executor against the per-layer reference on the test's
+    ``network``, ``offline``, ``device`` and ``table``; ``strategy`` is
+    the default strategy."""
 
-    def setup_method(self):
-        self.network = synthetic_network(12)
-        self.device = demo_edge_device()
-        self.offline = offline_from_costs(self.network, self.device)
-        self.table = LatencyTable(self.network, self.offline, self.device)
-        self.strategy = UpdateStrategy(12, self.network.selectable_backward())
-        self.states = list(resource_conditions().values())
-
-    def both(self, trace, t_start_ms=0.0, eps=0.0, seed=None):
-        """Run the executor and the reference; assert they agree."""
+    def both(self, trace, t_start_ms=0.0, eps=0.0, seed=None, strategy=None, table=None):
+        """Run the executor and the reference; assert they agree, and
+        return the executor's result."""
+        strategy = strategy or self.strategy
         rng = None if seed is None else np.random.default_rng(seed)
         ref_rng = None if seed is None else np.random.default_rng(seed)
         execd = execute_ground_truth(
-            self.table, trace, self.strategy,
+            table or self.table, trace, strategy,
             jitter_eps=eps, rng=rng, t_start_ms=t_start_ms,
         )
         arrays, finish = reference_execute(
-            self.network, self.offline, self.device, trace.state_at, self.strategy,
-            self.strategy.deepest, jitter_eps=eps, rng=ref_rng, t_start_ms=t_start_ms,
+            self.network, self.offline, self.device, trace.state_at, strategy,
+            strategy.deepest, jitter_eps=eps, rng=ref_rng, t_start_ms=t_start_ms,
         )
         for got, want in zip(
             (execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec), arrays
         ):
             assert np.array_equal(got, want)
-        assert execd.finish_ms == finish
+        assert type(execd.finish_ms) is float and execd.finish_ms == finish
         if rng is not None:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         return execd
 
     def run_starts(self, trace, t_start_ms=0.0):
-        """Start time of every layer run of a noise-free reference call."""
+        """Start time of every layer run of a noise-free reference call of
+        the default strategy."""
         starts = []
 
         def state_at(t_ms):
@@ -709,6 +740,20 @@ class TestExecutorTraceSegments:
             self.strategy.deepest, t_start_ms=t_start_ms,
         )
         return starts
+
+
+class TestExecutorTraceSegments(ExecutorHarness):
+    """The executor reads the state again only when its clock reaches the
+    next record time or passes the horizon, and still matches the per-layer
+    reference bit for bit."""
+
+    def setup_method(self):
+        self.network = synthetic_network(12)
+        self.device = demo_edge_device()
+        self.offline = offline_from_costs(self.network, self.device)
+        self.table = LatencyTable(self.network, self.offline, self.device)
+        self.strategy = UpdateStrategy(12, self.network.selectable_backward())
+        self.states = list(resource_conditions().values())
 
     def test_run_starting_exactly_on_a_record_time(self):
         idle, hot = self.states[0], self.states[4]
@@ -786,6 +831,167 @@ class TestExecutorTraceSegments:
         assert calls == [0.0, starts[4], starts[20]]
 
 
+class TestExecutorArrayPath(ExecutorHarness):
+    """Once a state read finds no record ahead, the executor prices the
+    rest of the call as one array product (``LatencyTable.runs``); it still
+    matches the per-layer reference bit for bit, and the trace reads and
+    errors stay those of the step loop."""
+
+    def setup_method(self):
+        self.network = synthetic_network(24)
+        self.device = demo_edge_device()
+        self.offline = offline_from_costs(self.network, self.device)
+        self.table = LatencyTable(self.network, self.offline, self.device)
+        self.states = list(resource_conditions().values())
+        selectable = self.network.selectable_backward()
+        self.strategies = {
+            "empty": UpdateStrategy(24, ()),
+            "single": UpdateStrategy(24, selectable[3:4]),
+            "full": UpdateStrategy(24, selectable),
+        }
+        self.strategy = self.strategies["full"]
+
+    def counted(self, monkeypatch):
+        """Count the calls to ``LatencyTable.runs``, the array path."""
+        calls = []
+        runs = LatencyTable.runs
+        monkeypatch.setattr(
+            LatencyTable, "runs", lambda *a: calls.append(a[1]) or runs(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize("name", ["empty", "single", "full"])
+    @pytest.mark.parametrize("eps, seed", [(0.02, 11), (0.0, 12), (0.0, None)])
+    def test_one_record_trace(self, name, eps, seed, monkeypatch):
+        calls = self.counted(monkeypatch)
+        strategy = self.strategies[name]
+        start = 3.25
+        for state in self.states:
+            trace = StateTrace.constant(state)
+            execd = self.both(trace, t_start_ms=start, eps=eps, seed=seed, strategy=strategy)
+            start = execd.finish_ms
+        assert calls == [strategy] * len(self.states)
+
+    def test_compute_bound_layers(self):
+        from test_latency import mixed_chain
+
+        self.network, self.offline = mixed_chain()
+        table = LatencyTable(self.network, self.offline, self.device)
+        selectable = self.network.selectable_backward()
+        for selected in ((), selectable[:1], selectable):
+            strategy = UpdateStrategy(self.network.n_layers, selected)
+            for state in self.states:
+                trace = StateTrace.constant(state)
+                self.both(trace, eps=0.05, seed=6, strategy=strategy, table=table)
+                self.both(trace, strategy=strategy, table=table)
+
+    def test_last_record_mid_call(self, monkeypatch):
+        idle, hot = self.states[0], self.states[4]
+        strategy = self.strategy
+        starts = self.run_starts(StateTrace.constant(idle))
+        # three records: the step loop runs up to the last one, then the
+        # array path takes over from the run starting on it; the middle
+        # record holds an equal state, so the run times before the last
+        # record are those of the constant trace
+        for k in (2, 30, len(starts) - 1):
+            trace = StateTrace(
+                records=(
+                    (0.0, idle),
+                    (starts[k // 2], dataclasses.replace(idle)),
+                    (starts[k], hot),
+                ),
+                horizon_ms=math.inf,
+            )
+            self.both(trace, eps=0.03, seed=k)
+            calls = self.counted(monkeypatch)
+            reads = []
+            state_at = StateTrace.state_at
+            monkeypatch.setattr(
+                StateTrace, "state_at", lambda s, t: reads.append(t) or state_at(s, t)
+            )
+            execd = execute_ground_truth(self.table, trace, strategy)
+            monkeypatch.undo()
+            assert calls == [strategy]
+            assert reads == [0.0, starts[k // 2], starts[k]]
+            # the run starting on the last record takes the hot state
+            assert self.both(trace).finish_ms == execd.finish_ms
+
+    def test_start_after_the_last_record(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        trace = StateTrace(
+            records=((0.0, self.states[1]), (5.0, self.states[3])), horizon_ms=math.inf
+        )
+        for strategy in self.strategies.values():
+            execd = self.both(trace, t_start_ms=7.5, eps=0.01, seed=2, strategy=strategy)
+            assert execd.start_ms == 7.5
+            self.both(trace, t_start_ms=5.0, strategy=strategy)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("records", [1, 3])
+    def test_horizon_crossed_mid_call(self, records, monkeypatch):
+        idle = self.states[0]
+        strategy = self.strategy
+        starts = self.run_starts(StateTrace.constant(idle))
+        horizon = (starts[40] + starts[41]) / 2
+        trace = StateTrace(
+            records=tuple((starts[3 * k], idle) for k in range(records)),
+            horizon_ms=horizon,
+        )
+        calls = self.counted(monkeypatch)
+        with pytest.raises(TraceExhausted) as got:
+            execute_ground_truth(self.table, trace, strategy)
+        with pytest.raises(TraceExhausted) as want:
+            reference_execute(
+                self.network, self.offline, self.device, trace.state_at,
+                strategy, strategy.deepest,
+            )
+        assert str(got.value) == str(want.value)
+        assert f"t={starts[41]:.3f} ms" in str(got.value)
+        assert calls == [strategy]
+        # a call whose last run starts on the horizon finishes past it
+        self.both(StateTrace.constant(idle, horizon_ms=starts[-1]))
+
+    def test_overflow_as_the_reference_without_warning(self):
+        # python floats overflow to inf silently, and so must the arrays
+        trace = StateTrace.constant(self.states[4])
+        big = 1.7976931348623157e308
+        self.both(trace, t_start_ms=big, strategy=self.strategies["single"])
+        t_f = self.offline.t_f.copy()
+        t_f[20] = 1e308
+        self.offline = OfflineProfile(t_f=t_f, t_b=self.offline.t_b, t_re=self.offline.t_re)
+        table = LatencyTable(self.network, self.offline, self.device)
+        execd = self.both(trace, eps=0.02, seed=1, table=table)
+        assert execd.f_exec[20] == math.inf and execd.finish_ms == math.inf
+
+    def test_nan_start(self):
+        trace = StateTrace(
+            records=((0.0, self.states[0]), (2.0, self.states[1])), horizon_ms=math.inf
+        )
+        for trace in (trace, StateTrace.constant(self.states[0])):
+            with pytest.raises(InputError, match="must be a number"):
+                execute_ground_truth(
+                    self.table, trace, self.strategy, t_start_ms=math.nan
+                )
+
+    def test_runs_kept_for_the_last_state(self):
+        table = LatencyTable(self.network, self.offline, self.device)
+        full = self.strategy
+        idle, hot = self.states[0], self.states[4]
+        slots, latencies = table.runs(full, idle)
+        assert table.runs(full, dataclasses.replace(idle)) == (slots, latencies)
+        assert table.runs(full, idle)[1] is latencies
+        with pytest.raises(ValueError):
+            latencies[0] = 0.0
+        # a new state prices the runs again; the kept list follows the state
+        assert not np.array_equal(table.runs(full, hot)[1], latencies)
+        assert np.array_equal(table.runs(full, idle)[1], latencies)
+        steps = table.steps(full)
+        assert slots.tolist() == [slot for slot, _, _ in steps]
+        scale = table.scales(idle)
+        n = self.network.n_layers
+        assert latencies.tolist() == [scale[s % (n + 1)] * t for s, t, _ in steps]
+
+
 def _same_object(derived, built):
     """``derived`` holds what the public constructor put into ``built``:
     equal fields of the same types, arrays C-contiguous float64."""
@@ -859,6 +1065,17 @@ class TestTrustedDerivations:
             batches_seen=2,
         )
         _same_object(got, built)
+
+    def test_execution_result(self):
+        from ttasched.pipeline import ExecutionResult, _execution_result
+
+        rng = np.random.default_rng(5)
+        for n in list(range(1, 40)) + [95, 200, 1000]:
+            out = 10.0 ** rng.uniform(-300, 300, 4 * (n + 1))
+            out[rng.random(out.size) < 0.3] = 0.0
+            got = _execution_result(out, n, 1.5, 7.25)
+            phases = [phase.copy() for phase in out.reshape(4, n + 1)]
+            _same_object(got, ExecutionResult(*phases, start_ms=1.5, finish_ms=7.25))
 
 
 class TestApplyUpdate:
