@@ -1,0 +1,180 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of two ttasched source trees in one process.
+
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC [--ops N] [--seed S]
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``ttasched`` package
+(a checkout's ``src``). Both are imported side by side under distinct
+package names, so the two versions share one interpreter, one heap and the
+same moments of host noise. Each of the ``N`` pairs times, on both sides and
+in alternating order:
+
+* the drift24 operation: ``ttasched simulate`` on the bundled drift scenario
+  (load, ``run_episode``, the JSON and CSV reports), one seed per pair;
+* a replay of one recorded drift episode's decisions by direct calls
+  (``assess``, ``build_profile``, ``solve_dp``), each decision timed.
+
+It prints each side's median operation and decision times, the median of
+the per-pair ratios change/parent and how many pairs the change won. Only
+the standard library and numpy are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+
+def load(src: str, name: str):
+    """The ``ttasched`` package under ``src``, imported as ``name``; its
+    modules import one another relatively, so they stay within the tree."""
+    init = Path(src).resolve() / "ttasched" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no ttasched package under {src}")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Side:
+    """One source tree: its fixture files, its drift operation and one
+    recorded episode's decisions."""
+
+    def __init__(self, label: str, src: str, workdir: Path, seed: int):
+        self.label = label
+        name = f"ttasched_{label}"
+        load(src, name)
+        module = lambda sub: importlib.import_module(f"{name}.{sub}")
+        self.cli = module("cli")
+        self.pipeline = module("pipeline")
+        self.latency = module("latency")
+        self.importance = module("importance")
+        self.scheduler = module("scheduler")
+        presets = module("presets")
+        root = workdir / label
+        self.scenario_path = presets.write_fixture_tree(root)["scenario_drift.json"]
+        self.report = str(root / "report.json")
+        self.csv = str(root / "report.csv")
+        self.decisions = self.record(seed)
+        self.op_ns: list[int] = []
+        self.decide_ns: list[int] = []
+
+    def record(self, seed: int) -> list:
+        """The ``(assess, build_profile, solve_dp)`` arguments of every
+        decision of one drift episode, as ``run_episode`` made them."""
+        pipeline = self.pipeline
+        scenario = dataclasses.replace(
+            pipeline.load_scenario_file(self.scenario_path), seed=seed
+        )
+        originals = {n: getattr(pipeline, n) for n in ("assess", "build_profile", "solve_dp")}
+        decisions, pending = [], {}
+
+        def recording(name):
+            def call(*args, **kwargs):
+                if name == "solve_dp":
+                    decisions.append(
+                        (pending.pop("assess", None), pending.pop("build_profile"), (args, kwargs))
+                    )
+                else:
+                    pending[name] = (args, kwargs)
+                return originals[name](*args, **kwargs)
+
+            return call
+
+        for name in originals:
+            setattr(pipeline, name, recording(name))
+        try:
+            pipeline.run_episode(scenario)
+        finally:
+            for name, original in originals.items():
+                setattr(pipeline, name, original)
+        return decisions
+
+    def op(self, seed: int) -> None:
+        start = time.perf_counter_ns()
+        code = self.cli.main(
+            ["simulate", self.scenario_path, "--out", self.report, "--csv", self.csv,
+             "--seed", str(seed)]
+        )
+        self.op_ns.append(time.perf_counter_ns() - start)
+        if code != 0:
+            raise SystemExit(f"{self.label}: simulate exited with {code}")
+
+    def replay(self) -> list[int]:
+        """Time every recorded decision once; returns the times."""
+        times = []
+        for assess_call, profile_call, (solve_args, solve_kwargs) in self.decisions:
+            start = time.perf_counter_ns()
+            vector = solve_args[0]
+            if assess_call is not None:
+                vector, _ = self.importance.assess(*assess_call[0], **assess_call[1])
+            profile = self.latency.build_profile(*profile_call[0], **profile_call[1])
+            self.scheduler.solve_dp(vector, profile, *solve_args[2:], **solve_kwargs)
+            times.append(time.perf_counter_ns() - start)
+        self.decide_ns.extend(times)
+        return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--ops", type=int, default=200, help="pairs to run (default 200)")
+    parser.add_argument("--seed", type=int, default=0, help="first scenario seed")
+    args = parser.parse_args(argv)
+    if args.ops < 1:
+        parser.error("--ops must be >= 1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [
+            Side("parent", args.parent_src, Path(tmp), args.seed),
+            Side("change", args.change_src, Path(tmp), args.seed),
+        ]
+        parent, change = sides
+        if len(parent.decisions) != len(change.decisions):
+            raise SystemExit("the two trees record different decision counts")
+        for side in sides:  # warm both sides before timing
+            side.op(args.seed)
+            side.replay()
+            side.op_ns.clear()
+            side.decide_ns.clear()
+        decide_ratios = []
+        for k in range(args.ops):
+            gc.collect()
+            order = sides if k % 2 == 0 else sides[::-1]
+            medians = {}
+            for side in order:
+                side.op(args.seed + k)
+                medians[side.label] = statistics.median(side.replay())
+            decide_ratios.append(medians["change"] / medians["parent"])
+
+    op_ratios = [c / p for p, c in zip(parent.op_ns, change.op_ns)]
+    print(f"pairs {args.ops}, {len(parent.decisions)} decisions replayed per side per pair")
+    for side in sides:
+        print(
+            f"{side.label:>6}: op median {statistics.median(side.op_ns) / 1e6:.3f} ms, "
+            f"decide median {statistics.median(side.decide_ns) / 1e3:.1f} us"
+        )
+    for what, ratios in (("op", op_ratios), ("decide", decide_ratios)):
+        wins = sum(r < 1.0 for r in ratios)
+        print(
+            f"{what} ratio change/parent: median {statistics.median(ratios):.4f}, "
+            f"change faster in {wins}/{len(ratios)} pairs"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
