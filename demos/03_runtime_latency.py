@@ -1,20 +1,14 @@
 """Runtime latency calibration under resource pressure.
 
 Shows the two expansion factors (compute: processes + thermal clock;
-memory: cache-hit rate), how a layer's compute-to-memory ratio blends
-them, and a full profile calibrated to each bundled resource condition.
+memory: cache-hit rate), how each layer's compute-to-memory ratio blends
+them into its scale (``LatencyTable.scales``), and a full profile
+calibrated to each bundled resource condition.
 """
 
 import numpy as np
 
-from ttasched import (
-    ExpansionFactors,
-    build_profile,
-    eta,
-    pi1,
-    pi2,
-    predict_layer_latency,
-)
+from ttasched import LatencyTable, build_profile, pi1, pi2
 from ttasched.presets import (
     demo_edge_device,
     offline_from_costs,
@@ -32,19 +26,22 @@ for name, state in conditions.items():
 
 # eta decides which factor dominates a layer: compute-heavy layers follow
 # pi1, memory-heavy layers follow pi2
-print("\nblending a 10 ms layer under pi1=4.3, pi2=2.4:")
-factors = ExpansionFactors(4.3, 2.4)
-for e in (0.0, 0.5, 1.0, 4.0, 100.0):
-    t = predict_layer_latency(10.0, e, factors)
-    print(f"  eta={e:6.1f}  ->  {t:5.1f} ms")
-print("every prediction stays inside [min(pi), max(pi)] x offline.")
-
 network = synthetic_network(12)
 offline = offline_from_costs(network, device)
-print(f"\nper-layer ratios for {network.name!r}:")
+table = LatencyTable(network, offline, device)
+combined = conditions["combined"]
+scale = table.scales(combined)
+print(f"\nper-layer blends for {network.name!r} under 'combined' "
+      f"(pi1={pi1(device, combined):.2f}, pi2={pi2(device, combined):.2f}):")
 for b in (1, 2, 3, 4):
     layer = network.layer_by_backward(b)
-    print(f"  backward {b} ({layer.kind:<10}) eta = {eta(layer, device):8.3f}")
+    print(f"  backward {b} ({layer.kind:<10}) eta = {table.eta[b]:8.3f}"
+          f"  scale = {scale[b]:5.2f}")
+print("every scale stays inside [min(pi), max(pi)].")
+
+profile = build_profile(network, offline, device, combined)
+assert np.array_equal(profile.t_b, scale * offline.t_b)
+print("build_profile scales each offline latency by its layer's scale.")
 
 print("\ncalibrated backward totals (offline "
       f"{np.sum(offline.t_b):.2f} ms):")

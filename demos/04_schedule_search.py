@@ -1,11 +1,12 @@
 """Budget-constrained update selection, certified against enumeration.
 
 Sweeps the latency budget over a three-layer instance small enough to
-enumerate by hand, shows the chain arithmetic behind each optimum, and
+enumerate by hand, shows the closed-form cost behind each optimum, and
 cross-checks random instances against the exhaustive oracle.
 """
 
-from ttasched import SchedulerConfig, brute_force, delta_t, solve_dp
+from ttasched import SchedulerConfig, brute_force, solve_dp
+from ttasched.network import closed_form_cost
 from ttasched.presets import worked_instance
 from ttasched.scheduler import certify
 
@@ -14,10 +15,14 @@ print("instance: 3 layers, unit costs, importances (backward 1..3) =",
       imp.a[1:].tolist())
 print("full pipeline: forward", profile.t_f_total, "ms, total", profile.t_total, "ms")
 
-print("\nincremental cost of selecting layer l after nearest selection l_k:")
-for l in (1, 2, 3):
-    for l_k in range(l):
-        print(f"  delta_t(l={l}, l_k={l_k}) = {delta_t(l, l_k, profile):.0f} ms")
+print("\nclosed-form cost of a selection with deepest layer d:"
+      " its weight gradients + cum_dx[d-1] + cum_re[d]")
+for selected in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)):
+    d = selected[-1]
+    t_dw = sum(float(profile.t_dw[b]) for b in selected)
+    cost = closed_form_cost(profile, selected)
+    print(f"  {str(selected):>9}: {t_dw:.0f} + {profile.cum_dx[d - 1]:.0f}"
+          f" + {profile.cum_re[d]:.0f} = {cost.t_total_extra:.0f} ms")
 
 print("\nbudget sweep:")
 print(f"  {'budget':>6} {'selected':>12} {'importance':>10} {'cost':>6} {'slack':>6}")

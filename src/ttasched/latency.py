@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +21,15 @@ from .network import LayerSpec, Network, UpdateStrategy
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
 
-# strategies whose executor step lists (and run latencies under the kept
-# state) a latency table keeps
+# strategies whose executor runs a latency table keeps
 _STEP_LISTS = 256
 
 # fraction of backward time attributed to the weight gradient of a layer
-# with parameters (parameter-free layers spend it all on the activation
+# with parameters, by the backward MAC proportions: weight-gradient and
+# input-gradient MACs both equal the forward count for every parameterized
+# kind modelled here (parameter-free layers spend it all on the activation
 # gradient)
 _DW_SHARE = 0.5
-
-# a bound on scaled latencies and clock readings far below the float range
-# (2**1024): below it, sums of up to 2**20 of them cannot overflow
-_QUIET_BOUND = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,6 @@ class SystemState:
             raise InputError("cache-hit rate must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ExpansionFactors:
-    pi1: float
-    pi2: float
-
-
 def _checked_factor(name: str, value: float, state: SystemState) -> float:
     """``value``, the factor ``name`` under ``state``, which must be finite
     and positive; a device whose clock or bandwidth ratio overflows makes it
@@ -142,10 +132,6 @@ def pi2(device: DeviceSpec, state: SystemState) -> float:
     mix_on = state.phi + (1.0 - state.phi) * ratio
     mix_off = device.phi_off + (1.0 - device.phi_off) * ratio
     return _checked_factor("pi2", mix_on / mix_off, state)
-
-
-def expansion_factors(device: DeviceSpec, state: SystemState) -> ExpansionFactors:
-    return ExpansionFactors(pi1(device, state), pi2(device, state))
 
 
 def calibrate_proc_overhead(samples) -> float:
@@ -189,44 +175,6 @@ def eta(layer: LayerSpec, device: DeviceSpec) -> float:
     return ratio
 
 
-def predict_layer_latency(t_off: float, eta_l: float, factors: ExpansionFactors) -> float:
-    """Runtime latency of one layer from its offline latency.
-
-    The compute and memory factors are blended by the layer's time ratio;
-    the result always lies between ``min(pi1, pi2) * t_off`` and
-    ``max(pi1, pi2) * t_off``.
-    """
-    if t_off < 0:
-        raise InputError("t_off must be non-negative")
-    if eta_l != COMPUTE_BOUND and eta_l < 0:
-        raise InputError("eta must be non-negative")
-    p1, p2 = factors.pi1, factors.pi2
-    if p1 == p2:
-        # equal factors bypass the blend so the offline state reproduces the
-        # offline profile bit for bit
-        return p1 * t_off
-    if eta_l == COMPUTE_BOUND:
-        return p1 * t_off
-    w = eta_l / (eta_l + 1.0)
-    return (p2 + (p1 - p2) * w) * t_off
-
-
-def split_backward(t_b: float, layer: LayerSpec) -> tuple[float, float]:
-    """Split a backward latency into weight-gradient and activation-gradient
-    shares by the backward MAC proportions.
-
-    Weight-gradient and input-gradient MACs both equal the forward count for
-    every parameterized kind modelled here, hence the even split; layers
-    without parameters spend everything on the activation gradient.
-    """
-    if t_b < 0:
-        raise InputError("t_b must be non-negative")
-    if not layer.has_params:
-        return 0.0, t_b
-    t_dw = _DW_SHARE * t_b
-    return t_dw, t_b - t_dw
-
-
 @dataclass(frozen=True)
 class OfflineProfile:
     """Per-layer offline measurements, backward-indexed 1..N (slot 0 unused),
@@ -249,6 +197,10 @@ class OfflineProfile:
                 raise InputError("slot 0 of offline arrays is padding and must be 0")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise InputError(f"offline {name} must be finite and non-negative")
+            with np.errstate(over="ignore"):
+                total = float(arr.sum())
+            if total == math.inf:
+                raise InputError(f"offline {name} total must be finite, got {total}")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -268,8 +220,9 @@ class LatencyProfile:
     layer, and ``t_total == t_f_total + t_b_total + t_re_total``.
     ``cum_dx``/``cum_re`` are prefix sums over backward indices, read by the
     cost closed form.
-    Every latency must be finite and non-negative. The prefix sums and the
-    totals are computed once, at construction.
+    Every latency, every total and the last prefix sums must be finite, and
+    every latency non-negative. The prefix sums and the totals are computed
+    once, at construction.
     """
 
     t_f: np.ndarray
@@ -303,7 +256,17 @@ class LatencyProfile:
                 f"profile {_LATENCIES[i // (n + 1)]}[{i % (n + 1)}] must be "
                 f"finite and non-negative, got {latencies[i]}"
             )
-        split = self.t_dw + self.t_dx
+        # the ndarray methods are np.cumsum's and np.sum's reductions
+        # without their dispatch; sums of finite latencies can overflow
+        with np.errstate(over="ignore"):
+            split = self.t_dw + self.t_dx
+            sums = dict(
+                cum_dx=self.t_dx.cumsum(),
+                cum_re=self.t_re.cumsum(),
+                t_f_total=float(self.t_f.sum()),
+                t_b_total=float(self.t_b.sum()),
+                t_re_total=float(self.t_re.sum()),
+            )
         if not (split == self.t_b).all():
             b = int(np.flatnonzero(split != self.t_b)[0])
             raise InputError(
@@ -316,17 +279,12 @@ class LatencyProfile:
         )
         if self.selectable.shape != (n + 1,):
             raise InputError("selectable mask must match profile shape")
-        # the ndarray methods are np.cumsum's and np.sum's reductions
-        # without their dispatch
-        object.__setattr__(self, "cum_dx", self.t_dx.cumsum())
-        object.__setattr__(self, "cum_re", self.t_re.cumsum())
-        t_f_total = float(self.t_f.sum())
-        t_b_total = float(self.t_b.sum())
-        t_re_total = float(self.t_re.sum())
-        object.__setattr__(self, "t_f_total", t_f_total)
-        object.__setattr__(self, "t_b_total", t_b_total)
-        object.__setattr__(self, "t_re_total", t_re_total)
-        object.__setattr__(self, "t_total", t_f_total + t_b_total + t_re_total)
+        sums["t_total"] = sums["t_f_total"] + sums["t_b_total"] + sums["t_re_total"]
+        for name, value in sums.items():
+            last = value if type(value) is float else float(value[-1])
+            if last == math.inf:
+                raise InputError(f"profile {name} must be finite, got {last}")
+            object.__setattr__(self, name, value)
 
     @property
     def n_layers(self) -> int:
@@ -355,18 +313,19 @@ class LatencyTable:
     """The per-chain inputs of the latency physics for one network, offline
     profile and device, built once.
 
-    Backward-indexed 1..N, slot 0 zero: the offline latencies ``t_f``,
-    ``t_dw``, ``t_dx`` and ``t_re`` as lists (the backward time split as
-    ``split_backward`` splits it), and, as read-only arrays, each layer's
+    This is the one model of per-layer latency: the predictor
+    (``build_profile``) and the ground-truth executor both scale offline
+    latencies by it. Backward-indexed 1..N, slot 0 zero: the offline
+    latencies ``t_f``, ``t_dw``, ``t_dx`` and ``t_re`` as lists (the
+    backward time split by ``_DW_SHARE`` for a layer with parameters, all
+    to ``t_dx`` for one without), and, as read-only arrays, each layer's
     ``eta`` ratio and the ``selectable`` mask. Under expansion factors
     ``(p1, p2)`` a layer scales by ``p1 if w is None else p2 + (p1 - p2) * w``
-    for its blend weight ``w = eta / (eta + 1)`` (None: compute-bound).
-    ``factors(state)`` is ``(p1, p2)`` and ``scales(state)`` every layer's
-    scale (read by ``build_profile``) under ``state``; both are kept for the
-    last state. ``steps(strategy)`` is the executor's run list of a
-    strategy, built once per strategy, and ``runs(strategy, state)`` the
-    same runs' latencies under ``state`` as arrays, kept per strategy for
-    the last state.
+    for its blend weight ``w = eta / (eta + 1)`` (None: compute-bound), a
+    scale between ``min(p1, p2)`` and ``max(p1, p2)``. ``factors(state)``
+    is ``(p1, p2)`` and ``scales(state)`` every layer's scale under
+    ``state``; both are kept for the last state. ``steps(strategy)`` is the
+    executor's run list of a strategy, built once per strategy.
     """
 
     def __init__(self, network: Network, offline: OfflineProfile, device: DeviceSpec):
@@ -397,15 +356,12 @@ class LatencyTable:
         self.t_dx = (offline.t_b - t_dw).tolist()
         self.t_re = offline.t_re.tolist()
         # the offline t_f, t_b and t_re as the rows of one block, which
-        # build_profile scales in one product; its largest entry bounds
-        # every scaled latency
+        # build_profile scales in one product
         self._offline = np.stack([offline.t_f, offline.t_b, offline.t_re])
-        self._offline_max = float(self._offline.max())
         self._state: SystemState | None = None
         self._factors: tuple[float, float] | None = None
         self._scales: np.ndarray | None = None
         self._steps: dict = {}
-        self._runs: dict = {}
 
     def steps(self, strategy: UpdateStrategy) -> tuple:
         """The runs of the validated ``strategy`` in execution order, as
@@ -414,9 +370,16 @@ class LatencyTable:
         activation gradient, reforward, for backward index b), its offline
         latency and its layer's blend weight. The order is the one
         ``pipeline.execute_ground_truth`` documents."""
+        return self._plan(strategy)[0]
+
+    def _plan(self, strategy: UpdateStrategy) -> tuple:
+        """``(steps, slots, layers, t_off)``: ``steps(strategy)``, and the
+        same runs as three read-only arrays, each run's slot, its layer's
+        backward index b and its offline latency; built once per strategy
+        and independent of the state."""
         key = (strategy.n_layers, strategy.selected)
-        steps = self._steps.get(key)
-        if steps is None:
+        plan = self._steps.get(key)
+        if plan is None:
             strategy.validate_against(self.network)
             n = self.n_layers
             w = self._weight
@@ -430,11 +393,15 @@ class LatencyTable:
                 if b in selected:
                     steps.append((dw + b, self.t_dw[b], w[b]))
             steps.extend((re + b, self.t_re[b], w[b]) for b in range(d, 0, -1))
-            steps = tuple(steps)
+            slots = np.array([slot for slot, _, _ in steps], dtype=np.intp)
+            layers = slots % (n + 1)
+            t_off = np.array([t for _, t, _ in steps])
+            slots.flags.writeable = layers.flags.writeable = False
+            t_off.flags.writeable = False
             if len(self._steps) >= _STEP_LISTS:
                 self._steps.clear()
-            self._steps[key] = steps
-        return steps
+            plan = self._steps[key] = (tuple(steps), slots, layers, t_off)
+        return plan
 
     def factors(self, state: SystemState) -> tuple[float, float]:
         """The expansion factors ``(pi1, pi2)`` under ``state``; a repeat of
@@ -443,7 +410,6 @@ class LatencyTable:
             self._factors = (pi1(self.device, state), pi2(self.device, state))
             self._state = state
             self._scales = None
-            self._runs.clear()
         return self._factors
 
     def scales(self, state: SystemState) -> np.ndarray:
@@ -457,35 +423,6 @@ class LatencyTable:
             scale.flags.writeable = False
             self._scales = scale
         return self._scales
-
-    def quiet(self, state: SystemState, start_ms: float = 0.0) -> bool:
-        """Whether array arithmetic on latencies under ``state`` is sure not
-        to overflow, so numpy has nothing to warn about: every scaled
-        latency, times a jitter below 2, and a clock starting at
-        ``start_ms`` stay below ``_QUIET_BOUND``."""
-        bound = max(self.factors(state)) * self._offline_max
-        return 2.0 * bound < _QUIET_BOUND and start_ms < _QUIET_BOUND
-
-    def runs(
-        self, strategy: UpdateStrategy, state: SystemState
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The validated ``strategy``'s runs under ``state`` as two read-only
-        arrays in execution order: each run's slot, as in ``steps``, and its
-        latency ``scale * t_off`` (the executor's per-run product before
-        jitter); a repeat of the last state reuses them."""
-        scale = self.scales(state)
-        key = (strategy.n_layers, strategy.selected)
-        runs = self._runs.get(key)
-        if runs is None:
-            steps = self.steps(strategy)
-            slots = np.array([slot for slot, _, _ in steps], dtype=np.intp)
-            t_off = np.array([t for _, t, _ in steps])
-            latencies = scale[slots % (self.n_layers + 1)] * t_off
-            slots.flags.writeable = latencies.flags.writeable = False
-            if len(self._runs) >= _STEP_LISTS:
-                self._runs.clear()
-            runs = self._runs[key] = (slots, latencies)
-        return runs
 
 
 def _table_for(
@@ -509,10 +446,10 @@ def build_profile(
 ) -> LatencyProfile:
     """Calibrate an offline profile to a resource state.
 
-    Backward, reforward and forward latencies all scale by the same blend,
-    ``predict_layer_latency`` applied to every layer at once; the forward
-    total only enters budget arithmetic, never the per-strategy cost, since
-    it is identical across strategies.
+    Forward, backward and reforward latencies all scale by the table's
+    per-layer scale under ``state`` (``LatencyTable.scales``), in one array
+    product; the forward total only enters budget arithmetic, never the
+    per-strategy cost, since it is identical across strategies.
 
     The profile is derived from validated objects, so it skips the public
     constructor's checks, which hold by construction: ``pi1`` and ``pi2``
@@ -520,13 +457,14 @@ def build_profile(
     is finite and non-negative; the offline latencies are finite and
     non-negative (``OfflineProfile``); and the 0.5 split gives
     ``t_dw + t_dx == t_b`` exactly for every such ``t_b``. Only the scaled
-    latencies can go bad, by overflowing to inf, which makes the total
-    inf: such a profile is handed to the public constructor, which names
-    the latency that overflowed (or accepts it, when only a sum did).
+    latencies and their sums can go bad, by overflowing to inf: such a
+    profile is handed to the public constructor, which names the latency
+    or the sum that overflowed.
     """
     table = _table_for(network, offline, device)
     scale = table.scales(state)
-    with nullcontext() if table.quiet(state) else np.errstate(over="ignore"):
+    # an overflowed t_b makes 0 * inf and inf - inf NaN in the split
+    with np.errstate(over="ignore", invalid="ignore"):
         block = scale * table._offline
         t_f, t_b, t_re = block
         t_dw = table._dw_share * t_b
@@ -534,23 +472,25 @@ def build_profile(
         # the block's row sums are the same pairwise reductions as each
         # row's ndarray.sum in LatencyProfile.__post_init__
         t_f_total, t_b_total, t_re_total = block.sum(axis=1).tolist()
-        t_total = t_f_total + t_b_total + t_re_total
-        fields = dict(
-            t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re,
-            eta=table.eta, selectable=table.selectable,
-        )
-        if not t_total < math.inf:
-            return LatencyProfile(**fields)
-        return _derived(
-            LatencyProfile,
-            **fields,
-            cum_dx=t_dx.cumsum(),
-            cum_re=t_re.cumsum(),
-            t_f_total=t_f_total,
-            t_b_total=t_b_total,
-            t_re_total=t_re_total,
-            t_total=t_total,
-        )
+        cum_dx = t_dx.cumsum()
+        cum_re = t_re.cumsum()
+    t_total = t_f_total + t_b_total + t_re_total
+    fields = dict(
+        t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re,
+        eta=table.eta, selectable=table.selectable,
+    )
+    if not (t_total < math.inf and cum_dx[-1] < math.inf and cum_re[-1] < math.inf):
+        return LatencyProfile(**fields)
+    return _derived(
+        LatencyProfile,
+        **fields,
+        cum_dx=cum_dx,
+        cum_re=cum_re,
+        t_f_total=t_f_total,
+        t_b_total=t_b_total,
+        t_re_total=t_re_total,
+        t_total=t_total,
+    )
 
 
 @dataclass(frozen=True)

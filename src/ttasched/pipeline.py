@@ -32,8 +32,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import deque
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -359,8 +358,8 @@ def generate_batch(
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Per-layer executed latencies (backward-indexed, slot 0 unused); the
-    phase totals are computed once, at construction."""
+    """Per-layer executed latencies (backward-indexed, slot 0 unused) and
+    the phase totals, as ``_execution_result`` builds them."""
 
     f_exec: np.ndarray
     dw_exec: np.ndarray
@@ -368,20 +367,10 @@ class ExecutionResult:
     re_exec: np.ndarray
     start_ms: float
     finish_ms: float
-    t_f_total: float = field(init=False)
-    t_b_total: float = field(init=False)
-    t_re_total: float = field(init=False)
-    t_total: float = field(init=False)
-
-    def __post_init__(self):
-        # ndarray.sum is np.sum's pairwise reduction without its dispatch
-        t_f_total = float(self.f_exec.sum())
-        t_b_total = float(self.dw_exec.sum() + self.dx_exec.sum())
-        t_re_total = float(self.re_exec.sum())
-        object.__setattr__(self, "t_f_total", t_f_total)
-        object.__setattr__(self, "t_b_total", t_b_total)
-        object.__setattr__(self, "t_re_total", t_re_total)
-        object.__setattr__(self, "t_total", t_f_total + t_b_total + t_re_total)
+    t_f_total: float
+    t_b_total: float
+    t_re_total: float
+    t_total: float
 
 
 def execute_ground_truth(
@@ -402,8 +391,9 @@ def execute_ground_truth(
     clock reaches the trace's next record time or passes its horizon, where
     ``state_at`` raises. Once a read finds no record ahead, the state holds
     for the rest of the call, and the remaining runs are one array product
-    of their latencies under it (``LatencyTable.runs``) and their jitter,
-    with the clock summed in run order.
+    of their layers' scales under it (``LatencyTable.scales``), their
+    offline latencies and their jitter, with the clock summed in run order.
+    Latencies and the clock overflow to inf silently, as Python floats do.
 
     Layers run in this order: forward from backward index n down to 1; then,
     for each backward index b up to the deepest selected layer d, the
@@ -419,7 +409,7 @@ def execute_ground_truth(
     if jitter_eps > 0 and rng is None:
         raise InputError("jitter requires an rng")
     n = table.n_layers
-    steps = table.steps(strategy)
+    steps, slots, layers, t_off = table._plan(strategy)
     if rng is not None:
         draws = rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps, len(steps))
     horizon = trace.horizon_ms
@@ -433,43 +423,43 @@ def execute_ground_truth(
         out = [0.0] * (4 * (n + 1))
         jitters = [1.0] * len(steps) if rng is None else draws.tolist()
         p1, p2 = table.factors(state)
-        for first, ((slot, t_off, w), jit) in enumerate(zip(steps, jitters)):
+        for first, ((slot, t_run, w), jit) in enumerate(zip(steps, jitters)):
             if not (now < next_record and now <= horizon):
                 state = trace.state_at(now)
                 next_record = trace.next_record_ms(now)
                 if next_record == math.inf:
                     break
                 p1, p2 = table.factors(state)
-            lat = (p1 if w is None else p2 + (p1 - p2) * w) * t_off * jit
+            lat = (p1 if w is None else p2 + (p1 - p2) * w) * t_run * jit
             out[slot] = lat
             now += lat
         else:
-            return _execution_result(np.array(out), n, t_start_ms, now)
+            with np.errstate(over="ignore"):
+                return _execution_result(np.array(out), n, t_start_ms, now)
         out = np.array(out)
     else:
         out = np.zeros(4 * (n + 1))
-    with nullcontext() if table.quiet(state, now) else np.errstate(over="ignore"):
-        slots, latencies = table.runs(strategy, state)
-        if first:
-            slots, latencies = slots[first:], latencies[first:]
+    with np.errstate(over="ignore"):
+        latencies = table.scales(state)[layers[first:]] * t_off[first:]
         if rng is not None:
             latencies = latencies * draws[first:]
         # each run's start time, then the finish; accumulate adds in order
         clock = np.concatenate(([now], latencies)).cumsum()
-    if clock[-2] > horizon:
-        # the first run starting past the horizon: state_at raises there
-        trace.state_at(float(clock[np.argmax(clock > horizon)]))
-    out[slots] = latencies
-    return _execution_result(out, n, t_start_ms, float(clock[-1]))
+        if clock[-2] > horizon:
+            # the first run starting past the horizon: state_at raises there
+            trace.state_at(float(clock[np.argmax(clock > horizon)]))
+        out[slots[first:]] = latencies
+        return _execution_result(out, n, t_start_ms, float(clock[-1]))
 
 
 def _execution_result(
     out: np.ndarray, n: int, start_ms: float, finish_ms: float
 ) -> ExecutionResult:
     """The result of a call whose four phase arrays lie back to back in
-    ``out``, built without ``ExecutionResult.__post_init__``: the row sums
-    of the (4, n + 1) block are the same pairwise reductions as the phases'
-    ``ndarray.sum``, so the totals are the constructor's bit for bit."""
+    ``out``, the one builder of ``ExecutionResult``: each total is the
+    pairwise reduction of its phases (``ndarray.sum``), taken as the row
+    sums of the (4, n + 1) block, which overflow to inf under the caller's
+    ``np.errstate``."""
     block = out.reshape(4, n + 1)
     f_exec, dw_exec, dx_exec, re_exec = block
     t_f_total, dw_total, dx_total, t_re_total = block.sum(axis=1).tolist()
@@ -684,6 +674,17 @@ class EpisodeReport:
     aggregates: EpisodeAggregates
 
 
+def _check_finish(execd: ExecutionResult, batch: str) -> None:
+    """Reject an executor result whose clock overflowed: every later start,
+    wait and total of the episode would be inf or NaN. A finite finish
+    bounds the result's totals, since every run takes a non-negative time."""
+    if not execd.finish_ms < math.inf:
+        raise InputError(
+            f"{batch}: the executed pipeline finishes at {execd.finish_ms} ms, "
+            "past the float range"
+        )
+
+
 def _replay_full_updates(
     scenario: Scenario, rng: np.random.Generator, table: LatencyTable, inter: float
 ) -> float:
@@ -705,6 +706,7 @@ def _replay_full_updates(
             rng=rng,
             t_start_ms=start,
         )
+        _check_finish(execd, f"full-update replay batch {i}")
         total += execd.t_total
         prev_finish = execd.finish_ms
     return total / scenario.batches
@@ -772,6 +774,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             rng=rng_exec,
             t_start_ms=start,
         )
+        _check_finish(execd, f"batch {i}")
 
         env_means, env_vars = env.params_at(i)
         model = apply_update(model, sched.strategy, env_means, env_vars)

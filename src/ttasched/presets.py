@@ -464,7 +464,7 @@ def write_fixture_tree(root) -> dict:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     scenario = drift_scenario()
-    quiet = zero_shift_scenario()
+    zero_shift = zero_shift_scenario()
     paths = {}
 
     def dump(name: str, document: dict) -> str:
@@ -483,7 +483,7 @@ def write_fixture_tree(root) -> dict:
         "state_trace": dump("trace.json", trace_to_document(scenario.trace)),
     }
     dump("scenario_drift.json", scenario_to_document(scenario, refs))
-    dump("scenario_zero_shift.json", scenario_to_document(quiet, refs))
+    dump("scenario_zero_shift.json", scenario_to_document(zero_shift, refs))
     dump(
         "network_resnet50_shaped.json", network_to_document(resnet50_shaped())
     )

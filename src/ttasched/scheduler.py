@@ -60,25 +60,6 @@ def budget(t_total: float, t_forward: float, sigma: float) -> Budget:
     return Budget(raw, False)
 
 
-def delta_t(l: int, l_k: int, profile: LatencyProfile) -> float:
-    """Incremental cost of selecting backward layer ``l`` when the nearest
-    shallower selection is ``l_k`` (0 when none).
-
-    Charges the weight gradient of ``l``, the activation-gradient chain over
-    the layers strictly between the two selections (work not yet paid when
-    ``l_k`` was selected), and the reforward of the newly covered span.
-    Summed along a selection, the increments telescope to the closed form
-    in exact arithmetic; the search itself prices with the closed form.
-    """
-    n = profile.n_layers
-    if not (0 <= l_k < l <= n):
-        raise InputError(f"need 0 <= l_k < l <= {n}, got l={l}, l_k={l_k}")
-    dx_lo = max(1, l_k)
-    dx_span = float(profile.cum_dx[l - 1] - profile.cum_dx[dx_lo - 1])
-    re_span = float(profile.cum_re[l] - profile.cum_re[l_k])
-    return float(profile.t_dw[l]) + dx_span + re_span
-
-
 @dataclass(frozen=True)
 class ScheduleResult:
     strategy: UpdateStrategy

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -849,6 +850,77 @@ class TestOneLineErrors:
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
         assert err == "error: profile t_f[24] must be finite and non-negative, got inf\n"
 
+    def test_overflowing_totals_name_the_sum(self, fixtures_dir, tmp_path, capsys):
+        # every latency is finite; their sum is not
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"layers": [
+            {"layer_id": i, "t_f_ms": 1.0, "t_b_ms": 1e308, "t_dw_ms": 5e307,
+             "t_dx_ms": 5e307, "t_re_ms": 1.0}
+            for i in range(2)
+        ]}))
+        importance = tmp_path / "importance.json"
+        importance.write_text(json.dumps({"a": [1.0, 2.0]}))
+        err = self.run_main(
+            ["schedule", "--importance", str(importance), "--profile", str(profile),
+             "--sigma", "0.5", "--out", str(tmp_path / "s.json")],
+            capsys,
+        )
+        assert err == "error: profile t_b_total must be finite, got inf\n"
+        # so does a split's, which then differs from the finite t_b
+        profile.write_text(json.dumps({"layers": [
+            {"layer_id": 0, "t_f_ms": 1.0, "t_b_ms": 1.7e308, "t_dw_ms": 1e308,
+             "t_dx_ms": 1e308, "t_re_ms": 1.0},
+            {"layer_id": 1, "t_f_ms": 1.0, "t_b_ms": 1.0, "t_dw_ms": 0.5,
+             "t_dx_ms": 0.5, "t_re_ms": 1.0},
+        ]}))
+        err = self.run_main(
+            ["schedule", "--importance", str(importance), "--profile", str(profile),
+             "--out", str(tmp_path / "s.json")],
+            capsys,
+        )
+        assert err == ("error: profile t_b[2] (layer_id 0) must equal t_dw + t_dx exactly "
+                       "as a float sum, got 1.7e+308 != inf\n")
+
+        def big_forward(document):
+            for record in document["layers"][:2]:
+                record["t_f_ms"] = 1e308
+
+        offline = self.edited(fixtures_dir, tmp_path, "offline_profile.json", big_forward)
+        err = self.run_main(self.predict_argv(fixtures_dir, offline_profile=offline), capsys)
+        assert err == "error: offline t_f total must be finite, got inf\n"
+        path = self.scenario_file(
+            fixtures_dir, tmp_path, lambda s: s.update(offline_profile=offline)
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert err == "error: offline t_f total must be finite, got inf\n"
+
+    @pytest.mark.parametrize(
+        "field, batch",
+        [("t_f_ms", "batch 1"), ("t_b_off_ms", "full-update replay batch 2")],
+    )
+    def test_overflowing_clock_names_the_batch(
+        self, fixtures_dir, tmp_path, capsys, field, batch
+    ):
+        # under an endless trace the clock passes the float range instead of
+        # the horizon: on the forward pass of the second batch, or on the
+        # weight gradient of the deepest layer, which only the full-update
+        # replay runs
+        offline = self.edited(
+            fixtures_dir, tmp_path, "offline_profile.json",
+            lambda d: d["layers"][0].update({field: 1.78e308}),
+        )
+        trace = self.edited(
+            fixtures_dir, tmp_path, "trace.json", lambda t: t.update(horizon_ms=math.inf)
+        )
+        assert "Infinity" in Path(trace).read_text()
+        path = self.scenario_file(
+            fixtures_dir, tmp_path,
+            lambda s: s.update(offline_profile=offline, state_trace=trace),
+        )
+        err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
+        assert err == (f"error: {batch}: the executed pipeline finishes at inf ms, "
+                       "past the float range\n")
+
     def test_overflowing_bandwidth_ratio_names_pi2(self, fixtures_dir, tmp_path, capsys):
         device = self.edited(
             fixtures_dir, tmp_path, "device.json",
@@ -1006,12 +1078,18 @@ class TestOracleCheckCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, fixtures_dir):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "ttasched.cli", "oracle-check",
              "--instances", "5", "--max-n", "6"],
             capture_output=True,
             text=True,
-            cwd=str(Path(__file__).parent.parent),
+            cwd=str(root),
+            env=env,
         )
         assert proc.returncode == 0
         assert "5/5 match" in proc.stdout

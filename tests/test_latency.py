@@ -9,7 +9,6 @@ from ttasched.errors import InputError, TraceExhausted
 from ttasched.latency import (
     COMPUTE_BOUND,
     DeviceSpec,
-    ExpansionFactors,
     LatencyProfile,
     LatencyTable,
     OfflineProfile,
@@ -19,13 +18,10 @@ from ttasched.latency import (
     build_profile,
     calibrate_proc_overhead,
     eta,
-    expansion_factors,
     pi1,
     pi2,
-    predict_layer_latency,
     profile_from_document,
     profile_to_document,
-    split_backward,
 )
 from ttasched.network import LayerSpec, Network
 from ttasched.presets import (
@@ -36,6 +32,8 @@ from ttasched.presets import (
     resource_conditions,
     synthetic_network,
 )
+
+from scalar_latency import blend, factors, split
 
 
 def flat_device(**overrides):
@@ -171,68 +169,133 @@ class TestEta:
         assert eta(cost_layer(100, 0), flat_device()) == COMPUTE_BOUND
 
 
-class TestPredictLayerLatency:
+def dyadic_chain(etas, has_params=True):
+    """A chain whose layer ``i`` has the ratio ``etas[i]`` (a multiple of
+    2**-10, or inf) exactly on ``dyadic_device``, and its offline profile
+    (forward 1, backward 2, reforward 1 per layer)."""
+    layers = tuple(
+        LayerSpec(id=i, kind="conv2d" if has_params else "activation",
+                  has_params=has_params, channels=1, out_elements=1,
+                  mac_count=2**10 if e == math.inf else int(e * 2**10),
+                  mem_traffic=0 if e == math.inf else 2**5)
+        for i, e in enumerate(etas)
+    )
+    n = len(etas)
+    offline = OfflineProfile(
+        t_f=np.r_[0.0, np.ones(n)], t_b=np.r_[0.0, np.full(n, 2.0)],
+        t_re=np.r_[0.0, np.ones(n)],
+    )
+    return Network(name="dyadic", layers=layers), offline
+
+
+def dyadic_device(**overrides):
+    # a compute time of 2**-30 per 2**10 MACs and a memory time of 2**-30
+    # per 2**5 bytes; a cache four times faster than DRAM
+    return flat_device(peak_flops=2.0**40, b_cache=2.0**35, b_dram=2.0**33, **overrides)
+
+
+class TestLayerScales:
+    """Every layer's scale under a state (``LatencyTable.scales``), which
+    ``build_profile`` and the executor multiply offline latencies by."""
+
     def test_unity_factors_identity(self):
-        assert predict_layer_latency(10.0, 1.0, ExpansionFactors(1.0, 1.0)) == 10.0
+        for case in REFERENCE_CASES:
+            network, offline, device = reference_case(case)
+            table = LatencyTable(network, offline, device)
+            scale = table.scales(resource_conditions()["offline"])
+            assert scale.tolist() == [1.0] * (network.n_layers + 1)
 
     def test_even_blend(self):
-        assert predict_layer_latency(10.0, 1.0, ExpansionFactors(2.0, 4.0)) == 30.0
+        # eta 1 weighs pi1 = 2 (two processes) and pi2 = 4 (all misses)
+        # evenly
+        network, offline = dyadic_chain([1.0])
+        state = SystemState(n=2, tem_on=25.0, phi=0.0)
+        device = dyadic_device()
+        assert factors(device, state) == (2.0, 4.0)
+        assert LatencyTable(network, offline, device).scales(state)[1] == 3.0
+        profile = build_profile(network, offline, device, state)
+        assert (profile.t_f[1], profile.t_b[1], profile.t_re[1]) == (3.0, 6.0, 3.0)
 
     def test_compute_bound_takes_compute_factor(self):
-        got = predict_layer_latency(10.0, COMPUTE_BOUND, ExpansionFactors(1.6, 9.0))
-        assert got == pytest.approx(16.0)
+        network, offline = dyadic_chain([math.inf, 1.0])
+        assert eta(network.layers[0], dyadic_device()) == COMPUTE_BOUND
+        device = dyadic_device(dvfs=((25.0, 2.0e9), (60.0, 1.25e9)))
+        state = SystemState(n=0, tem_on=60.0, phi=0.0)
+        p1, p2 = factors(device, state)
+        assert (p1, p2) == (1.6, 4.0)
+        # layer id 0 is backward index 2
+        assert LatencyTable(network, offline, device).scales(state)[2] == p1
+        assert build_profile(network, offline, device, state).t_b[2] == 2.0 * p1
 
     def test_bracket_property_fuzz(self):
         rng = np.random.default_rng(21)
-        for _ in range(5000):
-            t_off = float(rng.uniform(0.01, 50.0))
-            e = float(rng.uniform(0.0, 100.0))
-            p1 = float(rng.uniform(1.0, 8.0))
-            p2 = float(rng.uniform(1.0, 8.0))
-            got = predict_layer_latency(t_off, e, ExpansionFactors(p1, p2))
-            lo, hi = sorted((p1 * t_off, p2 * t_off))
-            assert lo * (1 - 1e-12) <= got <= hi * (1 + 1e-12)
+        for case in REFERENCE_CASES:
+            network, offline, device = reference_case(case)
+            table = LatencyTable(network, offline, device)
+            for _ in range(200):
+                state = SystemState(
+                    n=int(rng.integers(0, 8)), tem_on=float(rng.uniform(20.0, 90.0)),
+                    phi=float(rng.uniform(0.0, 1.0)),
+                )
+                lo, hi = sorted(factors(device, state))
+                scale = table.scales(state)[1:]
+                assert np.all(lo * (1 - 1e-12) <= scale) and np.all(scale <= hi * (1 + 1e-12))
 
     def test_monotone_in_eta(self):
-        compute_heavy = ExpansionFactors(4.0, 1.5)
-        memory_heavy = ExpansionFactors(1.5, 4.0)
-        etas = np.linspace(0.0, 20.0, 50)
-        up = [predict_layer_latency(1.0, e, compute_heavy) for e in etas]
-        down = [predict_layer_latency(1.0, e, memory_heavy) for e in etas]
-        assert all(a <= b for a, b in zip(up, up[1:]))
-        assert all(a >= b for a, b in zip(down, down[1:]))
-        flat = [predict_layer_latency(1.0, e, ExpansionFactors(2.0, 2.0)) for e in etas]
-        assert len(set(flat)) == 1
+        etas = np.arange(50) / 2.0
+        network, offline = dyadic_chain(etas)
+        device = dyadic_device()
+        table = LatencyTable(network, offline, device)
+        assert table.eta[::-1][:-1].tolist() == etas.tolist()
+        compute_heavy = SystemState(n=6, tem_on=25.0, phi=0.5)
+        memory_heavy = SystemState(n=1, tem_on=25.0, phi=0.0)
+        assert factors(device, compute_heavy) == (4.0, 2.5)
+        assert factors(device, memory_heavy) == (1.5, 4.0)
+        # by forward id, so by increasing eta
+        up = table.scales(compute_heavy)[::-1][:-1]
+        down = table.scales(memory_heavy)[::-1][:-1]
+        assert np.all(up[:-1] <= up[1:]) and up[0] < up[-1]
+        assert np.all(down[:-1] >= down[1:]) and down[0] > down[-1]
+        even = SystemState(n=6, tem_on=25.0, phi=0.0)
+        assert factors(device, even) == (4.0, 4.0)
+        assert set(table.scales(even)[1:].tolist()) == {4.0}
 
-    def test_negative_input_rejected(self):
-        with pytest.raises(InputError):
-            predict_layer_latency(-1.0, 1.0, ExpansionFactors(1.0, 1.0))
-        with pytest.raises(InputError):
-            predict_layer_latency(1.0, -0.5, ExpansionFactors(1.0, 1.0))
 
+class TestBackwardSplit:
+    """``build_profile`` splits each layer's backward latency into its
+    weight-gradient and activation-gradient shares."""
 
-class TestSplitBackward:
     def test_conv_splits_evenly(self):
-        t_dw, t_dx = split_backward(8.0, cost_layer(10, 10))
-        assert (t_dw, t_dx) == (4.0, 4.0)
+        network, offline = dyadic_chain([1.0, 2.0])
+        profile = build_profile(network, offline, dyadic_device(), resource_conditions()["offline"])
+        assert profile.t_dw.tolist() == profile.t_dx.tolist() == [0.0, 1.0, 1.0]
 
     def test_param_free_layer_all_activation(self):
-        layer = LayerSpec(
-            id=0, kind="activation", has_params=False, channels=1,
-            out_elements=1, mac_count=1, mem_traffic=4,
-        )
-        assert split_backward(2.0, layer) == (0.0, 2.0)
+        network, offline = dyadic_chain([1.0, 2.0], has_params=False)
+        profile = build_profile(network, offline, dyadic_device(), resource_conditions()["offline"])
+        assert profile.t_dw.tolist() == [0.0, 0.0, 0.0]
+        assert profile.t_dx.tolist() == [0.0, 2.0, 2.0]
 
     def test_zero_backward_time(self):
-        assert split_backward(0.0, cost_layer(1, 1)) == (0.0, 0.0)
+        network, offline = dyadic_chain([1.0])
+        offline = OfflineProfile(t_f=offline.t_f, t_b=np.zeros(2), t_re=offline.t_re)
+        profile = build_profile(network, offline, dyadic_device(), resource_conditions()["combined"])
+        assert (profile.t_dw[1], profile.t_dx[1]) == (0.0, 0.0)
 
     def test_parts_sum_exactly_fuzz(self):
         rng = np.random.default_rng(22)
-        layer = cost_layer(5, 5)
-        for _ in range(2000):
-            t_b = float(rng.uniform(0, 100))
-            t_dw, t_dx = split_backward(t_b, layer)
-            assert t_dw + t_dx == t_b
+        for case in REFERENCE_CASES:
+            network, offline, device = reference_case(case)
+            for state in resource_conditions().values():
+                t_b = np.r_[0.0, rng.uniform(0, 100, network.n_layers)]
+                offline = OfflineProfile(t_f=offline.t_f, t_b=t_b, t_re=offline.t_re)
+                profile = build_profile(network, offline, device, state)
+                assert np.array_equal(profile.t_dw + profile.t_dx, profile.t_b)
+                for b in range(1, network.n_layers + 1):
+                    layer = network.layer_by_backward(b)
+                    assert split(float(profile.t_b[b]), layer) == (
+                        profile.t_dw[b], profile.t_dx[b]
+                    )
 
 
 class TestBuildProfile:
@@ -321,9 +384,9 @@ class TestBuildProfile:
 
 def reference_build_profile(network, offline, device, state):
     """``build_profile`` as one scalar loop over the layers: each layer's
-    eta, prediction and backward split are computed afresh."""
+    eta, blend and backward split are computed afresh."""
     n = network.n_layers
-    factors = expansion_factors(device, state)
+    p1, p2 = factors(device, state)
     t_f, t_b, t_dw, t_dx, t_re, etas = (np.zeros(n + 1) for _ in range(6))
     selectable = np.zeros(n + 1, dtype=bool)
     for b in range(1, n + 1):
@@ -331,10 +394,10 @@ def reference_build_profile(network, offline, device, state):
         e = eta(layer, device)
         etas[b] = e
         selectable[b] = layer.has_params
-        t_f[b] = predict_layer_latency(float(offline.t_f[b]), e, factors)
-        t_b[b] = predict_layer_latency(float(offline.t_b[b]), e, factors)
-        t_re[b] = predict_layer_latency(float(offline.t_re[b]), e, factors)
-        t_dw[b], t_dx[b] = split_backward(float(t_b[b]), layer)
+        t_f[b] = blend(float(offline.t_f[b]), e, p1, p2)
+        t_b[b] = blend(float(offline.t_b[b]), e, p1, p2)
+        t_re[b] = blend(float(offline.t_re[b]), e, p1, p2)
+        t_dw[b], t_dx[b] = split(float(t_b[b]), layer)
     return LatencyProfile(
         t_f=t_f, t_b=t_b, t_dw=t_dw, t_dx=t_dx, t_re=t_re, eta=etas,
         selectable=selectable,
@@ -454,13 +517,35 @@ class TestBuildProfileMatchesReference:
         combined = resource_conditions()["combined"]
         with pytest.raises(InputError, match=r"^profile t_re\[2\] must be finite"):
             build_profile(network, offline, device, combined)
-        # finite latencies whose sum overflows are accepted, as the
-        # constructor accepts them
+        # finite latencies whose sum overflows are rejected, naming the
+        # sum: the offline profile's own, or the scaled one
         t_f = offline.t_f.copy()
         t_f[1:] = 1e308
+        with pytest.raises(InputError, match=r"^offline t_f total must be finite, got inf$"):
+            OfflineProfile(t_f=t_f, t_b=offline.t_b, t_re=offline.t_re * 0)
+        t_f[1:] = 4e307
         offline = OfflineProfile(t_f=t_f, t_b=offline.t_b, t_re=offline.t_re * 0)
-        profile = build_profile(network, offline, device, resource_conditions()["offline"])
-        assert profile.t_f_total == math.inf and profile.t_f.max() == 1e308
+        with pytest.raises(InputError, match=r"^profile t_f_total must be finite, got inf$"):
+            build_profile(network, offline, device, combined)
+        # an overflowing backward latency makes its split NaN
+        t_b = offline.t_b.copy()
+        t_b[3] = 1e308
+        offline = OfflineProfile(t_f=offline.t_f * 0, t_b=t_b, t_re=offline.t_re)
+        with pytest.raises(InputError, match=r"^profile t_b\[3\] must be finite"):
+            build_profile(network, offline, device, combined)
+        # a pairwise total can stay finite where the running prefix sum the
+        # closed form reads does not
+        network = synthetic_network(12)
+        t_re = np.array([
+            0.0, 8.348315107233777e306, 1.740892204421894e307, 1.1140571370536305e307,
+            2.3785322092587336e307, 9.792421960288542e306, 1.5347497360069752e307,
+            1.4421752510953444e307, 1.180472721818466e307, 2.0129714190358985e307,
+            1.8436311856553548e307, 1.9758989987134954e307, 9.39476778811133e306,
+        ])
+        offline = OfflineProfile(t_f=np.zeros(13), t_b=np.zeros(13), t_re=t_re)
+        assert float(t_re.sum()) < math.inf
+        with pytest.raises(InputError, match=r"^profile cum_re must be finite, got inf$"):
+            build_profile(network, offline, device, resource_conditions()["offline"])
 
     def test_mixed_chain_has_compute_bound_and_parameter_free_layers(self):
         network, offline = mixed_chain()
@@ -479,18 +564,18 @@ class TestBuildProfileMatchesReference:
                     table.scales(state)
                     build_profile(network, offline, device, state)
 
-    def test_scale_times_latency_is_predict_layer_latency(self):
+    def test_scale_times_latency_is_the_scalar_blend(self):
         rng = np.random.default_rng(8)
         latencies = [0.0, 1.0, 0.1, 1e-300, 7.3e5] + rng.uniform(0, 50, 20).tolist()
         for case in REFERENCE_CASES:
             network, offline, device = reference_case(case)
             table = LatencyTable(network, offline, device)
             for state in resource_conditions().values():
-                factors = expansion_factors(device, state)
+                p1, p2 = factors(device, state)
                 scale = table.scales(state)
                 for b in range(1, network.n_layers + 1):
                     for t in latencies:
-                        want = predict_layer_latency(t, float(table.eta[b]), factors)
+                        want = blend(t, float(table.eta[b]), p1, p2)
                         assert scale[b] * t == want
 
     def test_table_is_reused_for_the_same_inputs(self):
@@ -561,10 +646,6 @@ class TestLoaders:
         doc = {"layers": [{"layer_id": 0, "t_f_ms": 1.0, "t_b_off_ms": 2.0}]}
         with pytest.raises(InputError, match="t_re_off_ms"):
             load_offline_profile(doc, n_layers=1)
-
-    def test_split_negative_rejected(self):
-        with pytest.raises(InputError):
-            split_backward(-1.0, cost_layer(1, 1))
 
 
 class TestStateTrace:

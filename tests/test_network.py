@@ -13,7 +13,6 @@ from ttasched.network import (
     strategy_cost,
 )
 from ttasched.presets import uniform_profile
-from ttasched.scheduler import delta_t
 
 
 def conv_layer(layer_id=0, **hp_overrides):
@@ -459,20 +458,3 @@ class TestCostProperties:
             deep = strategy_cost(net, UpdateStrategy(n, (n,)), profile)
             shallow = strategy_cost(net, UpdateStrategy(n, (1, 2, 3, 4)), profile)
             assert deep.t_total_extra >= shallow.t_total_extra
-
-    def test_closed_form_equals_chained_increments_exhaustive(self):
-        # dyadic grids make both summation orders exact, so equality is
-        # literal, not approximate
-        rng = np.random.default_rng(13)
-        for n in range(1, 11):
-            net = all_selectable_network(n)
-            profile = random_dyadic_profile(rng, n)
-            for r in range(1, n + 1):
-                for combo in itertools.combinations(range(1, n + 1), r):
-                    chained = 0.0
-                    prev = 0
-                    for b in combo:
-                        chained += delta_t(b, prev, profile)
-                        prev = b
-                    closed = strategy_cost(net, UpdateStrategy(n, combo), profile)
-                    assert chained == closed.t_total_extra

@@ -34,6 +34,8 @@ from ttasched.presets import (
     zero_shift_scenario,
 )
 
+from scalar_latency import blend, factors, split
+
 
 def simple_env(network, shifts=(), batch_size=8, positions=None):
     return EnvironmentSpec(
@@ -573,12 +575,7 @@ def reference_execute(network, offline, device, state_at, strategy, deepest,
     """The executor as one scalar loop: every layer run looks up its state,
     factors, eta and backward split afresh and draws its own jitter. The
     reforward re-runs the forward ids from ``deepest``'s on."""
-    from ttasched.latency import (
-        eta,
-        expansion_factors,
-        predict_layer_latency,
-        split_backward,
-    )
+    from ttasched.latency import eta
 
     n = network.n_layers
     f_exec, dw_exec, dx_exec, re_exec = (np.zeros(n + 1) for _ in range(4))
@@ -587,9 +584,9 @@ def reference_execute(network, offline, device, state_at, strategy, deepest,
     def run(b, t_off):
         nonlocal now
         layer = network.layer_by_backward(b)
-        factors = expansion_factors(device, state_at(now))
+        p1, p2 = factors(device, state_at(now))
         jitter = 1.0 if rng is None else float(rng.uniform(1.0 - jitter_eps, 1.0 + jitter_eps))
-        lat = predict_layer_latency(t_off, eta(layer, device), factors) * jitter
+        lat = blend(t_off, eta(layer, device), p1, p2) * jitter
         now += lat
         return lat
 
@@ -597,7 +594,7 @@ def reference_execute(network, offline, device, state_at, strategy, deepest,
         f_exec[b] = run(b, float(offline.t_f[b]))
     d = strategy.deepest
     for b in range(1, d + 1):
-        dw_off, dx_off = split_backward(float(offline.t_b[b]), network.layer_by_backward(b))
+        dw_off, dx_off = split(float(offline.t_b[b]), network.layer_by_backward(b))
         if b < d:
             dx_exec[b] = run(b, dx_off)
         if b in strategy.selected:
@@ -833,9 +830,10 @@ class TestExecutorTraceSegments(ExecutorHarness):
 
 class TestExecutorArrayPath(ExecutorHarness):
     """Once a state read finds no record ahead, the executor prices the
-    rest of the call as one array product (``LatencyTable.runs``); it still
-    matches the per-layer reference bit for bit, and the trace reads and
-    errors stay those of the step loop."""
+    rest of the call as one array product of the layers' scales under that
+    state (``LatencyTable.scales``); it still matches the per-layer
+    reference bit for bit, and the trace reads and errors stay those of the
+    step loop."""
 
     def setup_method(self):
         self.network = synthetic_network(24)
@@ -852,11 +850,12 @@ class TestExecutorArrayPath(ExecutorHarness):
         self.strategy = self.strategies["full"]
 
     def counted(self, monkeypatch):
-        """Count the calls to ``LatencyTable.runs``, the array path."""
+        """The states of the calls to ``LatencyTable.scales``, which only
+        the array path makes."""
         calls = []
-        runs = LatencyTable.runs
+        scales = LatencyTable.scales
         monkeypatch.setattr(
-            LatencyTable, "runs", lambda *a: calls.append(a[1]) or runs(*a)
+            LatencyTable, "scales", lambda *a: calls.append(a[1]) or scales(*a)
         )
         return calls
 
@@ -870,7 +869,7 @@ class TestExecutorArrayPath(ExecutorHarness):
             trace = StateTrace.constant(state)
             execd = self.both(trace, t_start_ms=start, eps=eps, seed=seed, strategy=strategy)
             start = execd.finish_ms
-        assert calls == [strategy] * len(self.states)
+        assert calls == self.states
 
     def test_compute_bound_layers(self):
         from test_latency import mixed_chain
@@ -911,7 +910,7 @@ class TestExecutorArrayPath(ExecutorHarness):
             )
             execd = execute_ground_truth(self.table, trace, strategy)
             monkeypatch.undo()
-            assert calls == [strategy]
+            assert calls == [hot]
             assert reads == [0.0, starts[k // 2], starts[k]]
             # the run starting on the last record takes the hot state
             assert self.both(trace).finish_ms == execd.finish_ms
@@ -947,7 +946,7 @@ class TestExecutorArrayPath(ExecutorHarness):
             )
         assert str(got.value) == str(want.value)
         assert f"t={starts[41]:.3f} ms" in str(got.value)
-        assert calls == [strategy]
+        assert calls == [idle]
         # a call whose last run starts on the horizon finishes past it
         self.both(StateTrace.constant(idle, horizon_ms=starts[-1]))
 
@@ -962,6 +961,18 @@ class TestExecutorArrayPath(ExecutorHarness):
         table = LatencyTable(self.network, self.offline, self.device)
         execd = self.both(trace, eps=0.02, seed=1, table=table)
         assert execd.f_exec[20] == math.inf and execd.finish_ms == math.inf
+        # finite latencies whose forward total overflows: on the array path,
+        # and, from a start that keeps the clock finite, in the step loop
+        hot = self.states[1]
+        t_f = t_f.copy()
+        t_f[[3, 6, 20]] = 8.9e307, 8.9e307, 0.5
+        self.offline = OfflineProfile(t_f=t_f, t_b=self.offline.t_b, t_re=self.offline.t_re)
+        table = LatencyTable(self.network, self.offline, self.device)
+        execd = self.both(StateTrace.constant(hot), table=table)
+        assert execd.t_f_total == math.inf and execd.finish_ms == math.inf
+        ahead = StateTrace(records=((0.0, hot), (1e308, hot)), horizon_ms=math.inf)
+        execd = self.both(ahead, t_start_ms=-1e308, table=table)
+        assert execd.t_f_total == math.inf and execd.finish_ms < 1e308
 
     def test_nan_start(self):
         trace = StateTrace(
@@ -972,24 +983,6 @@ class TestExecutorArrayPath(ExecutorHarness):
                 execute_ground_truth(
                     self.table, trace, self.strategy, t_start_ms=math.nan
                 )
-
-    def test_runs_kept_for_the_last_state(self):
-        table = LatencyTable(self.network, self.offline, self.device)
-        full = self.strategy
-        idle, hot = self.states[0], self.states[4]
-        slots, latencies = table.runs(full, idle)
-        assert table.runs(full, dataclasses.replace(idle)) == (slots, latencies)
-        assert table.runs(full, idle)[1] is latencies
-        with pytest.raises(ValueError):
-            latencies[0] = 0.0
-        # a new state prices the runs again; the kept list follows the state
-        assert not np.array_equal(table.runs(full, hot)[1], latencies)
-        assert np.array_equal(table.runs(full, idle)[1], latencies)
-        steps = table.steps(full)
-        assert slots.tolist() == [slot for slot, _, _ in steps]
-        scale = table.scales(idle)
-        n = self.network.n_layers
-        assert latencies.tolist() == [scale[s % (n + 1)] * t for s, t, _ in steps]
 
 
 def _same_object(derived, built):
@@ -1067,15 +1060,24 @@ class TestTrustedDerivations:
         _same_object(got, built)
 
     def test_execution_result(self):
-        from ttasched.pipeline import ExecutionResult, _execution_result
+        # the totals are each phase's own pairwise reduction
+        from ttasched.pipeline import _execution_result
 
         rng = np.random.default_rng(5)
         for n in list(range(1, 40)) + [95, 200, 1000]:
             out = 10.0 ** rng.uniform(-300, 300, 4 * (n + 1))
             out[rng.random(out.size) < 0.3] = 0.0
             got = _execution_result(out, n, 1.5, 7.25)
-            phases = [phase.copy() for phase in out.reshape(4, n + 1)]
-            _same_object(got, ExecutionResult(*phases, start_ms=1.5, finish_ms=7.25))
+            f, dw, dx, re = (phase.copy() for phase in out.reshape(4, n + 1))
+            for phase, want in zip((got.f_exec, got.dw_exec, got.dx_exec, got.re_exec),
+                                   (f, dw, dx, re)):
+                assert phase.dtype == np.float64 and np.array_equal(phase, want)
+            totals = (float(f.sum()), float(dw.sum() + dx.sum()), float(re.sum()))
+            assert (got.t_f_total, got.t_b_total, got.t_re_total) == totals
+            assert got.t_total == totals[0] + totals[1] + totals[2]
+            assert (got.start_ms, got.finish_ms) == (1.5, 7.25)
+            assert all(type(getattr(got, name)) is float for name in (
+                "start_ms", "finish_ms", "t_f_total", "t_b_total", "t_re_total", "t_total"))
 
 
 class TestApplyUpdate:

@@ -15,7 +15,6 @@ from ttasched.scheduler import (
     brute_force,
     budget,
     certify,
-    delta_t,
     random_instance,
     solve_dp,
 )
@@ -67,26 +66,6 @@ class TestBudget:
     def test_forward_exceeding_share_clips(self):
         got = budget(100.0, 60.0, 0.5)
         assert got.ms == 0.0 and got.clipped
-
-
-class TestDeltaT:
-    def test_first_selection_from_root(self):
-        assert delta_t(1, 0, uniform_profile(3)) == 2.0
-
-    def test_span_over_gap(self):
-        assert delta_t(3, 1, uniform_profile(3)) == 5.0
-
-    def test_adjacent(self):
-        assert delta_t(2, 1, uniform_profile(3)) == 3.0
-
-    def test_bounds_checked(self):
-        profile = uniform_profile(3)
-        with pytest.raises(InputError):
-            delta_t(0, 0, profile)
-        with pytest.raises(InputError):
-            delta_t(2, 2, profile)
-        with pytest.raises(InputError):
-            delta_t(4, 0, profile)
 
 
 def config_for_budget(profile, target_ms):
@@ -318,9 +297,9 @@ class TestMonotonicity:
 
 
 class TestChainConsistency:
-    def test_backtracked_strategy_cost_equals_chain_exhaustive(self):
-        # every backtracked optimum's closed-form cost equals its chained
-        # increment sum; budgets swept so each subset size wins somewhere
+    def test_backtracked_strategy_cost_is_the_closed_form(self):
+        # every backtracked optimum's predicted cost is the closed form of
+        # its strategy; budgets swept so each subset size wins somewhere
         from ttasched.network import strategy_cost
         from tests.test_network import all_selectable_network, random_dyadic_profile
 
@@ -334,13 +313,7 @@ class TestChainConsistency:
             extra = profile.t_b_total + profile.t_re_total
             for frac in np.linspace(0.1, 1.0, 8):
                 result = solve_dp(imp, profile, config_for_budget(profile, frac * extra))
-                chained = 0.0
-                prev = 0
-                for b in result.strategy.selected:
-                    chained += delta_t(b, prev, profile)
-                    prev = b
                 closed = strategy_cost(net, result.strategy, profile)
-                assert chained == closed.t_total_extra
                 assert result.predicted_extra.t_total_extra == closed.t_total_extra
 
 
