@@ -352,6 +352,15 @@ class TestBuildProfile:
         with pytest.raises(InputError):
             build_profile(self.network, short, self.device, resource_conditions()["offline"])
 
+    def test_negative_offline_latency_rejected(self):
+        # offline latencies, the only ones scaled, enter through here
+        for name in ("t_f", "t_b", "t_re"):
+            arrays = dict(t_f=self.offline.t_f, t_b=self.offline.t_b, t_re=self.offline.t_re)
+            arrays[name] = arrays[name].copy()
+            arrays[name][2] = -1.0
+            with pytest.raises(InputError, match=f"^offline {name} must be finite and non-negative$"):
+                OfflineProfile(**arrays)
+
     def test_split_identity_enforced(self):
         profile = LatencyProfile.from_components(
             [0.0, 1.0, 1.0], [0.0, 0.5, 0.25], [0.0, 0.5, 0.75], [0.0, 1.0, 1.0]
