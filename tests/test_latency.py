@@ -194,9 +194,10 @@ def dyadic_device(**overrides):
     return flat_device(peak_flops=2.0**40, b_cache=2.0**35, b_dram=2.0**33, **overrides)
 
 
-class TestLayerScales:
-    """Every layer's scale under a state (``LatencyTable.scales``), which
-    ``build_profile`` and the executor multiply offline latencies by."""
+class TestPredictLayerLatency:
+    """The per-layer latency prediction: every layer's scale under a state
+    (``LatencyTable.scales``), which ``build_profile`` and the executor
+    multiply offline latencies by."""
 
     def test_unity_factors_identity(self):
         for case in REFERENCE_CASES:
@@ -260,8 +261,36 @@ class TestLayerScales:
         assert factors(device, even) == (4.0, 4.0)
         assert set(table.scales(even)[1:].tolist()) == {4.0}
 
+    def test_negative_input_rejected(self):
+        # the prediction's inputs, a layer's offline latency and its eta,
+        # cannot be negative where they enter: the offline profile, and the
+        # layer costs whose ratio eta is
+        network, offline = dyadic_chain([1.0])
+        t_f = offline.t_f.copy()
+        t_f[1] = -1.0
+        with pytest.raises(InputError, match="^offline t_f must be finite and non-negative$"):
+            OfflineProfile(t_f=t_f, t_b=offline.t_b, t_re=offline.t_re)
+        for costs in (dict(mac_count=-1, mem_traffic=32), dict(mac_count=1024, mem_traffic=-32)):
+            with pytest.raises(InputError, match="^layer 0: costs must be non-negative$"):
+                LayerSpec(id=0, kind="conv2d", has_params=True, channels=1,
+                          out_elements=1, **costs)
 
-class TestBackwardSplit:
+    def test_scales_follow_the_state(self):
+        # the table keeps the last state's scales; a new state prices them
+        # again, and a return to an earlier state gives that state's scales
+        network, offline, device = reference_case("mixed")
+        table = LatencyTable(network, offline, device)
+        states = list(resource_conditions().values())
+        seen = set()
+        for state in states + states[::-1]:
+            scale = table.scales(state)
+            assert table.factors(state) == factors(device, state)
+            assert np.array_equal(scale, LatencyTable(network, offline, device).scales(state))
+            seen.add(tuple(scale.tolist()))
+        assert len(seen) == len(states)
+
+
+class TestSplitBackward:
     """``build_profile`` splits each layer's backward latency into its
     weight-gradient and activation-gradient shares."""
 
@@ -573,7 +602,7 @@ class TestBuildProfileMatchesReference:
                     table.scales(state)
                     build_profile(network, offline, device, state)
 
-    def test_scale_times_latency_is_the_scalar_blend(self):
+    def test_scale_times_latency_is_predict_layer_latency(self):
         rng = np.random.default_rng(8)
         latencies = [0.0, 1.0, 0.1, 1e-300, 7.3e5] + rng.uniform(0, 50, 20).tolist()
         for case in REFERENCE_CASES:
@@ -655,6 +684,21 @@ class TestLoaders:
         doc = {"layers": [{"layer_id": 0, "t_f_ms": 1.0, "t_b_off_ms": 2.0}]}
         with pytest.raises(InputError, match="t_re_off_ms"):
             load_offline_profile(doc, n_layers=1)
+
+    def test_split_negative_rejected(self):
+        # a runtime profile whose backward split has a negative half is
+        # rejected, naming that half, though the halves sum to t_b
+        network, offline = dyadic_chain([1.0, 2.0])
+        profile = build_profile(network, offline, dyadic_device(), resource_conditions()["offline"])
+        for half, other in (("t_dw", "t_dx"), ("t_dx", "t_dw")):
+            doc = profile_to_document(network, profile)
+            layer = doc["layers"][0]  # backward index 2
+            assert layer["t_b_ms"] == 2.0
+            layer[half + "_ms"], layer[other + "_ms"] = -1.0, 3.0
+            with pytest.raises(
+                InputError, match=rf"^profile {half}\[2\] must be finite and non-negative, got -1.0$"
+            ):
+                profile_from_document(doc)
 
 
 class TestStateTrace:

@@ -984,6 +984,28 @@ class TestExecutorArrayPath(ExecutorHarness):
                     self.table, trace, self.strategy, t_start_ms=math.nan
                 )
 
+    def test_plan_kept_across_states(self):
+        # each run's slot, layer and offline latency are built once per
+        # strategy, read-only and independent of the state; the array path
+        # prices them with the scales of the state it reads
+        table = LatencyTable(self.network, self.offline, self.device)
+        full = self.strategy
+        n = self.network.n_layers
+        steps, slots, layers, t_off = table._plan(full)
+        assert table.steps(full) is steps
+        assert slots.tolist() == [slot for slot, _, _ in steps]
+        assert layers.tolist() == [slot % (n + 1) for slot, _, _ in steps]
+        assert t_off.tolist() == [t for _, t, _ in steps]
+        for array in (slots, layers, t_off):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        for state in self.states + self.states[::-1]:
+            execd = execute_ground_truth(table, StateTrace.constant(state), full)
+            plan = table._plan(full)
+            assert all(kept is built for kept, built in zip(plan, (steps, slots, layers, t_off)))
+            out = np.concatenate([execd.f_exec, execd.dw_exec, execd.dx_exec, execd.re_exec])
+            assert np.array_equal(out[slots], table.scales(state)[layers] * t_off)
+
 
 def _same_object(derived, built):
     """``derived`` holds what the public constructor put into ``built``:
