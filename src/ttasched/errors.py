@@ -1,7 +1,12 @@
 """Input errors, and the one place where input files are read, field
 values converted and unknown keys rejected, and where output JSON is
 written (the episode report, written field by field in ``pipeline``,
-matches ``json_text`` byte for byte)."""
+matches ``json_text`` byte for byte).
+
+It also holds the two helpers every other module builds on: ``_derived``,
+the trusted path that builds an object without its constructor's checks,
+and ``_ordered_sum``, the one float sum whose rounding does not depend on
+the Python version."""
 
 import json
 from types import GenericAlias
@@ -10,6 +15,27 @@ from types import GenericAlias
 _JSON_TYPES = {str: "a string", bool: "true or false", list: "a list", dict: "an object"}
 
 _INT64 = 2**63
+
+
+def _derived(cls, **fields):
+    """A ``cls`` holding ``fields`` as they are, without its constructor's
+    checks: for objects derived from already validated ones, whose fields
+    are valid by construction. On a frozen dataclass the result compares,
+    hashes and prints as the constructor's would, given the values the
+    constructor would have stored."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _ordered_sum(values) -> float:
+    """The floats in ``values`` added one at a time, left to right. The
+    builtin ``sum`` of floats is compensated from Python 3.12 on, so it can
+    differ in the last digit between versions; this sum cannot."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class InputError(ValueError):

@@ -23,9 +23,9 @@ Public constructors validate; derivations from validated objects use the
 trusted path. A constructor called with outside values checks every width,
 shape, sign and finiteness fact. An object derived from objects that were
 already checked (an embedding from stats, a blended history) is built by
-``_derived``, which skips those checks; the derivation keeps one check only
-where its arithmetic can first make a value go bad, such as an overflow in
-a blend.
+``errors._derived``, which skips those checks; the derivation keeps one
+check only where its arithmetic can first make a value go bad, such as an
+overflow in a blend.
 """
 
 from __future__ import annotations
@@ -38,7 +38,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import InputError, convert, json_text, reject_unknown
+from .errors import (
+    InputError,
+    _derived,
+    _ordered_sum,
+    convert,
+    json_text,
+    reject_unknown,
+)
 from .network import Network
 
 KL_MODES = ("gaussian", "elementwise")
@@ -55,15 +62,6 @@ DEFAULT_ALPHA = 0.1
 _EXTRACT_OPS_PER_SAMPLE = 4
 _EXTRACT_OPS_PER_CHANNEL = 2
 _KL_OPS_PER_CHANNEL = 12
-
-
-def _derived(cls, **fields):
-    """A ``cls`` holding ``fields`` as they are, without its constructor's
-    checks: for objects derived from already validated ones, whose fields
-    are valid by construction."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 def _check_widths(widths, size: int) -> tuple[int, ...]:
@@ -434,8 +432,8 @@ def adaptation_loss(histories, currents, mode: str = "gaussian") -> float:
             f"layer count mismatch: {histories.n_layers} history vs "
             f"{currents.n_layers} current"
         )
-    # the builtin sum of Python floats, layer by layer in forward order
-    return sum(layer_divergences(histories, currents, mode).tolist())
+    # the Python floats added layer by layer in forward order
+    return _ordered_sum(layer_divergences(histories, currents, mode).tolist())
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, TraceExhausted, convert, read_json, reject_unknown
-from .importance import _derived
+from .errors import (
+    InputError,
+    TraceExhausted,
+    _derived,
+    _ordered_sum,
+    convert,
+    read_json,
+    reject_unknown,
+)
 from .network import LayerSpec, Network, UpdateStrategy
 
 COMPUTE_BOUND = math.inf  # sentinel ratio for layers with no memory traffic
@@ -145,7 +152,7 @@ def calibrate_proc_overhead(samples) -> float:
     pairs = [(int(n), float(s)) for n, s in samples]
     if not any(n > 0 for n, _ in pairs):
         raise InputError("calibration needs at least one loaded measurement")
-    num = sum(n * (s - 1.0) for n, s in pairs)
+    num = _ordered_sum(n * (s - 1.0) for n, s in pairs)
     den = sum(n * n for n, _ in pairs)
     k = num / den
     if k < 0:

@@ -16,7 +16,7 @@ stand in for accuracy.
 Public constructors validate; derivations from validated objects use the
 trusted path. The per-batch objects of an episode (the sampled stats, the
 observed embedding, the updated model) are derived from the scenario's
-validated environment and model through ``importance._derived``, which
+validated environment and model through ``errors._derived``, which
 skips the constructors' width, shape and sign checks; the executor's
 results are built the same way, with their totals taken in one reduction. Each derivation keeps
 a finiteness or positivity check where its own arithmetic can first make a
@@ -38,7 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, convert, read_json, reject_unknown
+from .errors import (
+    InputError,
+    _derived,
+    _ordered_sum,
+    convert,
+    read_json,
+    reject_unknown,
+)
 from .importance import (
     KL_MODES,
     Embedding,
@@ -46,7 +53,6 @@ from .importance import (
     FeatureStats,
     ImportanceVector,
     _check_widths,
-    _derived,
     _offsets,
     adaptation_loss,
     assess,
@@ -557,7 +563,7 @@ def sigma_controller(
     recent = list(r_history)[-config.window:]
     if not recent:
         return sigma
-    mean_r = sum(recent) / len(recent)
+    mean_r = _ordered_sum(recent) / len(recent)
     if mean_r > config.target_r:
         sigma = sigma * config.decrease
     elif mean_r < config.target_r:
@@ -839,17 +845,17 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             sigma = sigma_controller(r_recent, sigma, scenario.controller)
 
     replay_mean = _replay_full_updates(scenario, rng_replay, table, inter)
-    mean_total = sum(rec.executed_total_ms for rec in records) / len(records)
+    mean_total = _ordered_sum(rec.executed_total_ms for rec in records) / len(records)
     aggregates = EpisodeAggregates(
         batches=len(records),
         mean_executed_total_ms=mean_total,
         replay_mean_total_ms=replay_mean,
         latency_ratio_vs_full=mean_total / replay_mean if replay_mean > 0 else 1.0,
         speedup_vs_full=replay_mean / mean_total if mean_total > 0 else 1.0,
-        mean_capture_ratio=sum(r.capture_ratio for r in records) / len(records),
-        mean_rel_error=sum(r.rel_error for r in records) / len(records),
-        mean_r=sum(r.r for r in records) / len(records),
-        total_wait_ms=sum(r.wait_ms for r in records),
+        mean_capture_ratio=_ordered_sum(r.capture_ratio for r in records) / len(records),
+        mean_rel_error=_ordered_sum(r.rel_error for r in records) / len(records),
+        mean_r=_ordered_sum(r.r for r in records) / len(records),
+        total_wait_ms=_ordered_sum(r.wait_ms for r in records),
         final_sigma=sigma,
     )
     return EpisodeReport(

@@ -7,6 +7,7 @@ serialized by ``json_text`` (the stdlib encoder, indent 2, sorted keys,
 NaN and infinities.
 """
 
+import builtins
 import dataclasses
 import math
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ttasched.errors import json_text
+from ttasched.latency import calibrate_proc_overhead
 from ttasched.pipeline import (
     BatchRecord,
     EpisodeAggregates,
@@ -125,3 +127,33 @@ def test_non_finite_field_raises_on_both_paths(bad, where):
     for write in (report_json, reference_report_json):
         with pytest.raises(ValueError, match="not JSON compliant"):
             write(report)
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin ``sum`` as Python 3.12 and later compute it for floats:
+    Neumaier's compensated summation. Anything else adds plainly."""
+    items = list(iterable)
+    if not all(type(x) is float for x in items) or type(start) not in (int, float):
+        return _builtin_sum(items, start)
+    total, carry = float(start), 0.0
+    for x in items:
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry if carry and math.isfinite(carry) else total
+
+
+def test_reports_do_not_depend_on_the_builtin_sum(monkeypatch):
+    """Every float the library sums into a report, and the calibration fit,
+    is added left to right, so the bytes are those of Python 3.11 on every
+    version the package supports."""
+    samples = [(1, 1e16 + 1.0), (1, 2.0), (1, 1.0 - 1e16)]
+    expected = report_json(run_episode(drift_scenario())), calibrate_proc_overhead(samples)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([1e16, 1.0, -1e16]) == 1.0  # the patch does compensate
+    got = report_json(run_episode(drift_scenario())), calibrate_proc_overhead(samples)
+    assert got == expected
+    assert expected[1] == 0.0  # (1e16 + 1.0) - 1e16, rounded left to right
