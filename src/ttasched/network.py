@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, convert, read_json, reject_unknown
+from .errors import InputError, _derived, convert, read_json, reject_unknown
 
 LAYER_KINDS = (
     "conv2d",
@@ -265,14 +265,22 @@ def closed_form_cost(profile, selected: tuple[int, ...]) -> StrategyCost:
     activation-gradient prefix ``cum_dx[d - 1]`` and the reforward prefix
     ``cum_re[d]``. The search, the oracle and the reports all price
     strategies here, so they round identically.
+
+    ``profile`` is a ``latency.LatencyProfile`` or anything exposing
+    ``t_dw``, ``cum_dx`` and ``cum_re`` indexable by backward index, such as
+    the scheduler's float view of one (the same values as Python lists),
+    which gives the same cost bit for bit. The result is built on the
+    trusted path (``errors._derived``): its two fields are sums of floats.
     """
     if not selected:
-        return StrategyCost(0.0, 0.0)
-    d = selected[-1]
+        return _derived(StrategyCost, t_backward=0.0, t_reforward=0.0)
+    t_dw = profile.t_dw
     t_dw_sum = 0.0
     for b in selected:
-        t_dw_sum += float(profile.t_dw[b])
-    return StrategyCost(
+        t_dw_sum += float(t_dw[b])
+    d = selected[-1]
+    return _derived(
+        StrategyCost,
         t_backward=t_dw_sum + float(profile.cum_dx[d - 1]),
         t_reforward=float(profile.cum_re[d]),
     )

@@ -14,6 +14,14 @@ layer is that one, then the feasible extensions are merged back in.
 Feasibility is decided on the very sums the oracle and the reports compute,
 so the search is exact in floating point, not only on a dyadic grid. An
 exhaustive enumeration oracle certifies it on small instances.
+
+Both procedures read the instance once per call into a float view: the
+importances, ``t_dw``, ``cum_dx``, ``cum_re`` and the selectable mask as
+Python lists, so their inner loops do float arithmetic, not numpy scalar
+reads. The oracle prices every subset through ``closed_form_cost`` on that
+view, which gives the profile's own costs bit for bit, and both build their
+results on the trusted path (``errors._derived``): each field is a value
+the constructor would store unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, convert, read_json, reject_unknown
+from .errors import InputError, _derived, convert, read_json, reject_unknown
 from .importance import ImportanceVector
 from .latency import LatencyProfile
 from .network import StrategyCost, UpdateStrategy, closed_form_cost
@@ -83,14 +91,59 @@ class ScheduleResult:
         }
 
 
-def _exact_gain(selected: tuple[int, ...], a: np.ndarray) -> float:
+class _FloatView(NamedTuple):
+    """One instance's per-layer values as Python lists, indexed by backward
+    index (slot 0 is padding)."""
+
+    a: list
+    t_dw: list
+    cum_dx: list
+    cum_re: list
+    selectable: list
+
+
+def _float_view(importance: ImportanceVector, profile: LatencyProfile) -> _FloatView:
+    """The float view of an instance, read once per call; an importance
+    vector and a profile of different lengths are an InputError."""
+    if importance.n_layers != profile.n_layers:
+        raise InputError(
+            f"importance covers {importance.n_layers} layers, profile has "
+            f"{profile.n_layers}"
+        )
+    return _FloatView(
+        importance.a.tolist(),
+        profile.t_dw.tolist(),
+        profile.cum_dx.tolist(),
+        profile.cum_re.tolist(),
+        profile.selectable.tolist(),
+    )
+
+
+def _exact_gain(selected: tuple[int, ...], a: list) -> float:
     """Importance of a selection, summed in ascending backward order: the
     order in which the search accumulates its gains, so equal selections
     compare bit-identically."""
     total = 0.0
     for b in selected:
-        total += float(a[b])
+        total += a[b]
     return total
+
+
+def _result(n, selected, gain, view, budget_ms, clipped, explored, pruned):
+    """The ``ScheduleResult`` of an ascending selection, priced by
+    ``closed_form_cost`` on the float view and built on the trusted path."""
+    extra = closed_form_cost(view, selected)
+    return _derived(
+        ScheduleResult,
+        strategy=_derived(UpdateStrategy, n_layers=n, selected=selected),
+        achieved_importance=gain,
+        predicted_extra=extra,
+        budget_ms=budget_ms,
+        slack_ms=budget_ms - extra.t_total_extra,
+        budget_clipped=clipped,
+        explored=explored,
+        pruned=pruned,
+    )
 
 
 def _selection(key: int, n: int) -> tuple[int, ...]:
@@ -149,65 +202,63 @@ def solve_dp(
     importance, then cheaper, then a shallower deepest layer, then the
     lexicographically smaller 0/1 selection vector. ``key`` sets bit
     ``n - b`` for each selected backward layer ``b``; layer 1 is the most
-    significant bit, so numeric key order is vector order.
+    significant bit, so numeric key order is vector order. That tuple is
+    built only for an extension whose gain ties or beats the best so far.
+    A layer that extends no entry leaves the staircase as it is, and the
+    staircase after the last selectable layer is never read, so neither is
+    merged.
     """
     config = config or SchedulerConfig()
+    view = _float_view(importance, profile)
     n = profile.n_layers
-    if importance.n_layers != n:
-        raise InputError(
-            f"importance covers {importance.n_layers} layers, profile has {n}"
-        )
     # a clipped budget is 0 ms, which still admits zero-cost selections,
     # exactly as the oracle sees it
     bud = budget(profile.t_total, profile.t_f_total, config.sigma)
-    a = importance.a.tolist()
-    t_dw = profile.t_dw.tolist()
-    cum_dx = profile.cum_dx.tolist()
-    cum_re = profile.cum_re.tolist()
-    layers = [l for l in range(1, n + 1) if profile.selectable[l]]
+    limit = bud.ms
+    a, t_dw, cum_dx, cum_re, selectable = view
+    layers = [l for l in range(1, n + 1) if selectable[l]]
     # An extension adds at most n terms to a sum and two more to a cost;
     # each rounding moves a value by at most half an ulp of the largest
     # feasible cost (or of the total importance), so gaps beyond these
     # slacks survive every extension.
-    cost_slack = (n + 2) * math.ulp(2.0 * bud.ms)
+    cost_slack = (n + 2) * math.ulp(2.0 * limit)
     gain_slack = (n + 2) * math.ulp(2.0 * _exact_gain(tuple(layers), a))
 
     # negated gains start at -0.0, so a zero gain is reported as 0.0
     stairs = [(0.0, -0.0, 0)]  # (t_dw_sum, -gain, key), cost-sorted
     best = (-0.0, 0.0, 0, 0)  # (-gain, cost, deepest, key): the empty strategy
+    best_neg_gain = -0.0
     explored = 0
     pruned = 0
+    last = layers[-1] if layers else 0
     for l in layers:
         dx_l = cum_dx[l - 1]
-        if dx_l > bud.ms:
+        if dx_l > limit:
             pruned += len(stairs)
             break
         dw_l, re_l, a_l, bit = t_dw[l], cum_re[l], a[l], 1 << (n - l)
         extended = []
         for t_dw_sum, neg_gain, key in stairs:
-            explored += 1
             grown = t_dw_sum + dw_l
             cost = (grown + dx_l) + re_l  # the order of closed_form_cost
-            if cost > bud.ms:
+            if cost > limit:
+                explored += 1
                 pruned += 1
                 break
-            entry = (grown, neg_gain - a_l, key | bit)
-            if (entry[1], cost, l, entry[2]) < best:
-                best = (entry[1], cost, l, entry[2])
-            extended.append(entry)
-        stairs = _staircase(stairs + extended, cost_slack, gain_slack)
+            neg_gain -= a_l
+            key |= bit
+            if neg_gain <= best_neg_gain:
+                cand = (neg_gain, cost, l, key)
+                if cand < best:
+                    best = cand
+                    best_neg_gain = neg_gain
+            extended.append((grown, neg_gain, key))
+        explored += len(extended)
+        if extended and l != last:
+            stairs = _staircase(stairs + extended, cost_slack, gain_slack)
 
-    selected = _selection(best[3], n)
-    extra = closed_form_cost(profile, selected)
-    return ScheduleResult(
-        strategy=UpdateStrategy(n_layers=n, selected=selected),
-        achieved_importance=-best[0],
-        predicted_extra=extra,
-        budget_ms=bud.ms,
-        slack_ms=bud.ms - extra.t_total_extra,
-        budget_clipped=bud.clipped,
-        explored=explored,
-        pruned=pruned,
+    return _result(
+        n, _selection(best[3], n), -best[0], view, limit, bud.clipped, explored, pruned
     )
 
 
@@ -223,42 +274,28 @@ def brute_force(
     An exact ``(-gain, cost, deepest)`` tie goes to the larger ascending
     tuple, which at the same deepest layer is the smaller selection vector.
     """
+    view = _float_view(importance, profile)
     n = profile.n_layers
-    if importance.n_layers != n:
-        raise InputError(
-            f"importance covers {importance.n_layers} layers, profile has {n}"
-        )
     if n > BRUTE_FORCE_MAX_LAYERS:
         raise InputError(
             f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} layers, got {n}"
         )
-    a = importance.a
-    selectable = [b for b in range(1, n + 1) if profile.selectable[b]]
+    a = view.a
+    selectable = [b for b in range(1, n + 1) if view.selectable[b]]
     best = (-0.0, 0.0, 0)  # (-gain, cost, deepest) of the empty strategy
     selected = ()
-    explored = 0
     pruned = 0
     for r in range(len(selectable) + 1):
         for combo in itertools.combinations(selectable, r):
-            explored += 1
-            cost = closed_form_cost(profile, combo)
-            if cost.t_total_extra > budget_ms:
+            cost = closed_form_cost(view, combo).t_total_extra
+            if cost > budget_ms:
                 pruned += 1
                 continue
-            cand = (-_exact_gain(combo, a), cost.t_total_extra, combo[-1] if combo else 0)
+            cand = (-_exact_gain(combo, a), cost, combo[-1] if combo else 0)
             if cand < best or (cand == best and combo > selected):
                 best, selected = cand, combo
-    extra = closed_form_cost(profile, selected)
-    return ScheduleResult(
-        strategy=UpdateStrategy(n_layers=n, selected=selected),
-        achieved_importance=-best[0],
-        predicted_extra=extra,
-        budget_ms=budget_ms,
-        slack_ms=budget_ms - extra.t_total_extra,
-        budget_clipped=False,
-        explored=explored,
-        pruned=pruned,
-    )
+    explored = 2 ** len(selectable)
+    return _result(n, selected, -best[0], view, budget_ms, False, explored, pruned)
 
 
 def _draw(rng: np.random.Generator, low: float, high: float, size, dyadic: bool):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ttasched.errors import InputError
 from ttasched.importance import ImportanceVector
 from ttasched.latency import LatencyProfile
-from ttasched.network import closed_form_cost
+from ttasched.network import StrategyCost, UpdateStrategy, closed_form_cost
 from ttasched.presets import uniform_profile, worked_instance
 from ttasched.scheduler import (
+    ScheduleResult,
     SchedulerConfig,
+    _float_view,
     _selection,
     brute_force,
     budget,
@@ -262,6 +265,58 @@ class TestFloatOracleProperty:
         assert dp.strategy.selected == bf.strategy.selected
         assert dp.achieved_importance == bf.achieved_importance
         assert dp.predicted_extra.t_total_extra <= dp.budget_ms
+
+
+# ROADMAP item 3a's tie-prone instances: every layer selectable, no
+# activation-gradient or reforward time, latencies on quarter steps and
+# importances whose sums round, so many selections tie or nearly tie
+TIE_LATENCIES = (0.25, 0.5, 0.75, 1.0)
+TIE_IMPORTANCES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 1.1, 2.2, 3.3, 1e-16, 5e-17)
+
+
+def tie_prone_instance(t_f, t_dw, a):
+    """The importance vector and profile of per-layer columns, backward
+    order; a selection costs its summed ``t_dw`` alone."""
+    pad = lambda column: [0.0, *column]
+    zeros = [0.0] * (len(t_f) + 1)
+    profile = LatencyProfile.from_components(
+        pad(t_f), pad(t_dw), zeros, zeros, selectable=[False] + [True] * len(t_f)
+    )
+    return ImportanceVector(a=np.array(pad(a))), profile
+
+
+@st.composite
+def tie_prone_instances(draw):
+    n = draw(st.integers(5, 11))
+    column = lambda values: draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    t_f, t_dw, a = column(TIE_LATENCIES), column(TIE_LATENCIES), column(TIE_IMPORTANCES)
+    return t_f, t_dw, a, draw(st.floats(min_value=0.3, max_value=0.9))
+
+
+class TestGainSlack:
+    """The staircase keeps a dominated entry whose gain trails its leader's
+    by no more than ``gain_slack``: adding the same deeper layers to both can
+    round their gains to an exact tie that the kept entry's smaller vector
+    wins. The examples are shrunk instances on which a search with
+    ``gain_slack = 0`` returns the larger vector of such a tie."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    # at cost 1.5 the prefix (2, 3) gains 0.6 + 0.7 = 1.2999999999999998,
+    # an ulp behind (1, 2, 4)'s 1.3; adding layer 5's 2.2 rounds both to 3.5,
+    # and the smaller vector (2, 3, 5) wins that tie
+    @example(instance=([1.0] * 5, [0.5, 0.5, 1.0, 0.5, 1.0], [0.6, 0.6, 0.7, 0.1, 2.2], 0.9))
+    @example(instance=([1.0] * 5, [0.5, 1.0, 0.5, 1.0, 1.0], [1e-16, 0.1, 5e-17, 0.2, 1.1], 0.86))
+    @example(instance=([1.0] * 5, [0.25, 0.75, 0.5, 0.5, 0.25], [1.1, 3.3, 2.2, 2.2, 2.2], 0.9))
+    @example(instance=([0.5, 1.0, 0.25, 0.5, 0.5], [0.75, 0.25, 0.5, 0.5, 0.25], [1.1, 0.2, 0.7, 0.6, 0.6], 0.8))
+    @example(instance=([1.0, 1.0, 1.0, 0.5, 0.5, 0.25], [0.25, 0.25, 0.25, 0.5, 1.0, 1.0], [0.7, 0.4, 0.2, 0.6, 2.2, 0.1], 0.8))
+    @given(instance=tie_prone_instances())
+    def test_search_equals_oracle_on_near_tied_gains(self, instance):
+        *columns, sigma = instance
+        importance, profile = tie_prone_instance(*columns)
+        dp = solve_dp(importance, profile, SchedulerConfig(sigma=sigma))
+        bf = brute_force(importance, profile, dp.budget_ms)
+        assert dp.strategy.selected == bf.strategy.selected
+        assert dp.achieved_importance == bf.achieved_importance
 
 
 class TestFeasibility:
@@ -534,3 +589,61 @@ class TestTieBreaks:
             bf = brute_force(imp, profile, dp.budget_ms)
             assert dp.strategy.selected == bf.strategy.selected
             assert dp.achieved_importance == bf.achieved_importance
+
+
+def constructed_cost(profile, selected) -> StrategyCost:
+    """The closed form on the profile's arrays, built by the constructor."""
+    if not selected:
+        return StrategyCost(0.0, 0.0)
+    t_dw_sum = 0.0
+    for b in selected:
+        t_dw_sum += float(profile.t_dw[b])
+    d = selected[-1]
+    return StrategyCost(
+        t_dw_sum + float(profile.cum_dx[d - 1]), float(profile.cum_re[d])
+    )
+
+
+class TestTrustedPaths:
+    """The costs and results built without their constructors equal, hash
+    and serialize as the constructors' would."""
+
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "float"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_trusted_paths_build_what_the_constructors_build(self, seed, dyadic):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_min=4, n_max=12, dyadic=dyadic)
+        importance, profile = inst["importance"], inst["profile"]
+        view = _float_view(importance, profile)
+        layers = [b for b in range(1, profile.n_layers + 1) if profile.selectable[b]]
+        picks = [(), tuple(layers), tuple(b for b in layers if rng.random() < 0.5)]
+        for selected in picks:
+            on_view = closed_form_cost(view, selected)
+            on_arrays = closed_form_cost(profile, selected)
+            built = constructed_cost(profile, selected)
+            assert repr(on_view) == repr(on_arrays) == repr(built)
+            assert on_view == built and hash(on_view) == hash(built)
+            assert type(on_view.t_backward) is type(on_view.t_reforward) is float
+
+        dp = solve_dp(importance, profile, SchedulerConfig(sigma=inst["sigma"]))
+        bf = brute_force(importance, profile, dp.budget_ms)
+        for result in (dp, bf):
+            selected = result.strategy.selected
+            strategy = UpdateStrategy(n_layers=profile.n_layers, selected=selected)
+            extra = constructed_cost(profile, selected)
+            built = ScheduleResult(
+                strategy=strategy,
+                achieved_importance=result.achieved_importance,
+                predicted_extra=extra,
+                budget_ms=result.budget_ms,
+                slack_ms=result.budget_ms - extra.t_total_extra,
+                budget_clipped=result.budget_clipped,
+                explored=result.explored,
+                pruned=result.pruned,
+            )
+            assert result.strategy == strategy and hash(result.strategy) == hash(strategy)
+            assert all(type(b) is int for b in selected)
+            assert type(result.achieved_importance) is float
+            assert result == built and hash(result) == hash(built)
+            assert repr(result) == repr(built)
+            assert json.dumps(result.to_document()) == json.dumps(built.to_document())
