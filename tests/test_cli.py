@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from ttasched.cli import build_parser, main
-from ttasched.presets import (
-    network_to_document,
-    offline_to_document,
-    uniform_profile,
-    worked_instance,
-)
+from ttasched.presets import uniform_profile, worked_instance
 from ttasched.latency import profile_to_document
 
 
