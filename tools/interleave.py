@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
 """Interleaved A/B timing of two ttasched source trees in one process.
 
-    python3 tools/interleave.py PARENT_SRC CHANGE_SRC [--ops N] [--seed S]
+    python3 tools/interleave.py PARENT_SRC CHANGE_SRC [--workload W] [--ops N] [--seed S]
 
 PARENT_SRC and CHANGE_SRC are directories holding a ``ttasched`` package
 (a checkout's ``src``). Both are imported side by side under distinct
 package names, so the two versions share one interpreter, one heap and the
-same moments of host noise. Each of the ``N`` pairs times, on both sides and
-in alternating order:
+same moments of host noise. Each of the ``N`` pairs times both sides, in
+alternating order. With ``--workload drift24`` (the default) a pair times:
 
 * the drift24 operation: ``ttasched simulate`` on the bundled drift scenario
   (load, ``run_episode``, the JSON and CSV reports), one seed per pair;
 * a replay of one recorded drift episode's decisions by direct calls
   (``assess``, ``build_profile``, ``solve_dp``), each decision timed.
+
+With ``--workload oracle14`` each side draws the same ``certify``-style
+instance stream from its own ``scheduler.random_instance`` (4 to 14 layers,
+dyadic and float instances alternating), and a pair times one instance's
+``solve_dp`` (the decision) and its ``solve_dp`` plus ``brute_force`` (the
+operation). The two sides must return the same selections, gains (by
+``repr``) and counts; the tool stops at the first pair where they do not.
 
 It prints each side's median operation and decision times, the median of
 the per-pair ratios change/parent and how many pairs the change won. Only
@@ -31,6 +38,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
+
+WORKLOADS = ("drift24", "oracle14")
 
 
 def load(src: str, name: str):
@@ -57,6 +68,7 @@ class Side:
         name = f"ttasched_{label}"
         load(src, name)
         module = lambda sub: importlib.import_module(f"{name}.{sub}")
+        self.seed = seed
         self.cli = module("cli")
         self.pipeline = module("pipeline")
         self.latency = module("latency")
@@ -126,42 +138,97 @@ class Side:
         self.decide_ns.extend(times)
         return times
 
+    def pair(self, k: int) -> tuple[int, float, None]:
+        """One pair's side: the operation's time, the median decision time
+        of the replay, and no answer to compare."""
+        self.op(self.seed + k)
+        return self.op_ns[-1], statistics.median(self.replay()), None
+
+    def describe(self) -> str:
+        return f"{len(self.decisions)} decisions replayed per side per pair"
+
+
+class OracleSide:
+    """One source tree's certification operation on its own instance
+    stream: ``solve_dp`` (the decision), then ``brute_force``."""
+
+    def __init__(self, label: str, src: str, workdir: Path, seed: int):
+        self.label = label
+        name = f"ttasched_{label}"
+        load(src, name)
+        self.scheduler = importlib.import_module(f"{name}.scheduler")
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+        self.op_ns: list[int] = []
+        self.decide_ns: list[int] = []
+
+    def pair(self, k: int) -> tuple[int, int, tuple]:
+        """Time the next instance of the stream; returns the operation's and
+        the decision's times and what the two results say."""
+        scheduler = self.scheduler
+        instance = scheduler.random_instance(self.rng, 4, 14, dyadic=self.drawn % 2 == 0)
+        self.drawn += 1
+        importance, profile = instance["importance"], instance["profile"]
+        config = scheduler.SchedulerConfig(sigma=instance["sigma"])
+        start = time.perf_counter_ns()
+        dp = scheduler.solve_dp(importance, profile, config)
+        decided = time.perf_counter_ns()
+        bf = scheduler.brute_force(importance, profile, dp.budget_ms)
+        done = time.perf_counter_ns()
+        self.op_ns.append(done - start)
+        self.decide_ns.append(decided - start)
+        answer = tuple(
+            (r.strategy.selected, repr(r.achieved_importance), r.explored, r.pruned)
+            for r in (dp, bf)
+        )
+        return done - start, decided - start, answer
+
+    def describe(self) -> str:
+        return "one certify-stream instance per side per pair (4-14 layers)"
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
+    parser.add_argument(
+        "--workload", choices=WORKLOADS, default="drift24", help="default drift24"
+    )
     parser.add_argument("--ops", type=int, default=200, help="pairs to run (default 200)")
     parser.add_argument("--seed", type=int, default=0, help="first scenario seed")
     args = parser.parse_args(argv)
     if args.ops < 1:
         parser.error("--ops must be >= 1")
 
+    kind = Side if args.workload == "drift24" else OracleSide
     with tempfile.TemporaryDirectory() as tmp:
         sides = [
-            Side("parent", args.parent_src, Path(tmp), args.seed),
-            Side("change", args.change_src, Path(tmp), args.seed),
+            kind("parent", args.parent_src, Path(tmp), args.seed),
+            kind("change", args.change_src, Path(tmp), args.seed),
         ]
         parent, change = sides
-        if len(parent.decisions) != len(change.decisions):
+        if kind is Side and len(parent.decisions) != len(change.decisions):
             raise SystemExit("the two trees record different decision counts")
         for side in sides:  # warm both sides before timing
-            side.op(args.seed)
-            side.replay()
+            side.pair(0)
             side.op_ns.clear()
             side.decide_ns.clear()
-        decide_ratios = []
+        op_ratios, decide_ratios = [], []
         for k in range(args.ops):
             gc.collect()
             order = sides if k % 2 == 0 else sides[::-1]
-            medians = {}
-            for side in order:
-                side.op(args.seed + k)
-                medians[side.label] = statistics.median(side.replay())
-            decide_ratios.append(medians["change"] / medians["parent"])
+            times = {side.label: side.pair(k) for side in order}
+            (p_op, p_decide, p_answer), (c_op, c_decide, c_answer) = (
+                times["parent"], times["change"]
+            )
+            if p_answer != c_answer:
+                raise SystemExit(
+                    f"pair {k}: the trees disagree: parent {p_answer}, change {c_answer}"
+                )
+            op_ratios.append(c_op / p_op)
+            decide_ratios.append(c_decide / p_decide)
 
-    op_ratios = [c / p for p, c in zip(parent.op_ns, change.op_ns)]
-    print(f"pairs {args.ops}, {len(parent.decisions)} decisions replayed per side per pair")
+    print(f"workload {args.workload}, pairs {args.ops}, {parent.describe()}")
     for side in sides:
         print(
             f"{side.label:>6}: op median {statistics.median(side.op_ns) / 1e6:.3f} ms, "
