@@ -41,8 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("drift24", "oracle14")
-
 
 def load(src: str, name: str):
     """The ``ttasched`` package under ``src``, imported as ``name``; its
@@ -59,7 +57,7 @@ def load(src: str, name: str):
     return package
 
 
-class Side:
+class DriftSide:
     """One source tree: its fixture files, its drift operation and one
     recorded episode's decisions."""
 
@@ -187,12 +185,15 @@ class OracleSide:
         return "one certify-stream instance per side per pair (4-14 layers)"
 
 
+SIDES = {"drift24": DriftSide, "oracle14": OracleSide}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument(
-        "--workload", choices=WORKLOADS, default="drift24", help="default drift24"
+        "--workload", choices=SIDES, default="drift24", help="default drift24"
     )
     parser.add_argument("--ops", type=int, default=200, help="pairs to run (default 200)")
     parser.add_argument("--seed", type=int, default=0, help="first scenario seed")
@@ -200,14 +201,14 @@ def main(argv=None) -> int:
     if args.ops < 1:
         parser.error("--ops must be >= 1")
 
-    kind = Side if args.workload == "drift24" else OracleSide
+    kind = SIDES[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         sides = [
             kind("parent", args.parent_src, Path(tmp), args.seed),
             kind("change", args.change_src, Path(tmp), args.seed),
         ]
         parent, change = sides
-        if kind is Side and len(parent.decisions) != len(change.decisions):
+        if kind is DriftSide and len(parent.decisions) != len(change.decisions):
             raise SystemExit("the two trees record different decision counts")
         for side in sides:  # warm both sides before timing
             side.pair(0)
