@@ -30,7 +30,6 @@ from .latency import (
     StateTrace,
     SystemState,
     build_profile,
-    calibrate_proc_overhead,
     eta,
     pi1,
     pi2,
@@ -107,7 +106,6 @@ __all__ = [
     "brute_force",
     "budget",
     "build_profile",
-    "calibrate_proc_overhead",
     "certify",
     "derive_costs",
     "embed",

@@ -158,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current", required=True, help="JSON-lines stats of the current batch")
     p.add_argument("--network", help="optional network file; zeroes parameter-free layers")
     p.add_argument("--kl-mode", choices=KL_MODES, default="gaussian")
-    p.add_argument("--lenient", action="store_true", help="ignore unknown input fields")
+    p.add_argument(
+        "--lenient", action="store_true",
+        help="let the --network file carry unknown keys; the stats files stay strict",
+    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_assess)
 
@@ -168,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--state-trace", required=True)
     p.add_argument("--at-ms", type=float, default=0.0, help="trace instant to sample")
-    p.add_argument("--lenient", action="store_true")
+    p.add_argument(
+        "--lenient", action="store_true",
+        help="let the --network file carry unknown keys; the other files stay strict",
+    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_predict)
 

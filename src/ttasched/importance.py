@@ -43,7 +43,6 @@ from .errors import (
     _derived,
     _ordered_sum,
     convert,
-    json_text,
     reject_unknown,
 )
 from .network import Network
@@ -565,19 +564,3 @@ def load_stats_file(path) -> FeatureStats:
     # undecodable bytes read as U+FFFD, which then fails to parse as JSON
     with open(path, errors="replace") as fh:
         return load_stats_lines(fh.read())
-
-
-def stats_to_lines(stats) -> str:
-    return "".join(
-        json_text(
-            {
-                "layer_id": layer_id,
-                "means": [float(x) for x in st.means],
-                "vars": [float(x) for x in st.variances],
-                "samples": st.sample_count,
-            },
-            indent=None,
-            sort_keys=False,
-        )
-        for layer_id, st in enumerate(stats)
-    )

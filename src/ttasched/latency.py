@@ -19,7 +19,6 @@ from .errors import (
     InputError,
     TraceExhausted,
     _derived,
-    _ordered_sum,
     convert,
     read_json,
     reject_unknown,
@@ -139,28 +138,6 @@ def pi2(device: DeviceSpec, state: SystemState) -> float:
     mix_on = state.phi + (1.0 - state.phi) * ratio
     mix_off = device.phi_off + (1.0 - device.phi_off) * ratio
     return _checked_factor("pi2", mix_on / mix_off, state)
-
-
-def calibrate_proc_overhead(samples) -> float:
-    """Fit the process-switch slope from offline calibration measurements.
-
-    ``samples`` are (process_count, slowdown) pairs measured at the offline
-    temperature, where slowdown is measured-latency / offline-latency. Fits
-    slowdown = 1 + k * n by least squares through the origin; the result
-    feeds ``DeviceSpec.proc_overhead_k``.
-    """
-    pairs = [(int(n), float(s)) for n, s in samples]
-    if not any(n > 0 for n, _ in pairs):
-        raise InputError("calibration needs at least one loaded measurement")
-    num = _ordered_sum(n * (s - 1.0) for n, s in pairs)
-    den = sum(n * n for n, _ in pairs)
-    k = num / den
-    if k < 0:
-        raise InputError(
-            f"calibration fit produced a negative slope ({k:.4g}); "
-            "slowdowns must grow with process count"
-        )
-    return k
 
 
 def eta(layer: LayerSpec, device: DeviceSpec) -> float:

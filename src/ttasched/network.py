@@ -9,9 +9,10 @@ two coordinate systems:
   coordinate for backpropagation-chain costs. All scheduling math uses
   backward indices.
 
-``closed_form_cost`` is the ground-truth latency of a sparse update strategy;
-the scheduler's search and its enumeration oracle both price strategies
-with it.
+``closed_form_parts`` is the ground-truth latency of a sparse update
+strategy; the scheduler's search and its enumeration oracle both price
+strategies with it, and ``closed_form_cost`` wraps it as a ``StrategyCost``
+for the reports.
 """
 
 from __future__ import annotations
@@ -257,33 +258,39 @@ class StrategyCost:
         return self.t_backward + self.t_reforward
 
 
-def closed_form_cost(profile, selected: tuple[int, ...]) -> StrategyCost:
-    """Cost of an ascending selection of backward indices under ``profile``.
+def closed_form_parts(profile, selected: tuple[int, ...]) -> tuple[float, float]:
+    """``(t_backward, t_reforward)`` of an ascending selection of backward
+    indices under ``profile``: the one cost formula.
 
     A selection's cost is set by its deepest layer ``d``: the weight-gradient
     times of the selected layers, summed in ascending order, plus the
-    activation-gradient prefix ``cum_dx[d - 1]`` and the reforward prefix
-    ``cum_re[d]``. The search, the oracle and the reports all price
-    strategies here, so they round identically.
+    activation-gradient prefix ``cum_dx[d - 1]``, is its backward time; the
+    reforward prefix ``cum_re[d]`` is its reforward time. The search, the
+    oracle and the reports all price strategies here (the search inlines the
+    same additions in the same order), so they round identically; a
+    strategy's total is ``t_backward + t_reforward``, in that order.
 
     ``profile`` is a ``latency.LatencyProfile`` or anything exposing
     ``t_dw``, ``cum_dx`` and ``cum_re`` indexable by backward index, such as
-    the scheduler's float view of one (the same values as Python lists),
-    which gives the same cost bit for bit. The result is built on the
-    trusted path (``errors._derived``): its two fields are sums of floats.
+    the scheduler's float view of one (the same values as Python lists).
+    Every value read passes through ``float()``, so both give the same two
+    floats bit for bit.
     """
     if not selected:
-        return _derived(StrategyCost, t_backward=0.0, t_reforward=0.0)
+        return 0.0, 0.0
     t_dw = profile.t_dw
     t_dw_sum = 0.0
     for b in selected:
         t_dw_sum += float(t_dw[b])
     d = selected[-1]
-    return _derived(
-        StrategyCost,
-        t_backward=t_dw_sum + float(profile.cum_dx[d - 1]),
-        t_reforward=float(profile.cum_re[d]),
-    )
+    return t_dw_sum + float(profile.cum_dx[d - 1]), float(profile.cum_re[d])
+
+
+def closed_form_cost(profile, selected: tuple[int, ...]) -> StrategyCost:
+    """``closed_form_parts`` as a ``StrategyCost``, built on the trusted path
+    (``errors._derived``): its two fields are sums of floats."""
+    t_backward, t_reforward = closed_form_parts(profile, selected)
+    return _derived(StrategyCost, t_backward=t_backward, t_reforward=t_reforward)
 
 
 def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> StrategyCost:

@@ -13,16 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import json_text
-from .importance import EmbeddingHistory, FeatureStats, ImportanceVector, assess
+from .importance import ImportanceVector
 from .latency import DeviceSpec, LatencyProfile, OfflineProfile, StateTrace, SystemState
 from .network import PARAM_FREE_KINDS, LayerSpec, Network, derive_costs
 from .pipeline import (
     ControllerConfig,
-    ModelResponseState,
     Scenario,
     Shift,
     gaussian_environment,
-    generate_batch,
 )
 
 
@@ -182,19 +180,6 @@ def resnet50_shaped() -> Network:
     return Network(name="resnet50-shaped", layers=tuple(layers))
 
 
-def resnet50_batch_stats(batch_size: int = 16) -> FeatureStats:
-    """Unit-Gaussian channel statistics for one batch through the shaped
-    chain, sized by each layer's spatial extent."""
-    net = resnet50_shaped()
-    widths = tuple(layer.channels for layer in net.layers)
-    return FeatureStats(
-        means=np.zeros(sum(widths)),
-        variances=np.ones(sum(widths)),
-        sample_count=[batch_size * (l.out_elements // l.channels) for l in net.layers],
-        widths=widths,
-    )
-
-
 # backward time over forward time in ``offline_from_costs``
 _BACKWARD_SCALE = 4.0
 
@@ -317,44 +302,6 @@ def recovery_network(n_layers: int = 20, channels: int = 8) -> Network:
     )
     layers = tuple(replace(pair[i % 2], id=i) for i in range(n_layers))
     return Network(name=f"recovery-{n_layers}", layers=layers)
-
-
-def importance_recovery_rate(
-    trials: int = 50,
-    seed: int = 0,
-    n_layers: int = 20,
-    shifted_layers: int = 3,
-    offset_sigmas: float = 2.0,
-    batch_size: int = 8,
-) -> float:
-    """Fraction of trials where the top-k importance indices exactly recover
-    a random k-layer set shifted by ``offset_sigmas`` standard deviations.
-
-    Each trial seeds the history from one clean batch and assesses one
-    shifted batch, so recovery must beat per-channel sampling noise.
-    """
-    rng = np.random.default_rng(seed)
-    network = recovery_network(n_layers)
-    hits = 0
-    for _ in range(trials):
-        targets = tuple(
-            sorted(rng.choice(n_layers, size=shifted_layers, replace=False).tolist())
-        )
-        env = gaussian_environment(
-            network,
-            shifts=(
-                Shift(batch_index=1, layers=targets, mean_offset_sigmas=offset_sigmas),
-            ),
-            batch_size=batch_size,
-        )
-        model = ModelResponseState.from_environment(env)
-        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
-        vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
-        order = np.argsort(vector.a[1:])[::-1] + 1  # backward indices, best first
-        top = {n_layers - int(b) for b in order[:shifted_layers]}
-        if top == set(targets):
-            hits += 1
-    return hits / trials
 
 
 # --- document serializers ----------------------------------------------------

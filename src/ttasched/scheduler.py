@@ -4,7 +4,7 @@ Solves: maximize the summed importance of the selected layers subject to the
 strategy's backward-plus-reforward latency staying within the budget
 ``sigma * T - T_f``. A selection's cost is set by its deepest layer ``d``:
 ``sum(t_dw[sel]) + cum_dx[d - 1] + cum_re[d]``
-(``network.closed_form_cost``). The search therefore decomposes by deepest
+(``network.closed_form_parts``). The search therefore decomposes by deepest
 layer. It walks the layers in backward order, keeping one Pareto staircase
 of prefix selections over (summed weight-gradient time, importance), the
 Pareto-list method for 0/1 knapsack (Nemhauser & Ullmann, 1969). At each
@@ -18,10 +18,11 @@ exhaustive enumeration oracle certifies it on small instances.
 Both procedures read the instance once per call into a float view: the
 importances, ``t_dw``, ``cum_dx``, ``cum_re`` and the selectable mask as
 Python lists, so their inner loops do float arithmetic, not numpy scalar
-reads. The oracle prices every subset through ``closed_form_cost`` on that
-view, which gives the profile's own costs bit for bit, and both build their
-results on the trusted path (``errors._derived``): each field is a value
-the constructor would store unchanged.
+reads. The oracle prices every subset through ``closed_form_parts`` on that
+view, which gives the profile's own costs bit for bit, as two floats with
+no object per subset. Both build their results on the trusted path
+(``errors._derived``): each field is a value the constructor would store
+unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .errors import InputError, _derived, convert, read_json, reject_unknown
 from .importance import ImportanceVector
 from .latency import LatencyProfile
-from .network import StrategyCost, UpdateStrategy, closed_form_cost
+from .network import StrategyCost, UpdateStrategy, closed_form_cost, closed_form_parts
 
 BRUTE_FORCE_MAX_LAYERS = 20
 
@@ -151,6 +152,15 @@ def _selection(key: int, n: int) -> tuple[int, ...]:
     return tuple(b for b in range(1, n + 1) if key >> (n - b) & 1)
 
 
+def _slack(n: int, bound: float) -> float:
+    """A gap between two non-negative sums that the same ``n + 2`` further
+    non-negative additions cannot close while the larger sum stays within
+    ``bound``: each rounding moves each sum by at most half an ulp of
+    ``bound``, so the gap changes by at most ``n + 2`` ulps of ``bound``,
+    no more than this slack."""
+    return (n + 2) * math.ulp(2.0 * bound)
+
+
 def _staircase(entries: list, cost_slack: float, gain_slack: float) -> list:
     """Cost-sorted Pareto staircase of ``(t_dw_sum, -gain, key)`` entries.
 
@@ -217,12 +227,11 @@ def solve_dp(
     limit = bud.ms
     a, t_dw, cum_dx, cum_re, selectable = view
     layers = [l for l in range(1, n + 1) if selectable[l]]
-    # An extension adds at most n terms to a sum and two more to a cost;
-    # each rounding moves a value by at most half an ulp of the largest
-    # feasible cost (or of the total importance), so gaps beyond these
-    # slacks survive every extension.
-    cost_slack = (n + 2) * math.ulp(2.0 * limit)
-    gain_slack = (n + 2) * math.ulp(2.0 * _exact_gain(tuple(layers), a))
+    # An extension adds at most n terms to a sum and two more to a cost,
+    # and no feasible cost exceeds the budget nor any gain the total
+    # importance, so gaps beyond these slacks survive every extension.
+    cost_slack = _slack(n, limit)
+    gain_slack = _slack(n, _exact_gain(tuple(layers), a))
 
     # negated gains start at -0.0, so a zero gain is reported as 0.0
     stairs = [(0.0, -0.0, 0)]  # (t_dw_sum, -gain, key), cost-sorted
@@ -240,7 +249,7 @@ def solve_dp(
         extended = []
         for t_dw_sum, neg_gain, key in stairs:
             grown = t_dw_sum + dw_l
-            cost = (grown + dx_l) + re_l  # the order of closed_form_cost
+            cost = (grown + dx_l) + re_l  # the additions of closed_form_parts
             if cost > limit:
                 explored += 1
                 pruned += 1
@@ -269,8 +278,12 @@ def brute_force(
 ) -> ScheduleResult:
     """Exhaustive certification oracle over all selectable subsets.
 
-    Shares the search's exact cost arithmetic and preference order, so on
-    any instance within the layer guard the two return identical strategies.
+    Prices each subset, in ``itertools.combinations`` order, as
+    ``t_backward + t_reforward`` from ``closed_form_parts`` on the float
+    view (the sum ``StrategyCost.t_total_extra`` takes), with no object per
+    subset. It shares the search's exact cost arithmetic and preference
+    order, so on any instance within the layer guard the two return
+    identical strategies.
     An exact ``(-gain, cost, deepest)`` tie goes to the larger ascending
     tuple, which at the same deepest layer is the smaller selection vector.
     """
@@ -287,7 +300,8 @@ def brute_force(
     pruned = 0
     for r in range(len(selectable) + 1):
         for combo in itertools.combinations(selectable, r):
-            cost = closed_form_cost(view, combo).t_total_extra
+            t_backward, t_reforward = closed_form_parts(view, combo)
+            cost = t_backward + t_reforward
             if cost > budget_ms:
                 pruned += 1
                 continue

@@ -9,16 +9,15 @@ justify the thresholds asserted by the acceptance suite (recovery rate,
 latency ratio, capture ratio).
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from ttasched.errors import json_text
-from ttasched.importance import stats_to_lines
 from ttasched.pipeline import generate_batch, ModelResponseState, run_episode
 from ttasched.presets import (
     drift_scenario,
-    importance_recovery_rate,
     network_to_document,
     recovery_network,
     write_fixture_tree,
@@ -26,6 +25,8 @@ from ttasched.presets import (
 from ttasched.pipeline import EnvironmentSpec, Shift
 
 HERE = Path(__file__).parent
+sys.path.insert(0, str(HERE.parent))  # the tests' own helpers
+from support import importance_recovery_rate, stats_to_lines  # noqa: E402
 
 
 def write_assess_stats() -> None:

@@ -26,9 +26,7 @@ from ttasched.pipeline import report_json, run_episode
 from ttasched.presets import (
     demo_edge_device,
     drift_scenario,
-    importance_recovery_rate,
     offline_from_costs,
-    resnet50_batch_stats,
     resnet50_shaped,
     resource_conditions,
     synthetic_network,
@@ -41,6 +39,7 @@ from ttasched.scheduler import (
 )
 
 from scalar_latency import blend, factors
+from support import importance_recovery_rate, resnet50_batch_stats
 
 
 def _announce(criterion: str, detail: str) -> None:

@@ -81,6 +81,25 @@ class TestAssessCommand:
         )
         assert rc == 2
 
+    def test_lenient_relaxes_only_the_network_file(self, fixtures_dir, tmp_path, capsys):
+        network = json.loads((fixtures_dir / "network_recovery10.json").read_text())
+        network["comment"] = "extra"
+        loose_network = tmp_path / "network.json"
+        loose_network.write_text(json.dumps(network))
+        lines = (fixtures_dir / "stats_current.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["note"] = "extra"
+        lines[1] = json.dumps(record)
+        loose_stats = tmp_path / "current.jsonl"
+        loose_stats.write_text("\n".join(lines) + "\n")
+        history = str(fixtures_dir / "stats_history.jsonl")
+        base = ["assess", "--history", history, "--network", str(loose_network), "--lenient"]
+        out = tmp_path / "imp.json"
+        current = str(fixtures_dir / "stats_current.jsonl")
+        assert main(base + ["--current", current, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(base + ["--current", str(loose_stats), "--out", str(out)]) == 2
+        assert "stats line 2: unknown fields ['note']" in capsys.readouterr().err
 
     def test_non_numeric_samples_exits_2(self, fixtures_dir, tmp_path, capsys):
         lines = (fixtures_dir / "stats_current.jsonl").read_text().splitlines()
@@ -124,7 +143,7 @@ class TestAssessCommand:
     def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
         # the 24-layer synthetic chain has parameter-free layers; only the
         # network zeroes them
-        from ttasched.importance import stats_to_lines
+        from support import stats_to_lines
         from ttasched.pipeline import ModelResponseState, generate_batch
         from ttasched.presets import drift_scenario
 

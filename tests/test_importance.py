@@ -19,7 +19,6 @@ from ttasched.importance import (
     layer_divergences,
     layer_importance,
     load_stats_lines,
-    stats_to_lines,
     update_history,
 )
 from ttasched.presets import recovery_network
@@ -29,6 +28,8 @@ from ttasched.pipeline import (
     Shift,
     generate_batch,
 )
+
+from support import stats_to_lines
 
 
 def gauss(*pairs):

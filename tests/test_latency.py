@@ -16,7 +16,6 @@ from ttasched.latency import (
     SystemState,
     _table_for,
     build_profile,
-    calibrate_proc_overhead,
     eta,
     pi1,
     pi2,
@@ -34,6 +33,7 @@ from ttasched.presets import (
 )
 
 from scalar_latency import blend, factors, split
+from support import calibrate_proc_overhead
 
 
 def flat_device(**overrides):

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ttasched.cli import main
-from ttasched.importance import stats_to_lines
 from ttasched.latency import build_profile, profile_to_document
 from ttasched.pipeline import (
     MAX_BATCHES,
@@ -43,6 +42,8 @@ from ttasched.presets import (
     synthetic_network,
     trace_to_document,
 )
+
+from support import stats_to_lines
 
 NAN, INF = math.nan, math.inf
 

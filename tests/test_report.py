@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ttasched.errors import json_text
-from ttasched.latency import calibrate_proc_overhead
 from ttasched.pipeline import (
     BatchRecord,
     EpisodeAggregates,
@@ -24,6 +23,8 @@ from ttasched.pipeline import (
     run_episode,
 )
 from ttasched.presets import drift_scenario
+
+from support import calibrate_proc_overhead
 
 
 def report_to_document(report: EpisodeReport) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -8,13 +9,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ttasched.errors import InputError
 from ttasched.importance import ImportanceVector
 from ttasched.latency import LatencyProfile
-from ttasched.network import StrategyCost, UpdateStrategy, closed_form_cost
+from ttasched.network import (
+    StrategyCost,
+    UpdateStrategy,
+    closed_form_cost,
+    closed_form_parts,
+)
 from ttasched.presets import uniform_profile, worked_instance
 from ttasched.scheduler import (
+    BRUTE_FORCE_MAX_LAYERS,
     ScheduleResult,
     SchedulerConfig,
+    _exact_gain,
     _float_view,
+    _result,
     _selection,
+    _slack,
     brute_force,
     budget,
     certify,
@@ -647,3 +657,152 @@ class TestTrustedPaths:
             assert result == built and hash(result) == hash(built)
             assert repr(result) == repr(built)
             assert json.dumps(result.to_document()) == json.dumps(built.to_document())
+
+
+def reference_brute_force(importance, profile, budget_ms) -> ScheduleResult:
+    """The enumeration oracle with one ``StrategyCost`` per subset, built by
+    ``closed_form_cost`` and read through ``t_total_extra``: the reference
+    that ``brute_force``, which prices each subset as two floats, must
+    reproduce exactly."""
+    view = _float_view(importance, profile)
+    n = profile.n_layers
+    if n > BRUTE_FORCE_MAX_LAYERS:
+        raise InputError(
+            f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} layers, got {n}"
+        )
+    a = view.a
+    selectable = [b for b in range(1, n + 1) if view.selectable[b]]
+    best = (-0.0, 0.0, 0)  # (-gain, cost, deepest) of the empty strategy
+    selected = ()
+    pruned = 0
+    for r in range(len(selectable) + 1):
+        for combo in itertools.combinations(selectable, r):
+            cost = closed_form_cost(view, combo).t_total_extra
+            if cost > budget_ms:
+                pruned += 1
+                continue
+            cand = (-_exact_gain(combo, a), cost, combo[-1] if combo else 0)
+            if cand < best or (cand == best and combo > selected):
+                best, selected = cand, combo
+    explored = 2 ** len(selectable)
+    return _result(n, selected, -best[0], view, budget_ms, False, explored, pruned)
+
+
+def assert_oracle_matches_reference(importance, profile, sigma):
+    budget_ms = solve_dp(importance, profile, SchedulerConfig(sigma=sigma)).budget_ms
+    got = brute_force(importance, profile, budget_ms)
+    want = reference_brute_force(importance, profile, budget_ms)
+    assert got == want and hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert json.dumps(got.to_document()) == json.dumps(want.to_document())
+
+
+class TestOracleReference:
+    """``brute_force`` returns what the per-subset ``StrategyCost`` oracle
+    returns, by ``repr``, hash and document bytes."""
+
+    def test_certify_stream(self):
+        rng = np.random.default_rng(12345)
+        for index in range(120):
+            inst = random_instance(rng, 4, 14, dyadic=index % 2 == 0)
+            assert_oracle_matches_reference(inst["importance"], inst["profile"], inst["sigma"])
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_stratified_pool(self, n):
+        rng = np.random.default_rng(n)
+        for index in range(6):
+            inst = random_instance(rng, n, n, dyadic=index % 2 == 0)
+            assert_oracle_matches_reference(inst["importance"], inst["profile"], inst["sigma"])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(instance=tie_prone_instances())
+    def test_tie_prone_instances(self, instance):
+        *columns, sigma = instance
+        importance, profile = tie_prone_instance(*columns)
+        assert_oracle_matches_reference(importance, profile, sigma)
+
+
+class TestClosedFormParts:
+    @pytest.mark.parametrize("dyadic", [True, False], ids=["dyadic", "float"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parts_are_the_cost_on_arrays_and_view(self, seed, dyadic):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_min=4, n_max=8, dyadic=dyadic)
+        profile = inst["profile"]
+        view = _float_view(inst["importance"], profile)
+        layers = [b for b in range(1, profile.n_layers + 1) if profile.selectable[b]]
+        for r in range(len(layers) + 1):
+            for combo in itertools.combinations(layers, r):
+                for source in (profile, view):
+                    parts = closed_form_parts(source, combo)
+                    cost = closed_form_cost(source, combo)
+                    assert repr(parts) == repr((cost.t_backward, cost.t_reforward))
+                    assert repr(parts[0] + parts[1]) == repr(cost.t_total_extra)
+                    assert all(type(part) is float for part in parts)
+                assert repr(closed_form_parts(view, combo)) == repr(
+                    closed_form_parts(profile, combo)
+                )
+
+
+def added(start: float, addends, negated: bool) -> float:
+    """``start`` with each addend added in turn, as the search grows a cost;
+    ``negated`` subtracts them from ``-start``, as it grows a negated gain."""
+    total = -start if negated else start
+    for c in addends:
+        if negated:
+            total -= c
+        else:
+            total += c
+    return total
+
+
+class TestSlackLemma:
+    """``_slack(n, bound)``: two non-negative sums whose float difference
+    exceeds it stay strictly ordered after the same ``n + 2`` or fewer
+    non-negative additions, as long as the larger stays within ``bound``.
+    So the staircase may drop an entry beaten by more than the slack; one
+    beaten by less must stay."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(0, 20),
+        bound=st.one_of(
+            st.floats(min_value=1e-3, max_value=1e4),
+            st.integers(-10, 13).map(lambda e: 2.0**e),
+        ),
+        # shares of the bound, and shares just below a power of two, where
+        # the two sums can sit in different binades
+        low=st.one_of(
+            st.floats(min_value=0.0, max_value=0.9),
+            st.integers(1, 12).map(lambda e: math.nextafter(2.0**-e, 0.0)),
+        ),
+        extra_ulps=st.integers(0, 3),
+        shares=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=22),
+        negated=st.booleans(),
+    )
+    def test_gaps_beyond_the_slack_survive_the_additions(
+        self, n, bound, low, extra_ulps, shares, negated
+    ):
+        slack = _slack(n, bound)
+        x = low * bound
+        # the smallest y the staircase would call more than a slack away,
+        # then a few ulps more
+        y = x + slack
+        while not y - x > slack:
+            y = math.nextafter(y, math.inf)
+        for _ in range(extra_ulps):
+            y = math.nextafter(y, math.inf)
+        shares = shares[: n + 2]
+        room = (bound - y) / max(len(shares), 1)
+        addends = [share * room for share in shares]
+        big, small = added(y, addends, negated), added(x, addends, negated)
+        if negated:
+            big, small = -big, -small
+        assume(big <= bound)
+        assert small < big
+
+    def test_a_one_ulp_gap_can_close_to_an_exact_tie(self):
+        x, y = 0.3, 0.1 + 0.2
+        assert y == math.nextafter(x, math.inf)
+        assert x + 1.0 == y + 1.0 == 1.3
+        assert y - x <= _slack(3, 1.4)  # so the staircase keeps both
