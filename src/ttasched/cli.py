@@ -26,7 +26,7 @@ from .latency import (
     profile_to_document,
 )
 from .network import load_network_file
-from .pipeline import load_scenario_file, report_csv, report_json, run_episode
+from .pipeline import load_scenario_file, report_texts, run_episode
 from .scheduler import (
     SchedulerConfig,
     brute_force,
@@ -124,10 +124,10 @@ def cmd_simulate(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         scenario = dataclasses.replace(scenario, **overrides)
-    report = run_episode(scenario)
-    _write_out(report_json(report), args.out)
+    text, table = report_texts(run_episode(scenario))
+    _write_out(text, args.out)
     if args.csv:
-        _write_out(report_csv(report), args.csv)
+        _write_out(table, args.csv)
     return 0
 
 

@@ -6,7 +6,10 @@ against the tracked history, a runtime latency profile is built from the
 system-state trace, the scheduler picks the update strategy, and a
 ground-truth executor (same latency physics, plus jitter and instantaneous
 state sampling) runs the three phases. A full-update replay of the same
-episode provides the speedup baseline.
+episode provides the speedup baseline; once the trace has no record ahead,
+it runs its remaining batches as array blocks, bit for bit the executor's
+arithmetic. The JSON and CSV reports take each record's texts from one
+formatting pass (``report_texts``).
 
 The model itself is a response-distribution proxy: updating a layer closes
 a fraction of its gap to the current environment distribution. Real weights
@@ -18,7 +21,8 @@ trusted path. The per-batch objects of an episode (the sampled stats, the
 observed embedding, the updated model) are derived from the scenario's
 validated environment and model through ``errors._derived``, which
 skips the constructors' width, shape and sign checks; the executor's
-results are built the same way, with their totals taken in one reduction. Each derivation keeps
+results are built the same way, with their totals taken in one reduction,
+and so are the batch records, which have no checks. Each derivation keeps
 a finiteness or positivity check where its own arithmetic can first make a
 value go bad: the sampled and observed moments can overflow, and the
 variance blend ``v + g * (e - v)`` can round to 0.0.
@@ -30,6 +34,7 @@ import csv
 import io
 import json
 import math
+import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -571,10 +576,13 @@ def sigma_controller(
     return min(max(sigma, config.sigma_min), config.sigma_max)
 
 
-# An episode keeps one record per batch (~1.3 KB). Writing its JSON report
-# peaks ~2.2 KB per batch above that: each record's text and the joined
-# text, ~1.06 KB per batch each (tracemalloc, 2,000-batch drift episode).
-# At the bound, records and report peak near 175 MB.
+# An episode keeps one record per batch (~1.9 KB; a record built on the
+# trusted path holds its fields in a dict of its own). Formatting both
+# reports in one pass peaks ~3.1 KB per batch above that: each record's JSON
+# and CSV texts and the two joined texts, ~1.06 and ~0.40 KB per batch each
+# (tracemalloc, 2,000-batch drift episode). At the bound, records and
+# reports peak near 250 MB; the full-update replay's blocks add ~2 MB on a
+# 24-layer chain.
 MAX_BATCHES = 50_000
 
 
@@ -680,15 +688,20 @@ class EpisodeReport:
     aggregates: EpisodeAggregates
 
 
-def _check_finish(execd: ExecutionResult, batch: str) -> None:
-    """Reject an executor result whose clock overflowed: every later start,
+def _check_finish(finish_ms: float, batch: str) -> None:
+    """Reject an executed batch whose clock overflowed: every later start,
     wait and total of the episode would be inf or NaN. A finite finish
-    bounds the result's totals, since every run takes a non-negative time."""
-    if not execd.finish_ms < math.inf:
+    bounds the batch's totals, since every run takes a non-negative time."""
+    if not finish_ms < math.inf:
         raise InputError(
-            f"{batch}: the executed pipeline finishes at {execd.finish_ms} ms, "
+            f"{batch}: the executed pipeline finishes at {finish_ms} ms, "
             "past the float range"
         )
+
+
+# batches per block of the full-update replay: its arrays peak near 2 MB on
+# a 24-layer chain, 87 runs per batch (tracemalloc)
+_REPLAY_ROWS = 512
 
 
 def _replay_full_updates(
@@ -696,26 +709,68 @@ def _replay_full_updates(
 ) -> float:
     """Mean per-batch executed latency when every selectable layer is
     updated every batch, on the same arrival process: one batch every
-    ``inter`` ms."""
+    ``inter`` ms, each starting at ``max(arrival, previous finish)``.
+
+    A batch whose start has a trace record ahead runs through
+    ``execute_ground_truth``. From the first batch with none ahead, the
+    state holds for the rest of the replay, and the remaining B batches of
+    R runs each are one block with the executor's arithmetic, bit for bit:
+    one (B, R) jitter draw (the stream of B draws of R), the runs'
+    latencies as one product of the layers' scales, offline latencies and
+    jitter, the phase totals as the row sums of a (B, 4, n + 1) block, and
+    each batch's clock summed in run order from its own start. Each batch
+    keeps the executor's horizon check, which raises ``TraceExhausted`` at
+    the first run starting past the horizon, and ``_check_finish``. Blocks
+    hold at most ``_REPLAY_ROWS`` batches, drawn one after another from the
+    same stream.
+    """
     network = scenario.network
-    full = UpdateStrategy(network.n_layers, network.selectable_backward())
+    n = network.n_layers
+    full = UpdateStrategy(n, network.selectable_backward())
+    trace = scenario.trace
+    eps = scenario.jitter_eps
+    batches = scenario.batches
     prev_finish = 0.0
     total = 0.0
-    for i in range(scenario.batches):
-        arrival = i * inter
-        start = max(arrival, prev_finish)
+    for first in range(batches):
+        start = max(first * inter, prev_finish)
+        if trace.next_record_ms(start) == math.inf:
+            break
         execd = execute_ground_truth(
-            table,
-            scenario.trace,
-            full,
-            jitter_eps=scenario.jitter_eps,
-            rng=rng,
-            t_start_ms=start,
+            table, trace, full, jitter_eps=eps, rng=rng, t_start_ms=start
         )
-        _check_finish(execd, f"full-update replay batch {i}")
+        _check_finish(execd.finish_ms, f"full-update replay batch {first}")
         total += execd.t_total
         prev_finish = execd.finish_ms
-    return total / scenario.batches
+    else:
+        return total / batches
+    state = trace.state_at(start)  # past the horizon, raises as the executor
+    _, slots, layers, t_off = table._plan(full)
+    runs = len(slots)
+    horizon = trace.horizon_ms
+    with np.errstate(over="ignore"):
+        scaled = table.scales(state)[layers] * t_off
+        for lo in range(first, batches, _REPLAY_ROWS):
+            rows = min(batches - lo, _REPLAY_ROWS)
+            latencies = scaled * rng.uniform(1.0 - eps, 1.0 + eps, (rows, runs))
+            out = np.zeros((rows, 4 * (n + 1)))
+            out[:, slots] = latencies
+            phase_totals = out.reshape(rows, 4, n + 1).sum(axis=2).tolist()
+            # per batch, its start and then its runs' latencies, accumulated
+            # in place into each run's start time and then the finish
+            clocks = np.empty((rows, runs + 1))
+            clocks[:, 1:] = latencies
+            for i, clock, (t_f, t_dw, t_dx, t_re) in zip(
+                range(lo, lo + rows), clocks, phase_totals
+            ):
+                clock[0] = max(i * inter, prev_finish)
+                clock.cumsum(out=clock)
+                if clock[-2] > horizon:
+                    trace.state_at(float(clock[np.argmax(clock > horizon)]))
+                prev_finish = float(clock[-1])
+                _check_finish(prev_finish, f"full-update replay batch {i}")
+                total += t_f + (t_dw + t_dx) + t_re
+    return total / batches
 
 
 def run_episode(scenario: Scenario) -> EpisodeReport:
@@ -780,7 +835,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             rng=rng_exec,
             t_start_ms=start,
         )
-        _check_finish(execd, f"batch {i}")
+        _check_finish(execd.finish_ms, f"batch {i}")
 
         env_means, env_vars = env.params_at(i)
         model = apply_update(model, sched.strategy, env_means, env_vars)
@@ -809,7 +864,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         if not sequential:
             running.append((i, execd.finish_ms))
         records.append(
-            BatchRecord(
+            _derived(
+                BatchRecord,
                 index=i,
                 arrival_ms=arrival,
                 start_ms=start,
@@ -884,8 +940,9 @@ def _record_row(rec: BatchRecord) -> list:
 
 
 # ``report_json`` writes the text ``json_text`` writes for the report as a
-# document (indent 2, sorted keys), without building the document: each
-# record's fields go through one format compiled from BatchRecord's fields.
+# document (indent 2, sorted keys), without building the document, and
+# ``report_csv`` the text ``csv.writer`` writes for the records' rows. Both
+# take each record's texts from one pass over its fields, ``_record_texts``.
 
 
 def _json_value(value, depth: int) -> str:
@@ -931,11 +988,59 @@ def _object_json(obj, names: tuple[str, ...], form: str, depth: int) -> str:
 
 _AGGREGATE_FIELDS, _AGGREGATE_FORMAT = _object_format(EpisodeAggregates, 1)
 _RECORD_FIELDS, _RECORD_FORMAT = _object_format(BatchRecord, 2)
+_RECORD_COLUMNS = tuple(BatchRecord.__dataclass_fields__)
+_CSV_HEADER = ",".join(_RECORD_COLUMNS) + "\n"
+# ``_record_texts`` reads the numbers, then the two fields that the JSON and
+# the CSV write differently, and puts them in each writer's field order
+_NUMBER_COLUMNS = tuple(
+    name for name in _RECORD_COLUMNS if name not in ("budget_clipped", "selected")
+)
+_numbers = operator.itemgetter(*_NUMBER_COLUMNS)
+_READ_ORDER = _NUMBER_COLUMNS + ("budget_clipped", "selected")
+_csv_order = operator.itemgetter(*map(_READ_ORDER.index, _RECORD_COLUMNS))
+_json_order = operator.itemgetter(*map(_READ_ORDER.index, _RECORD_FIELDS))
+_REPR = {float: float.__repr__, int: int.__repr__}
+_ITEM_PAD = "  " * 4  # an item of a list at nesting 2
+_ITEM_SEP = ",\n" + _ITEM_PAD
 
 
-def report_json(report: EpisodeReport) -> str:
-    """The report as JSON text, indented by 2 with sorted keys and ending
-    in a newline."""
+def _reprs(values) -> list[str] | None:
+    """Each value's ``repr`` if every value is exactly a float or an int."""
+    try:
+        return [_REPR[type(value)](value) for value in values]
+    except KeyError:
+        return None
+
+
+def _record_texts(rec: BatchRecord) -> tuple[str | None, str]:
+    """The record's JSON object at nesting 2 and its CSV line, with each
+    number's ``repr`` computed once for both. A finite float's or an int's
+    repr has no letter ``n``, while ``nan``, ``inf`` and ``-inf`` do. For a
+    record holding one of those, or a value of any other exact type, the
+    JSON text is None, left to ``_object_json``, which writes it or raises
+    as ``json`` would; the CSV line of the latter comes from ``csv.writer``."""
+    fields = rec.__dict__
+    clipped, selected = fields["budget_clipped"], fields["selected"]
+    numbers = _reprs(_numbers(fields))
+    items = _reprs(selected) if type(selected) is tuple else None
+    if numbers is None or items is None or type(clipped) is not bool:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(_record_row(rec))
+        return None, buf.getvalue()
+    cells = numbers + ["1" if clipped else "0", "|".join(items)]
+    line = ",".join(_csv_order(cells)) + "\n"
+    if "n" in line:
+        return None, line
+    cells[-2] = "true" if clipped else "false"
+    cells[-1] = f"[\n{_ITEM_PAD}{_ITEM_SEP.join(items)}\n      ]" if items else "[]"
+    return _RECORD_FORMAT % _json_order(cells), line
+
+
+def report_texts(report: EpisodeReport) -> tuple[str, str]:
+    """``(report_json(report), report_csv(report))``, from one formatting
+    pass over the records."""
+    texts = [_record_texts(rec) for rec in report.records]
+    table = _CSV_HEADER + "".join([line for _, line in texts])
     aggregates = _object_json(report.aggregates, _AGGREGATE_FIELDS, _AGGREGATE_FORMAT, 1)
     head = f'{{\n  "aggregates": {aggregates},\n  "batches": '
     tail = (
@@ -943,24 +1048,29 @@ def report_json(report: EpisodeReport) -> str:
         f'  "scenario": {json.dumps(report.scenario)},\n'
         f'  "seed": {_json_value(report.seed, 0)}\n}}\n'
     )
-    if not report.records:
-        return f"{head}[]{tail}"
+    if not texts:
+        return f"{head}[]{tail}", table
     # one join over the records' texts, the first and last carrying the
     # document around them, so the text is built once
     records = [
-        _object_json(rec, _RECORD_FIELDS, _RECORD_FORMAT, 2) for rec in report.records
+        _object_json(rec, _RECORD_FIELDS, _RECORD_FORMAT, 2) if text is None else text
+        for rec, (text, _) in zip(report.records, texts)
     ]
     records[0] = f"{head}[\n    {records[0]}"
     records[-1] = f"{records[-1]}\n  ]{tail}"
-    return ",\n    ".join(records)
+    return ",\n    ".join(records), table
+
+
+def report_json(report: EpisodeReport) -> str:
+    """The report as JSON text, indented by 2 with sorted keys and ending
+    in a newline."""
+    return report_texts(report)[0]
 
 
 def report_csv(report: EpisodeReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(BatchRecord.__dataclass_fields__))
-    writer.writerows(_record_row(rec) for rec in report.records)
-    return buf.getvalue()
+    """The records as CSV text: a header of the field names, then one line
+    per record."""
+    return _CSV_HEADER + "".join([_record_texts(rec)[1] for rec in report.records])
 
 
 # --- scenario files ----------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Run from the repository root:
 
-    python tests/fixtures/make_fixtures.py
+    python tests/fixtures/make_fixtures.py [OUT_DIR]
 
-Outputs are deterministic; the pilot JSON records the measured values that
-justify the thresholds asserted by the acceptance suite (recovery rate,
-latency ratio, capture ratio).
+OUT_DIR defaults to this directory. Outputs are deterministic, and
+``tests/test_golden.py`` checks that they equal the committed files; the
+pilot JSON records the measured values that justify the thresholds asserted
+by the acceptance suite (recovery rate, latency ratio, capture ratio).
 """
 
 import sys
@@ -29,7 +30,7 @@ sys.path.insert(0, str(HERE.parent))  # the tests' own helpers
 from support import importance_recovery_rate, stats_to_lines  # noqa: E402
 
 
-def write_assess_stats() -> None:
+def write_assess_stats(out: Path) -> None:
     """History and current stats for a 10-layer chain with a 2-sigma shift
     on forward layers 3 and 7, for command-line drift scoring tests."""
     network = recovery_network(n_layers=10)
@@ -45,14 +46,14 @@ def write_assess_stats() -> None:
     rng = np.random.default_rng(2024)
     history = generate_batch(env, model, 0, rng)
     current = generate_batch(env, model, 1, rng)
-    (HERE / "stats_history.jsonl").write_text(stats_to_lines(history))
-    (HERE / "stats_current.jsonl").write_text(stats_to_lines(current))
-    (HERE / "network_recovery10.json").write_text(
+    (out / "stats_history.jsonl").write_text(stats_to_lines(history))
+    (out / "stats_current.jsonl").write_text(stats_to_lines(current))
+    (out / "network_recovery10.json").write_text(
         json_text(network_to_document(network))
     )
 
 
-def run_pilots() -> None:
+def run_pilots(out: Path) -> None:
     recovery = {
         f"seed_{seed}": importance_recovery_rate(trials=50, seed=seed)
         for seed in (0, 1, 2)
@@ -78,11 +79,16 @@ def run_pilots() -> None:
             "pinned_capture_ratio_min": 0.6,
         },
     }
-    (HERE / "pilot_results.json").write_text(json_text(pilot))
+    (out / "pilot_results.json").write_text(json_text(pilot))
+
+
+def main(out: Path = HERE) -> None:
+    write_fixture_tree(out)
+    write_assess_stats(out)
+    run_pilots(out)
 
 
 if __name__ == "__main__":
-    write_fixture_tree(HERE)
-    write_assess_stats()
-    run_pilots()
-    print(f"fixtures written under {HERE}")
+    out = Path(sys.argv[1]) if len(sys.argv) > 1 else HERE
+    main(out)
+    print(f"fixtures written under {out}")

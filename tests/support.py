@@ -2,16 +2,19 @@
 
 The calibration fit of the process-switch slope, the JSON-lines writer of
 feature statistics, the shift-recovery experiment behind acceptance
-criterion 6 and the statistics of one batch through the ResNet-50-shaped
-chain. The package itself never calls them.
+criterion 6, the statistics of one batch through the ResNet-50-shaped
+chain and a time-varying state trace. The package itself never calls them.
 """
+
+import math
 
 import numpy as np
 
 from ttasched.errors import InputError, _ordered_sum, json_text
 from ttasched.importance import EmbeddingHistory, FeatureStats, assess
+from ttasched.latency import StateTrace
 from ttasched.pipeline import ModelResponseState, Shift, gaussian_environment, generate_batch
-from ttasched.presets import recovery_network, resnet50_shaped
+from ttasched.presets import recovery_network, resnet50_shaped, resource_conditions
 
 
 def calibrate_proc_overhead(samples) -> float:
@@ -102,3 +105,15 @@ def resnet50_batch_stats(batch_size: int = 16) -> FeatureStats:
         sample_count=[batch_size * (l.out_elements // l.channels) for l in net.layers],
         widths=widths,
     )
+
+
+def cycling_trace(scenario, until_ms: float, horizon_ms: float = math.inf) -> StateTrace:
+    """The five resource conditions in turn, one record every third of the
+    scenario's forward pass, up to ``until_ms``."""
+    conditions = list(resource_conditions().values())
+    step = float(np.sum(scenario.offline.t_f)) / 3
+    records = tuple(
+        (k * step, conditions[k % len(conditions)])
+        for k in range(int(until_ms // step) + 1)
+    )
+    return StateTrace(records=records, horizon_ms=horizon_ms)

@@ -209,6 +209,23 @@ def test_write_recomputes_only_the_named_prefixes(monkeypatch):
     assert digests == {**tampered, "network/recovery/n1-c4": {"json": real}}
 
 
+def test_fixture_generator_reproduces_the_committed_files(tmp_path):
+    # every file ``fixtures/make_fixtures.py`` writes is committed as it
+    # writes it, so the fixtures can be regenerated without changing them
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", FIXTURES / "make_fixtures.py"
+    )
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generator.main(tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert len(written) == 11
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
 def write_digests(prefixes, out=print) -> dict:
     """Recompute the cases whose names start with one of ``prefixes``, keep
     every other recorded digest, and return the merged table; report each

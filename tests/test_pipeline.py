@@ -6,9 +6,11 @@ import pytest
 
 from ttasched.errors import InputError, TraceExhausted
 from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
-from ttasched.latency import COMPUTE_BOUND, LatencyTable, OfflineProfile, StateTrace
+from ttasched.latency import COMPUTE_BOUND, LatencyTable, OfflineProfile, StateTrace, _table_for
 from ttasched.network import UpdateStrategy, strategy_cost
+from ttasched import pipeline
 from ttasched.pipeline import (
+    BatchRecord,
     ControllerConfig,
     EnvironmentSpec,
     ModelResponseState,
@@ -35,6 +37,7 @@ from ttasched.presets import (
 )
 
 from scalar_latency import blend, factors, split
+from support import cycling_trace
 
 
 def simple_env(network, shifts=(), batch_size=8, positions=None):
@@ -1100,6 +1103,132 @@ class TestTrustedDerivations:
             assert (got.start_ms, got.finish_ms) == (1.5, 7.25)
             assert all(type(getattr(got, name)) is float for name in (
                 "start_ms", "finish_ms", "t_f_total", "t_b_total", "t_re_total", "t_total"))
+
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_batch_records(self, mode):
+        # every field is set, in field order, so the records compare, hash
+        # and print as the constructor's and the CSV reads them in order
+        report = run_episode(dataclasses.replace(drift_scenario(), mode=mode))
+        fields = list(BatchRecord.__dataclass_fields__)
+        assert len(fields) == 27
+        for rec in report.records:
+            built = BatchRecord(**vars(rec))
+            _same_object(rec, built)
+            assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+            assert list(vars(rec)) == fields
+
+
+def reference_replay(scenario, rng, table, inter) -> float:
+    """The full-update replay as one executor call per batch."""
+    network = scenario.network
+    full = UpdateStrategy(network.n_layers, network.selectable_backward())
+    prev_finish = 0.0
+    total = 0.0
+    for i in range(scenario.batches):
+        start = max(i * inter, prev_finish)
+        execd = execute_ground_truth(
+            table, scenario.trace, full, jitter_eps=scenario.jitter_eps, rng=rng,
+            t_start_ms=start,
+        )
+        pipeline._check_finish(execd.finish_ms, f"full-update replay batch {i}")
+        total += execd.t_total
+        prev_finish = execd.finish_ms
+    return total / scenario.batches
+
+
+class TestFullUpdateReplay:
+    """The replay runs the batches with no trace record ahead of their
+    start as array blocks; it matches one executor call per batch bit for
+    bit, draws the same jitter stream and raises the same errors."""
+
+    def replay(self, scenario, seed=9):
+        """The replay's mean and the next draw of its stream, and the same
+        from the reference."""
+        table = _table_for(scenario.network, scenario.offline, scenario.device)
+        inter = float(np.sum(scenario.offline.t_f))
+        if scenario.inter_batch_ms is not None:
+            inter = scenario.inter_batch_ms
+        outcomes = []
+        for replay in (pipeline._replay_full_updates, reference_replay):
+            rng = np.random.default_rng(seed)
+            mean = replay(scenario, rng, table, inter)
+            outcomes.append((repr(mean), rng.random()))
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_one_record_scenarios(self):
+        drift = drift_scenario()
+        for scenario in (
+            drift,
+            zero_shift_scenario(),
+            controller_scenario(),
+            dataclasses.replace(drift, mode="parallel"),
+            dataclasses.replace(drift, jitter_eps=0.0),
+            dataclasses.replace(drift, batches=1),
+            # arrivals slower than a full update: every batch starts on arrival
+            dataclasses.replace(drift, inter_batch_ms=500.0),
+        ):
+            self.replay(scenario)
+
+    @pytest.mark.parametrize("until_ms", [0.0, 40.0, 1500.0, 5000.0])
+    def test_time_varying_trace(self, until_ms, monkeypatch):
+        # records up to the first batch, inside it, mid-replay, and past its
+        # end near 3.5 s
+        base = drift_scenario()
+        scenario = dataclasses.replace(base, trace=cycling_trace(base, until_ms))
+        self.replay(scenario)
+        self.replay(dataclasses.replace(scenario, jitter_eps=0.0))
+        # blocks of a few batches draw the stream of one block
+        monkeypatch.setattr(pipeline, "_REPLAY_ROWS", 5)
+        self.replay(scenario)
+
+    def test_blocks_of_any_size(self, monkeypatch):
+        scenario = dataclasses.replace(drift_scenario(), batches=13)
+        want = self.replay(scenario)
+        for rows in (1, 2, 12, 13):
+            monkeypatch.setattr(pipeline, "_REPLAY_ROWS", rows)
+            assert self.replay(scenario) == want
+
+    @pytest.mark.parametrize("until_ms", [0.0, 800.0, 1695.0])
+    @pytest.mark.parametrize("rows", [512, 4])
+    @pytest.mark.parametrize("inter", [None, 150.0])
+    def test_horizon_crossed_mid_replay(self, until_ms, rows, inter, monkeypatch):
+        # the replay's batches finish every ~0.1 s from 0.1 s to 2.5 s, each
+        # starting on the previous finish, or on its arrival when batches
+        # arrive every 150 ms; a horizon at 1.7 s is crossed by a block, or
+        # by an executor call when the last record falls just before it
+        monkeypatch.setattr(pipeline, "_REPLAY_ROWS", rows)
+        base = drift_scenario()
+        scenario = dataclasses.replace(
+            base, trace=cycling_trace(base, until_ms, horizon_ms=1700.0)
+        )
+        table = _table_for(scenario.network, scenario.offline, scenario.device)
+        inter = inter or float(np.sum(scenario.offline.t_f))
+        errors = []
+        for replay in (pipeline._replay_full_updates, reference_replay):
+            with pytest.raises(TraceExhausted) as got:
+                replay(scenario, np.random.default_rng(3), table, inter)
+            errors.append(str(got.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("trace exhausted: t=1")
+        assert errors[0].endswith(" ms beyond horizon 1700.000 ms")
+
+    def test_start_past_the_horizon(self):
+        # the block's first batch starts past the horizon: the executor's
+        # first read raises there
+        base = drift_scenario()
+        scenario = dataclasses.replace(
+            base,
+            trace=StateTrace.constant(resource_conditions()["offline"], horizon_ms=0.0),
+            inter_batch_ms=1.0,
+        )
+        table = _table_for(scenario.network, scenario.offline, scenario.device)
+        errors = []
+        for replay in (pipeline._replay_full_updates, reference_replay):
+            with pytest.raises(TraceExhausted) as got:
+                replay(scenario, np.random.default_rng(3), table, 1.0)
+            errors.append(str(got.value))
+        assert errors[0] == errors[1]
 
 
 class TestApplyUpdate:

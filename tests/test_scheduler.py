@@ -563,6 +563,123 @@ class TestPinnedSweep:
         assert (result.explored, result.pruned) == (explored, pruned)
 
 
+# Quanta of the grid oracle's instances: latencies are multiples of 1/64 ms
+# and importances of 1/1024, so every sum the search takes is exact
+GRID_Q = 64
+GRID_A = 1024
+
+
+def grid_optimum(a, t_dw, t_dx, t_re, selectable, cap) -> tuple[int, int, int]:
+    """The best ``(gain, cost, deepest)``, in quanta, of an instance whose
+    importances and latencies are integer counts of quanta, under a budget
+    of ``cap`` latency quanta: the capacity-indexed 0/1 knapsack DP
+    (Bellman, 1957; Kellerer, Pferschy & Pisinger, 2004), in integers.
+
+    Before layer ``d`` is folded in, ``best[c]`` is the largest gain of a
+    selection among the shallower layers whose weight-gradient quanta sum
+    to exactly ``c``; a selection whose deepest layer is ``d`` adds ``d``'s
+    own and pays the prefixes ``cum_dx[d - 1] + cum_re[d]``. Of equal gains
+    at one ``d``, the first argmax over ``c`` is the cheapest; walking ``d``
+    upward and keeping only strict improvements in (gain, then lower cost)
+    keeps the shallowest deepest layer."""
+    unreachable = -(1 << 62)
+    best = np.full(cap + 1, unreachable, dtype=np.int64)
+    best[0] = 0
+    answer = (0, 0, 0)  # the empty strategy
+    dx_prefix = re_prefix = 0
+    for d in range(1, len(a)):
+        re_prefix += t_re[d]
+        fixed = dx_prefix + re_prefix
+        dx_prefix += t_dx[d]
+        if not selectable[d]:
+            continue
+        w = t_dw[d]
+        room = cap - fixed - w
+        if room >= 0:
+            c = int(np.argmax(best[: room + 1]))
+            gain, cost = int(best[c]) + a[d], c + w + fixed
+            if gain > answer[0] or (gain == answer[0] and cost < answer[1]):
+                answer = (gain, cost, d)
+        if w <= cap:
+            best[w:] = np.maximum(best[w:], best[: cap + 1 - w] + a[d])
+    return answer
+
+
+def grid_instance(kind: str, n: int, seed: int):
+    """Latency and importance quanta of an ``n``-layer instance: the sweep's
+    profile (``TestPinnedSweep``) rounded to the grid, or random quanta,
+    with small ranges for ``"ties"`` so that equal gains and costs abound."""
+    from ttasched.latency import build_profile
+    from ttasched.presets import (
+        demo_edge_device,
+        offline_from_costs,
+        resource_conditions,
+        synthetic_network,
+    )
+
+    rng = np.random.default_rng(seed)
+    if kind == "sweep":
+        network = synthetic_network(n)
+        device = demo_edge_device()
+        profile = build_profile(
+            network,
+            offline_from_costs(network, device),
+            device,
+            resource_conditions()["contended"],
+        )
+        quanta = [
+            np.rint(getattr(profile, name) * GRID_Q).astype(np.int64)
+            for name in ("t_f", "t_dw", "t_dx", "t_re")
+        ]
+        selectable = profile.selectable
+    else:
+        top = 64 if kind == "random" else 4
+        quanta = [rng.integers(1, top // 2 + 1, n + 1)] + [
+            rng.integers(0, top, n + 1) for _ in range(3)
+        ]
+        selectable = np.concatenate(([False], rng.random(n) < 0.75))
+    for q in quanta:
+        q[0] = 0
+    a = np.zeros(n + 1, dtype=np.int64)
+    top_a = GRID_A if kind != "ties" else 3
+    a[selectable] = rng.integers(0, top_a + 1, int(selectable.sum()))
+    return a, quanta, selectable
+
+
+class TestGridOracle:
+    """On grid instances the search returns the exact optimum's gain, cost
+    and deepest layer, beyond the enumeration oracle's reach: an integer
+    DP over capacities, which shares no code and no summation order with
+    ``solve_dp``, gives them."""
+
+    @pytest.mark.parametrize(
+        "kind, n, sigma",
+        [
+            (kind, n, sigma)
+            for kind in ("sweep", "random", "ties")
+            for n in (96, 240)
+            for sigma in (0.3, 0.6, 0.9)
+        ]
+        + [("sweep", 480, 0.25), ("random", 480, 0.2)],
+    )
+    def test_search_finds_the_grid_optimum(self, kind, n, sigma):
+        a, (t_f, t_dw, t_dx, t_re), selectable = grid_instance(kind, n, n + int(100 * sigma))
+        profile = LatencyProfile.from_components(
+            t_f / GRID_Q, t_dw / GRID_Q, t_dx / GRID_Q, t_re / GRID_Q, selectable=selectable
+        )
+        result = solve_dp(ImportanceVector(a=a / GRID_A), profile, SchedulerConfig(sigma=sigma))
+        cap = math.floor(budget(profile.t_total, profile.t_f_total, sigma).ms * GRID_Q)
+        gain, cost, deepest = grid_optimum(
+            a.tolist(), t_dw.tolist(), t_dx.tolist(), t_re.tolist(), selectable.tolist(), cap
+        )
+        assert (
+            result.achieved_importance,
+            result.predicted_extra.t_total_extra,
+            result.strategy.deepest,
+        ) == (gain / GRID_A, cost / GRID_Q, deepest)
+        assert deepest > 0
+
+
 class TestTieBreaks:
     def test_equal_importance_prefers_cheaper(self):
         profile = uniform_profile(3)

@@ -14,6 +14,9 @@ alternating order. With ``--workload drift24`` (the default) a pair times:
 * a replay of one recorded drift episode's decisions by direct calls
   (``assess``, ``build_profile``, ``solve_dp``), each decision timed.
 
+The two sides must write the same report JSON and CSV, byte for byte; the
+tool stops at the first pair where they do not.
+
 With ``--workload oracle14`` each side draws the same ``certify``-style
 instance stream from its own ``scheduler.random_instance`` (4 to 14 layers,
 dyadic and float instances alternating), and a pair times one instance's
@@ -141,11 +144,25 @@ class DriftSide:
         self.decide_ns.extend(times)
         return times
 
-    def pair(self, k: int) -> tuple[int, float, None]:
+    def pair(self, k: int) -> tuple[int, float, tuple[bytes, bytes]]:
         """One pair's side: the operation's time, the median decision time
-        of the replay, and no answer to compare."""
+        of the replay, and the report JSON and CSV the operation wrote."""
         self.op(self.seed + k)
-        return self.op_ns[-1], statistics.median(self.replay()), None
+        written = (Path(self.report).read_bytes(), Path(self.csv).read_bytes())
+        return self.op_ns[-1], statistics.median(self.replay()), written
+
+    @staticmethod
+    def difference(parent: tuple, change: tuple) -> str:
+        """Where the two sides' reports first differ."""
+        for name, p, c in zip(("JSON", "CSV"), parent, change):
+            if p != c:
+                line = next(
+                    (i for i, (a, b) in enumerate(zip(p.splitlines(), c.splitlines()), 1)
+                     if a != b),
+                    min(p.count(b"\n"), c.count(b"\n")) + 1,
+                )
+                return f"the report {name} differs from line {line} on"
+        return "the reports differ"
 
     def describe(self) -> str:
         return f"{len(self.decisions)} decisions replayed per side per pair"
@@ -191,6 +208,10 @@ class OracleSide:
             for r in (dp, bf)
         )
         return op, decide, answer
+
+    @staticmethod
+    def difference(parent: tuple, change: tuple) -> str:
+        return f"parent {parent}, change {change}"
 
     def describe(self) -> str:
         return (
@@ -238,7 +259,7 @@ def main(argv=None) -> int:
             )
             if p_answer != c_answer:
                 raise SystemExit(
-                    f"pair {k}: the trees disagree: parent {p_answer}, change {c_answer}"
+                    f"pair {k}: the trees disagree: {kind.difference(p_answer, c_answer)}"
                 )
             op_ratios.append(c_op / p_op)
             decide_ratios.append(c_decide / p_decide)
