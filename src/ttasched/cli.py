@@ -57,7 +57,7 @@ def cmd_assess(args) -> int:
             f"layer {first}: present in one stats file but not the other "
             f"({len(history_stats)} history vs {len(current_stats)} current layers)"
         )
-    network = load_network_file(args.network, args.lenient) if args.network else None
+    network = load_network_file(args.network) if args.network else None
     n = len(current_stats)
     if network is not None and network.n_layers != n:
         raise InputError(
@@ -75,7 +75,7 @@ def cmd_assess(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    network = load_network_file(args.network, args.lenient)
+    network = load_network_file(args.network)
     offline = load_offline_profile_file(args.offline_profile, network.n_layers)
     device = load_device_file(args.device)
     trace = load_trace_file(args.state_trace)
@@ -158,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current", required=True, help="JSON-lines stats of the current batch")
     p.add_argument("--network", help="optional network file; zeroes parameter-free layers")
     p.add_argument("--kl-mode", choices=KL_MODES, default="gaussian")
-    p.add_argument(
-        "--lenient", action="store_true",
-        help="let the --network file carry unknown keys; the stats files stay strict",
-    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_assess)
 
@@ -171,10 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", required=True)
     p.add_argument("--state-trace", required=True)
     p.add_argument("--at-ms", type=float, default=0.0, help="trace instant to sample")
-    p.add_argument(
-        "--lenient", action="store_true",
-        help="let the --network file carry unknown keys; the other files stay strict",
-    )
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_predict)
 

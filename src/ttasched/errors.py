@@ -1,7 +1,7 @@
 """Input errors, and the one place where input files are read, field
 values converted and unknown keys rejected, and where output JSON is
-written (the episode report, written field by field in ``pipeline``,
-matches ``json_text`` byte for byte).
+written (the episode report, whose numbers ``pipeline`` formats in one
+pass, matches ``json_text`` byte for byte).
 
 It also holds the two helpers every other module builds on: ``_derived``,
 the trusted path that builds an object without its constructor's checks,
@@ -90,16 +90,13 @@ def convert(kind, value, name: str):
     raise InputError(f"{name} must be {noun}, got {value!r}")
 
 
-def reject_unknown(
-    obj: dict, known, what: str, form: str = "{what}: unknown fields {names}"
-) -> None:
+def reject_unknown(obj: dict, known, what: str) -> None:
     """Reject the keys of the input object ``obj`` outside ``known``, so a
     misspelt optional key is an error rather than a silent default. The
-    InputError's message is ``form`` with ``what`` and the sorted list of
-    unknown keys filled in."""
+    InputError names ``what`` and the sorted list of unknown keys."""
     unknown = obj.keys() - known
     if unknown:
-        raise InputError(form.format(what=what, names=sorted(unknown)))
+        raise InputError(f"{what}: unknown fields {sorted(unknown)}")
 
 
 def json_text(document, indent: int | None = 2, sort_keys: bool = True) -> str:

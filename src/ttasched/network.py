@@ -311,7 +311,7 @@ def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> Strate
     return closed_form_cost(profile, strategy.selected)
 
 
-def load_network(document: dict, lenient: bool = False) -> Network:
+def load_network(document: dict) -> Network:
     """Build a Network from a parsed network document.
 
     Layers listed with hyperparams get their costs derived (and checked
@@ -319,10 +319,7 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     hyperparams must carry explicit costs.
     """
     document = convert(dict, document, "network document")
-    if not lenient:
-        reject_unknown(
-            document, _NETWORK_FIELDS, "network", "unknown {what} fields: {names}"
-        )
+    reject_unknown(document, _NETWORK_FIELDS, "network")
     raw_layers = convert(list[dict], document.get("layers", []), "layers")
     if not raw_layers:
         raise InputError("empty network")
@@ -333,8 +330,7 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     seen_ids = set()
     layers = []
     for raw in raw_layers:
-        if not lenient:
-            reject_unknown(raw, _LAYER_FIELDS, f"layer {raw.get('id')}")
+        reject_unknown(raw, _LAYER_FIELDS, f"layer {raw.get('id')}")
         layer_id = convert(int, raw.get("id"), "layer id")
         if layer_id in seen_ids:
             raise InputError(f"duplicate layer id {layer_id}")
@@ -386,5 +382,5 @@ def load_network(document: dict, lenient: bool = False) -> Network:
     )
 
 
-def load_network_file(path, lenient: bool = False) -> Network:
-    return load_network(read_json(path), lenient=lenient)
+def load_network_file(path) -> Network:
+    return load_network(read_json(path))

@@ -30,8 +30,6 @@ variance blend ``v + g * (e - v)`` can round to 0.0.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
@@ -926,49 +924,12 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
 # --- report serialization ---------------------------------------------------
 
 
-def _record_row(rec: BatchRecord) -> list:
-    """The record's values in field order, as the CSV writes them."""
-    row = []
-    for name, value in rec.__dict__.items():
-        if name == "selected":
-            row.append("|".join(str(b) for b in value))
-        elif isinstance(value, bool):
-            row.append(int(value))
-        else:
-            row.append(value)
-    return row
-
-
-# ``report_json`` writes the text ``json_text`` writes for the report as a
-# document (indent 2, sorted keys), without building the document, and
-# ``report_csv`` the text ``csv.writer`` writes for the records' rows. Both
-# take each record's texts from one pass over its fields, ``_record_texts``.
-
-
-def _json_value(value, depth: int) -> str:
-    """A field value as ``json`` writes it inside an object at nesting
-    ``depth``: a boolean, an integer, a float by ``float.__repr__`` (NaN and
-    infinities are a ValueError, as under ``allow_nan=False``) or a list or
-    tuple of those."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        raise ValueError(
-            f"Out of range float values are not JSON compliant: {value!r}"
-        )
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        pad = "  " * (depth + 2)
-        items = f",\n{pad}".join(_json_value(item, depth + 1) for item in value)
-        return f"[\n{pad}{items}\n{'  ' * (depth + 1)}]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# ``report_texts`` writes the text ``json_text`` writes for the report as a
+# document (indent 2, sorted keys) and the text ``csv.writer`` writes for the
+# records' rows, formatting each number once for both. A NaN or an infinity,
+# which the CSV writes and JSON cannot, is an InputError naming the batch and
+# the field; a value of no JSON number type is ``json``'s TypeError, and so
+# is a flag that is not a bool or a selection that is not a tuple.
 
 
 def _object_format(cls, depth: int) -> tuple[tuple[str, ...], str]:
@@ -981,12 +942,10 @@ def _object_format(cls, depth: int) -> tuple[tuple[str, ...], str]:
     return names, f"{{\n{body}\n{'  ' * depth}}}"
 
 
-def _object_json(obj, names: tuple[str, ...], form: str, depth: int) -> str:
-    fields = obj.__dict__
-    return form % tuple(_json_value(fields[name], depth) for name in names)
-
-
 _AGGREGATE_FIELDS, _AGGREGATE_FORMAT = _object_format(EpisodeAggregates, 1)
+_aggregate_numbers = operator.itemgetter(*_AGGREGATE_FIELDS)
+# the report's numbers outside its records, as ``report_texts`` reads them
+_REPORT_NUMBERS = tuple(f"aggregates.{name}" for name in _AGGREGATE_FIELDS) + ("seed",)
 _RECORD_FIELDS, _RECORD_FORMAT = _object_format(BatchRecord, 2)
 _RECORD_COLUMNS = tuple(BatchRecord.__dataclass_fields__)
 _CSV_HEADER = ",".join(_RECORD_COLUMNS) + "\n"
@@ -1004,61 +963,80 @@ _ITEM_PAD = "  " * 4  # an item of a list at nesting 2
 _ITEM_SEP = ",\n" + _ITEM_PAD
 
 
-def _reprs(values) -> list[str] | None:
-    """Each value's ``repr`` if every value is exactly a float or an int."""
+def _not_serializable(value) -> TypeError:
+    return TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_number(value) -> str:
+    """``json``'s rule for a value whose exact type the ``repr`` table
+    lacks: a float or int subclass (numpy's float64, say) takes its base's
+    ``repr``, and anything else is a TypeError."""
+    for kind, text in _REPR.items():
+        if isinstance(value, kind):
+            return text(value)
+    raise _not_serializable(value)
+
+
+def _texts(values) -> list[str]:
+    """Each number's text, looked up in the ``repr`` table by exact type,
+    and by ``_json_number`` only when a lookup misses."""
     try:
         return [_REPR[type(value)](value) for value in values]
     except KeyError:
-        return None
+        return [_json_number(value) for value in values]
 
 
-def _record_texts(rec: BatchRecord) -> tuple[str | None, str]:
-    """The record's JSON object at nesting 2 and its CSV line, with each
-    number's ``repr`` computed once for both. A finite float's or an int's
-    repr has no letter ``n``, while ``nan``, ``inf`` and ``-inf`` do. For a
-    record holding one of those, or a value of any other exact type, the
-    JSON text is None, left to ``_object_json``, which writes it or raises
-    as ``json`` would; the CSV line of the latter comes from ``csv.writer``."""
+def _check_finite(where: str, names, texts) -> None:
+    """Reject a NaN or an infinity, which have no JSON form. A finite
+    float's or an int's text has no letter ``n``, while ``nan``, ``inf`` and
+    ``-inf`` do."""
+    for name, text in zip(names, texts):
+        if "n" in text:
+            raise InputError(
+                f"{where}: {name} is {text}; "
+                "Out of range float values are not JSON compliant"
+            )
+
+
+def _record_texts(rec: BatchRecord) -> tuple[list[str], str]:
+    """The record's texts in ``_READ_ORDER``, as the CSV writes them, and its
+    CSV line."""
     fields = rec.__dict__
     clipped, selected = fields["budget_clipped"], fields["selected"]
-    numbers = _reprs(_numbers(fields))
-    items = _reprs(selected) if type(selected) is tuple else None
-    if numbers is None or items is None or type(clipped) is not bool:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(_record_row(rec))
-        return None, buf.getvalue()
-    cells = numbers + ["1" if clipped else "0", "|".join(items)]
-    line = ",".join(_csv_order(cells)) + "\n"
-    if "n" in line:
-        return None, line
-    cells[-2] = "true" if clipped else "false"
-    cells[-1] = f"[\n{_ITEM_PAD}{_ITEM_SEP.join(items)}\n      ]" if items else "[]"
-    return _RECORD_FORMAT % _json_order(cells), line
+    if type(clipped) is not bool:
+        raise _not_serializable(clipped)
+    if type(selected) is not tuple:
+        raise _not_serializable(selected)
+    cells = _texts(_numbers(fields))
+    cells += ["1" if clipped else "0", "|".join(_texts(selected))]
+    return cells, ",".join(_csv_order(cells)) + "\n"
 
 
 def report_texts(report: EpisodeReport) -> tuple[str, str]:
     """``(report_json(report), report_csv(report))``, from one formatting
-    pass over the records."""
-    texts = [_record_texts(rec) for rec in report.records]
-    table = _CSV_HEADER + "".join([line for _, line in texts])
-    aggregates = _object_json(report.aggregates, _AGGREGATE_FIELDS, _AGGREGATE_FORMAT, 1)
-    head = f'{{\n  "aggregates": {aggregates},\n  "batches": '
-    tail = (
-        f',\n  "mode": {json.dumps(report.mode)},\n'
+    pass over the report's numbers. A NaN or an infinity in the report is an
+    InputError, which the CLI reports with exit code 2."""
+    records, lines = [], []
+    for rec in report.records:
+        cells, line = _record_texts(rec)
+        if "n" in line:
+            _check_finite(f"batch {rec.index}", _READ_ORDER, cells)
+        lines.append(line)
+        items = cells[-1]
+        cells[-2] = "true" if cells[-2] == "1" else "false"
+        cells[-1] = f"[\n{_ITEM_PAD}{items.replace('|', _ITEM_SEP)}\n      ]" if items else "[]"
+        records.append(_RECORD_FORMAT % _json_order(cells))
+    numbers = _texts(_aggregate_numbers(report.aggregates.__dict__) + (report.seed,))
+    _check_finite("report", _REPORT_NUMBERS, numbers)
+    batches = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    text = (
+        f'{{\n  "aggregates": {_AGGREGATE_FORMAT % tuple(numbers[:-1])},\n'
+        f'  "batches": {batches},\n'
+        f'  "mode": {json.dumps(report.mode)},\n'
         f'  "scenario": {json.dumps(report.scenario)},\n'
-        f'  "seed": {_json_value(report.seed, 0)}\n}}\n'
+        f'  "seed": {numbers[-1]}\n}}\n'
     )
-    if not texts:
-        return f"{head}[]{tail}", table
-    # one join over the records' texts, the first and last carrying the
-    # document around them, so the text is built once
-    records = [
-        _object_json(rec, _RECORD_FIELDS, _RECORD_FORMAT, 2) if text is None else text
-        for rec, (text, _) in zip(report.records, texts)
-    ]
-    records[0] = f"{head}[\n    {records[0]}"
-    records[-1] = f"{records[-1]}\n  ]{tail}"
-    return ",\n    ".join(records), table
+    return text, _CSV_HEADER + "".join(lines)
 
 
 def report_json(report: EpisodeReport) -> str:
@@ -1069,7 +1047,8 @@ def report_json(report: EpisodeReport) -> str:
 
 def report_csv(report: EpisodeReport) -> str:
     """The records as CSV text: a header of the field names, then one line
-    per record."""
+    per record. NaN and infinities are written as ``nan``, ``inf`` and
+    ``-inf``, as ``csv.writer`` writes them."""
     return _CSV_HEADER + "".join([_record_texts(rec)[1] for rec in report.records])
 
 

@@ -282,19 +282,20 @@ def brute_force(
     ``t_backward + t_reforward`` from ``closed_form_parts`` on the float
     view (the sum ``StrategyCost.t_total_extra`` takes), with no object per
     subset. It shares the search's exact cost arithmetic and preference
-    order, so on any instance within the layer guard the two return
-    identical strategies.
+    order, so on any instance within the selectable-layer guard the two
+    return identical strategies.
     An exact ``(-gain, cost, deepest)`` tie goes to the larger ascending
     tuple, which at the same deepest layer is the smaller selection vector.
     """
     view = _float_view(importance, profile)
     n = profile.n_layers
-    if n > BRUTE_FORCE_MAX_LAYERS:
-        raise InputError(
-            f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} layers, got {n}"
-        )
     a = view.a
     selectable = [b for b in range(1, n + 1) if view.selectable[b]]
+    if len(selectable) > BRUTE_FORCE_MAX_LAYERS:  # 2**k subsets is the work
+        raise InputError(
+            f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} selectable layers, "
+            f"got {len(selectable)}"
+        )
     best = (-0.0, 0.0, 0)  # (-gain, cost, deepest) of the empty strategy
     selected = ()
     pruned = 0

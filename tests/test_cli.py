@@ -81,7 +81,9 @@ class TestAssessCommand:
         )
         assert rc == 2
 
-    def test_lenient_relaxes_only_the_network_file(self, fixtures_dir, tmp_path, capsys):
+    def test_unknown_keys_exit_2_in_network_and_stats_files(
+        self, fixtures_dir, tmp_path, capsys
+    ):
         network = json.loads((fixtures_dir / "network_recovery10.json").read_text())
         network["comment"] = "extra"
         loose_network = tmp_path / "network.json"
@@ -93,12 +95,15 @@ class TestAssessCommand:
         loose_stats = tmp_path / "current.jsonl"
         loose_stats.write_text("\n".join(lines) + "\n")
         history = str(fixtures_dir / "stats_history.jsonl")
-        base = ["assess", "--history", history, "--network", str(loose_network), "--lenient"]
-        out = tmp_path / "imp.json"
         current = str(fixtures_dir / "stats_current.jsonl")
-        assert main(base + ["--current", current, "--out", str(out)]) == 0
+        network_path = str(fixtures_dir / "network_recovery10.json")
+        out = str(tmp_path / "imp.json")
+        base = ["assess", "--history", history, "--out", out]
+        assert main(base + ["--current", current, "--network", network_path]) == 0
         capsys.readouterr()
-        assert main(base + ["--current", str(loose_stats), "--out", str(out)]) == 2
+        assert main(base + ["--current", current, "--network", str(loose_network)]) == 2
+        assert capsys.readouterr().err == "error: network: unknown fields ['comment']\n"
+        assert main(base + ["--current", str(loose_stats), "--network", network_path]) == 2
         assert "stats line 2: unknown fields ['note']" in capsys.readouterr().err
 
     def test_non_numeric_samples_exits_2(self, fixtures_dir, tmp_path, capsys):
@@ -530,7 +535,7 @@ class TestScheduleCommand:
              str(profile_path), "--oracle"]
         )
         assert rc == 2
-        assert "capped at 20 layers" in capsys.readouterr().err
+        assert "capped at 20 selectable layers, got 21" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -214,6 +214,12 @@ def _run_edited(tmp, command, name, path, value) -> tuple[int, str]:
 
 
 @example(case=("simulate", "scenario.json", ("environment", "shifts"), 5))
+@example(
+    case=(
+        "simulate", "scenario.json", ("environment", "shifts"),
+        [{"batch": 1, "layers": [2], "mean_offset_sigmas": 1e200}],
+    )
+)
 @example(case=("simulate", "scenario.json", ("network",), 5))
 @example(
     case=("simulate", "scenario.json", ("controller",), {"enabled": True, "window": 2.5})

@@ -1,12 +1,14 @@
 """The episode report's JSON and CSV writers.
 
-``report_json`` writes the report's text field by field. The reference is
-the document path it replaced: the report as nested dicts and lists,
-serialized by ``json_text`` (the stdlib encoder, indent 2, sorted keys,
-``allow_nan=False``). The two must agree byte for byte, and both must refuse
-NaN and infinities. ``report_csv`` must agree with ``csv.writer`` over the
-records' rows, which writes NaN and infinities, and ``report_texts`` with
-the two writers.
+``report_texts`` formats each number of the report once, for both texts.
+The JSON's reference is the document path it replaced: the report as nested
+dicts and lists, serialized by ``json_text`` (the stdlib encoder, indent 2,
+sorted keys, ``allow_nan=False``). The two must agree byte for byte, and
+both must refuse NaN and infinities. ``report_csv`` must agree with
+``csv.writer`` over the records' rows, which writes NaN and infinities, and
+``report_texts`` with the two writers. A float or int subclass is written as
+``json`` writes it; any other value in a number field, or a selection that
+is not a tuple, is ``json``'s TypeError from every writer.
 """
 
 import builtins
@@ -30,7 +32,7 @@ from ttasched.pipeline import (
     report_texts,
     run_episode,
 )
-from ttasched.presets import drift_scenario
+from ttasched.presets import controller_scenario, drift_scenario, zero_shift_scenario
 
 from support import calibrate_proc_overhead
 
@@ -177,22 +179,55 @@ def test_csv_writes_non_finite_floats():
     ]
 
 
-def test_other_value_types_take_the_field_by_field_path():
-    # numpy floats and a selection held as a list are written as their
-    # references write them; a string only the CSV writes, as the field by
-    # field JSON writer always refused it
-    record = _record(
-        index=1, sigma=np.float64(0.25), budget_ms=np.float64(1e300), selected=[2, 5]
-    )
-    report = _report([_record(), record])
+def test_numpy_floats_are_written_as_floats():
+    # a float subclass is written by ``float.__repr__``, as ``json`` writes
+    # it; numpy's ``str``, which ``csv.writer`` takes, is the same text
+    record = _record(index=1, sigma=np.float64(0.25), budget_ms=np.float64(1e300))
+    report = _report([_record(), record], mean_r=np.float64(0.1))
     assert report_json(report) == reference_report_json(report)
     assert report_csv(report) == reference_report_csv(report)
     assert report_texts(report) == (report_json(report), report_csv(report))
-    named = _report([_record(loss_before='a "quoted", name')])
-    assert report_csv(named) == reference_report_csv(named)
-    assert '"a ""quoted"", name"' in report_csv(named)
-    with pytest.raises(TypeError, match="not JSON serializable"):
-        report_json(named)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"selected": [2, 5]}, {"loss_before": 'a "quoted", name'}],
+    ids=["list-selection", "string"],
+)
+def test_other_value_types_are_a_type_error_from_every_writer(fields):
+    report = _report([_record(), _record(index=1, **fields)])
+    for write in (report_json, report_csv, report_texts):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write(report)
+
+
+_DECLARED = {"int": int, "float": float, "bool": bool}
+
+
+def test_episodes_hold_exactly_their_declared_types():
+    """``run_episode`` gives every record and aggregate field exactly its
+    declared type, so each number of a bundled episode's report takes the
+    ``repr`` table; a scenario holding numpy numbers takes the subclass
+    fallback and writes the same bytes as one holding Python numbers."""
+    for make in (drift_scenario, zero_shift_scenario, controller_scenario):
+        for mode in ("sequential", "parallel"):
+            report = run_episode(dataclasses.replace(make(), mode=mode))
+            assert type(report.seed) is int
+            for obj in report.records + (report.aggregates,):
+                for field in dataclasses.fields(obj):
+                    value = getattr(obj, field.name)
+                    if field.type == "tuple[int, ...]":
+                        assert type(value) is tuple, field.name
+                        assert all(type(b) is int for b in value), field.name
+                    else:
+                        assert type(value) is _DECLARED[field.type], (field.name, value)
+    base = controller_scenario()
+    texts = report_texts(run_episode(base))
+    for numpy_fields in (
+        {"sigma": np.float64(base.sigma), "inter_batch_ms": np.float64(base.inter_batch_ms)},
+        {"batches": np.int64(base.batches)},
+    ):
+        assert report_texts(run_episode(dataclasses.replace(base, **numpy_fields))) == texts
 
 
 def test_writer_matches_on_a_simulated_episode():

@@ -131,8 +131,17 @@ class TestBruteForce:
     def test_layer_guard(self):
         profile = uniform_profile(21)
         imp = ImportanceVector(a=np.concatenate(([0.0], np.ones(21))))
-        with pytest.raises(InputError, match="capped"):
+        with pytest.raises(InputError, match="capped at 20 selectable layers, got 21"):
             brute_force(imp, profile, 5.0)
+
+    def test_guard_counts_selectable_layers(self):
+        # 2**k subsets is the work: 24 layers of which 8 are selectable
+        profile = uniform_profile(24, selectable=[b % 3 == 0 for b in range(24)])
+        imp = ImportanceVector(a=np.concatenate(([0.0], np.arange(1.0, 25.0))))
+        search = solve_dp(imp, profile, SchedulerConfig(0.7))
+        oracle = brute_force(imp, profile, search.budget_ms)
+        assert oracle.explored == 2**8
+        assert oracle.strategy.selected == search.strategy.selected == (4, 7, 10, 13, 16, 19)
 
 
 class TestSolveDpEdges:
@@ -783,12 +792,13 @@ def reference_brute_force(importance, profile, budget_ms) -> ScheduleResult:
     reproduce exactly."""
     view = _float_view(importance, profile)
     n = profile.n_layers
-    if n > BRUTE_FORCE_MAX_LAYERS:
-        raise InputError(
-            f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} layers, got {n}"
-        )
     a = view.a
     selectable = [b for b in range(1, n + 1) if view.selectable[b]]
+    if len(selectable) > BRUTE_FORCE_MAX_LAYERS:  # 2**k subsets is the work
+        raise InputError(
+            f"brute force capped at {BRUTE_FORCE_MAX_LAYERS} selectable layers, "
+            f"got {len(selectable)}"
+        )
     best = (-0.0, 0.0, 0)  # (-gain, cost, deepest) of the empty strategy
     selected = ()
     pruned = 0
@@ -837,6 +847,41 @@ class TestOracleReference:
         *columns, sigma = instance
         importance, profile = tie_prone_instance(*columns)
         assert_oracle_matches_reference(importance, profile, sigma)
+
+
+class TestBundledDecisions:
+    """The oracle certifies the bundled episodes' own decisions. Their chains
+    have 24 layers, of which 16 are selectable: within the guard, which
+    counts selectable layers."""
+
+    def test_every_third_decision_matches_the_oracle(self, monkeypatch):
+        from ttasched import pipeline
+        from ttasched.presets import (
+            controller_scenario,
+            drift_scenario,
+            zero_shift_scenario,
+        )
+
+        decisions = []
+        search = pipeline.solve_dp
+
+        def recording(importance, profile, config):
+            result = search(importance, profile, config)
+            decisions.append((importance, profile, result))
+            return result
+
+        monkeypatch.setattr(pipeline, "solve_dp", recording)
+        for make in (drift_scenario, zero_shift_scenario, controller_scenario):
+            pipeline.run_episode(make())
+        assert len(decisions) == 66
+        for importance, profile, result in decisions[::3]:
+            assert profile.n_layers == 24 and profile.selectable.sum() == 16
+            oracle = brute_force(importance, profile, result.budget_ms)
+            assert repr(
+                (oracle.strategy.selected, oracle.achieved_importance, oracle.predicted_extra)
+            ) == repr(
+                (result.strategy.selected, result.achieved_importance, result.predicted_extra)
+            )
 
 
 class TestClosedFormParts:
