@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .errors import InputError, json_text, read_json
-from .importance import KL_MODES, EmbeddingHistory, assess, load_stats_file
+from .importance import EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
     load_device_file,
@@ -69,7 +69,7 @@ def cmd_assess(args) -> int:
                 f"layer {layer_id}: history has {h} channels, current has {e}"
             )
     history = EmbeddingHistory.seed(history_stats)
-    vector, _ = assess(network, history, current_stats, mode=args.kl_mode)
+    vector, _ = assess(network, history, current_stats)
     _dump_json({"a": vector.a[1:].tolist()}, args.out)
     return 0
 
@@ -117,13 +117,8 @@ def cmd_simulate(args) -> int:
     import dataclasses
 
     scenario = load_scenario_file(args.scenario)
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     text, table = report_texts(run_episode(scenario))
     _write_out(text, args.out)
     if args.csv:
@@ -157,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True, help="JSON-lines stats of the tracked history")
     p.add_argument("--current", required=True, help="JSON-lines stats of the current batch")
     p.add_argument("--network", help="optional network file; zeroes parameter-free layers")
-    p.add_argument("--kl-mode", choices=KL_MODES, default="gaussian")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_assess)
 
@@ -182,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--out", default="-", help="report JSON path, - for stdout")
     p.add_argument("--csv", help="optional flat per-batch CSV path")
-    p.add_argument("--alpha", type=float, help="override the scenario's history rate")
     p.add_argument("--seed", type=int, help="override the scenario's seed")
     p.set_defaults(func=cmd_simulate)
 

@@ -13,11 +13,9 @@ Every divergence goes through one kernel, ``layer_divergences``, which
 computes all channels' terms in one elementwise pass and reduces them per
 layer as row sums of a (layers x width) block, one block per distinct width.
 
-Two divergence modes exist. The default ``gaussian`` mode treats each
-channel's (mean, variance) pair as a Gaussian and sums closed-form Gaussian
-KL over channels; it is well-defined for arbitrary real means. The
-``elementwise`` mode softmax-normalizes each layer's embedding vector and
-applies the discrete KL sum, kept for comparison.
+The divergence treats each channel's (mean, variance) pair as a Gaussian
+and sums closed-form Gaussian KL over the layer's channels; it is
+well-defined for arbitrary real means.
 
 Public constructors validate; derivations from validated objects use the
 trusted path. A constructor called with outside values checks every width,
@@ -46,8 +44,6 @@ from .errors import (
     reject_unknown,
 )
 from .network import Network
-
-KL_MODES = ("gaussian", "elementwise")
 
 # additive floor on every variance before a KL evaluation, so constant
 # channels cannot divide by zero
@@ -116,22 +112,6 @@ def _layer_sums(terms: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     out = np.empty(len(widths))
     for layers, index in groups:
         out[layers] = terms[index].sum(axis=1)
-    return out
-
-
-def _softmax_rows(block: np.ndarray) -> np.ndarray:
-    e = np.exp(block - block.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _layer_softmax(values: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    """Softmax of each layer's slice of a flat array, as a flat array."""
-    groups = _width_groups(widths)
-    if groups is None:
-        return _softmax_rows(values.reshape(len(widths), -1)).ravel()
-    out = np.empty_like(values)
-    for _, index in groups:
-        out[index] = _softmax_rows(values[index])
     return out
 
 
@@ -323,13 +303,9 @@ def _chain(layers) -> Embedding:
     return Embedding.concat([embed(layer) for layer in layers])
 
 
-def layer_divergences(
-    history: Embedding, current: Embedding, mode: str = "gaussian"
-) -> np.ndarray:
-    """Per-layer divergence of the current embedding from the history
+def layer_divergences(history: Embedding, current: Embedding) -> np.ndarray:
+    """Per-layer Gaussian KL of the current embedding from the history
     embedding, in forward order."""
-    if mode not in KL_MODES:
-        raise InputError(f"unknown divergence mode {mode!r}")
     widths = history.widths
     if widths != current.widths:
         raise InputError(
@@ -337,31 +313,20 @@ def layer_divergences(
             f"over {len(widths)} layers, current {current.values.size} over "
             f"{len(current.widths)}"
         )
-    if mode == "gaussian":
-        sh2 = history.variances + VARIANCE_FLOOR
-        se2 = current.variances + VARIANCE_FLOOR
-        dmu = history.means - current.means
-        # extreme statistics overflow to inf, which ImportanceVector rejects
-        with np.errstate(over="ignore"):
-            terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
-        sums = _layer_sums(terms, widths)
-    else:
-        pair_widths = tuple(2 * w for w in widths)
-        p = _layer_softmax(history.values, pair_widths)
-        q = _layer_softmax(current.values, pair_widths)
-        # 0 log 0 is 0: an entry whose history weight underflowed adds
-        # nothing; an underflowed current weight makes the term inf, which
-        # ImportanceVector rejects
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms = np.where(p > 0.0, p * np.log(p / q), 0.0)
-        sums = _layer_sums(terms, pair_widths)
+    sh2 = history.variances + VARIANCE_FLOOR
+    se2 = current.variances + VARIANCE_FLOOR
+    dmu = history.means - current.means
+    # extreme statistics overflow to inf, which ImportanceVector rejects
+    with np.errstate(over="ignore"):
+        terms = 0.5 * np.log(se2 / sh2) + (sh2 + dmu * dmu) / (2.0 * se2) - 0.5
+    sums = _layer_sums(terms, widths)
     # divergences are non-negative; clip float dust from the sums
     return np.where(sums > 0.0, sums, 0.0)
 
 
-def layer_importance(history: Embedding, current: Embedding, mode: str = "gaussian") -> float:
+def layer_importance(history: Embedding, current: Embedding) -> float:
     """Divergence of a one-layer current embedding from its history."""
-    divergences = layer_divergences(history, current, mode)
+    divergences = layer_divergences(history, current)
     if divergences.size != 1:
         raise InputError("layer_importance scores one layer; use layer_divergences")
     return float(divergences[0])
@@ -422,7 +387,7 @@ def update_history(history: EmbeddingHistory, currents) -> EmbeddingHistory:
     )
 
 
-def adaptation_loss(histories, currents, mode: str = "gaussian") -> float:
+def adaptation_loss(histories, currents) -> float:
     """Sum of per-layer divergences over all layers, the adaptation objective."""
     histories = _chain(histories)
     currents = _chain(currents)
@@ -432,7 +397,7 @@ def adaptation_loss(histories, currents, mode: str = "gaussian") -> float:
             f"{currents.n_layers} current"
         )
     # the Python floats added layer by layer in forward order
-    return _ordered_sum(layer_divergences(histories, currents, mode).tolist())
+    return _ordered_sum(layer_divergences(histories, currents).tolist())
 
 
 @dataclass(frozen=True)
@@ -486,10 +451,7 @@ def assessment_flops(stats) -> float:
 
 
 def assess(
-    network: Network | None,
-    history: EmbeddingHistory,
-    current_stats,
-    mode: str = "gaussian",
+    network: Network | None, history: EmbeddingHistory, current_stats
 ) -> tuple[ImportanceVector, float]:
     """Score every layer against the history.
 
@@ -513,15 +475,11 @@ def assess(
                     f"layer {layer.id}: stats cover {width} channels, "
                     f"layer has {layer.channels}"
                 )
-    divergences = layer_divergences(
-        history.embeddings, Embedding.from_stats(stats), mode
-    )
+    divergences = layer_divergences(history.embeddings, Embedding.from_stats(stats))
     a = np.zeros(n + 1)
     a[1:] = divergences[::-1]
     if network is not None:
-        for layer in network.layers:
-            if not layer.has_params:
-                a[n - layer.id] = 0.0
+        a[~network.selectable] = 0.0
     return ImportanceVector(a=a), assessment_flops(stats)
 
 

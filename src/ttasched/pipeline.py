@@ -50,7 +50,6 @@ from .errors import (
     reject_unknown,
 )
 from .importance import (
-    KL_MODES,
     Embedding,
     EmbeddingHistory,
     FeatureStats,
@@ -597,7 +596,6 @@ class Scenario:
     trace: StateTrace
     sigma: float = 0.33
     alpha: float = 0.1
-    kl_mode: str = "gaussian"
     adaptation_gain: float = 1.0
     jitter_eps: float = 0.0
     inter_batch_ms: float | None = None
@@ -607,8 +605,6 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in ("sequential", "parallel"):
             raise InputError(f"unknown mode {self.mode!r}")
-        if self.kl_mode not in KL_MODES:
-            raise InputError(f"unknown divergence mode {self.kl_mode!r}")
         if not 1 <= self.batches <= MAX_BATCHES:
             raise InputError(
                 f"batches must lie in 1..{MAX_BATCHES}, got {self.batches}"
@@ -817,10 +813,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
             vector = ImportanceVector(a=np.zeros(n + 1))
             flops = assessment_flops(stats)
         else:
-            vector, flops = assess(network, history, stats, mode=scenario.kl_mode)
-        loss_before = adaptation_loss(
-            history.embeddings, embeddings, mode=scenario.kl_mode
-        )
+            vector, flops = assess(network, history, stats)
+        loss_before = adaptation_loss(history.embeddings, embeddings)
 
         state = scenario.trace.state_at(start)
         profile = build_profile(network, scenario.offline, scenario.device, state)
@@ -838,9 +832,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         env_means, env_vars = env.params_at(i)
         model = apply_update(model, sched.strategy, env_means, env_vars)
         loss_after = adaptation_loss(
-            history.embeddings,
-            observed_embeddings(env, model, i),
-            mode=scenario.kl_mode,
+            history.embeddings, observed_embeddings(env, model, i)
         )
         history = update_history(history, embeddings)
 
@@ -1058,7 +1050,7 @@ _SCENARIO_FIELDS = frozenset(
     {
         "name", "mode", "seed", "batches", "batch_size", "inter_batch_ms",
         "network", "offline_profile", "device", "state_trace", "scheduler",
-        "alpha", "kl_mode", "adaptation_gain", "jitter", "exact_stats",
+        "alpha", "adaptation_gain", "jitter", "exact_stats",
         "controller", "environment",
     }
 )
@@ -1140,7 +1132,6 @@ def load_scenario_file(path) -> Scenario:
         trace=trace,
         sigma=config(SchedulerConfig, "scheduler").sigma,
         alpha=read(float, "alpha", 0.1),
-        kl_mode=read(str, "kl_mode", "gaussian"),
         adaptation_gain=read(float, "adaptation_gain", 1.0),
         jitter_eps=read(float, "jitter", 0.0),
         inter_batch_ms=(

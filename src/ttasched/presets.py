@@ -383,7 +383,6 @@ def scenario_to_document(scenario: Scenario, refs: dict) -> dict:
         "state_trace": refs["state_trace"],
         "scheduler": {"sigma": scenario.sigma},
         "alpha": scenario.alpha,
-        "kl_mode": scenario.kl_mode,
         "adaptation_gain": scenario.adaptation_gain,
         "jitter": scenario.jitter_eps,
         "exact_stats": scenario.exact_stats,

@@ -234,7 +234,7 @@ def test_criterion_8_simulated_speedup_and_capture(capsys, fixtures_dir):
 
 
 def test_criterion_9_invariant_suites(capsys):
-    # KL non-negativity, 10^4 random embedding pairs in both modes
+    # KL non-negativity, 10^4 random embedding pairs
     rng = np.random.default_rng(9)
     for _ in range(10_000):
         k = int(rng.integers(1, 5))
@@ -243,8 +243,7 @@ def test_criterion_9_invariant_suites(capsys):
                 np.column_stack((rng.normal(0, 3, k), rng.uniform(0, 4, k)))
             )
         )
-        mode = "gaussian" if rng.random() < 0.5 else "elementwise"
-        assert layer_importance(mk(), mk(), mode) >= 0.0
+        assert layer_importance(mk(), mk()) >= 0.0
 
     # EMA containment
     seed_emb = Embedding(np.array([0.0, 1.0]))

@@ -21,7 +21,6 @@ class TestParser:
             ["assess", "--history", "h.jsonl", "--current", "c.jsonl"]
         )
         assert args.command == "assess"
-        assert args.kl_mode == "gaussian"
         args = parser.parse_args(["oracle-check", "--instances", "7"])
         assert args.command == "oracle-check"
         assert args.instances == 7
@@ -121,29 +120,6 @@ class TestAssessCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "stats line 3: samples must be an integer" in err
-
-    def test_elementwise_underflowed_history_weight_adds_nothing(
-        self, fixtures_dir, tmp_path
-    ):
-        # a history layer of huge means softmaxes its variance slots to 0;
-        # those terms are 0 log 0 = 0, so the layer still scores its drift
-        lines = (fixtures_dir / "stats_history.jsonl").read_text().splitlines()
-        record = json.loads(lines[0])
-        record["means"] = [1e300] * len(record["means"])
-        lines[0] = json.dumps(record)
-        history = tmp_path / "history.jsonl"
-        history.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "imp.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(
-                ["assess", "--history", str(history),
-                 "--current", str(fixtures_dir / "stats_current.jsonl"),
-                 "--kl-mode", "elementwise", "--out", str(out)]
-            )
-        assert rc == 0
-        a = json.loads(out.read_text())["a"]  # backward order
-        assert 1.0 < a[-1] < float("inf")  # forward layer 0
 
     def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
         # the 24-layer synthetic chain has parameter-free layers; only the
@@ -568,8 +544,7 @@ class TestSimulateCommand:
         reseeded = tmp_path / "reseeded.json"
         assert main(["simulate", str(scenario), "--out", str(base)]) == 0
         assert main(
-            ["simulate", str(scenario), "--seed", "99", "--alpha", "0.1",
-             "--out", str(reseeded)]
+            ["simulate", str(scenario), "--seed", "99", "--out", str(reseeded)]
         ) == 0
         assert base.read_bytes() != reseeded.read_bytes()
         assert json.loads(reseeded.read_text())["seed"] == 99
@@ -788,11 +763,11 @@ class TestOneLineErrors:
         import ttasched.cli as cli_mod
 
         path = self.scenario_file(
-            fixtures_dir, tmp_path, lambda s: s.update(kl_mode="wasserstein")
+            fixtures_dir, tmp_path, lambda s: s.update(kl_mode="gaussian")
         )
         monkeypatch.setattr(cli_mod, "run_episode", lambda s: pytest.fail("ran batches"))
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
-        assert "unknown divergence mode 'wasserstein'" in err
+        assert "unknown fields ['kl_mode']" in err
 
 
     def edited(self, fixtures_dir, tmp_path, name, edit):

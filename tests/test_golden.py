@@ -64,7 +64,7 @@ def _episode_digests(scenario) -> dict:
     return {"json": _sha(report_json(report)), "csv": _sha(report_csv(report))}
 
 
-def _ragged_scenario(network, name: str, kl_mode: str):
+def _ragged_scenario(network, name: str):
     """A shifting episode over a chain whose layers differ in width."""
     from ttasched.pipeline import EnvironmentSpec, Scenario, Shift
     from ttasched.presets import (
@@ -98,7 +98,6 @@ def _ragged_scenario(network, name: str, kl_mode: str):
         device=device,
         trace=static_trace(resource_conditions()["offline"]),
         sigma=0.33,
-        kl_mode=kl_mode,
         jitter_eps=0.02,
     )
 
@@ -141,7 +140,6 @@ def golden_cases() -> dict:
     """Name -> function of a scratch directory returning that case's
     digests."""
     from ttasched.presets import (
-        drift_scenario,
         recovery_network,
         resnet50_shaped,
         synthetic_network,
@@ -153,23 +151,14 @@ def golden_cases() -> dict:
             cases[f"simulate/{scenario}/seed{seed}"] = (
                 lambda tmp, s=scenario, k=seed: _simulate_digests(s, k, tmp)
             )
-    cases["episode/drift-elementwise"] = lambda tmp: _episode_digests(
-        dataclasses.replace(drift_scenario(seed=2), kl_mode="elementwise")
-    )
     cases["episode/drift-time-varying-trace"] = lambda tmp: _episode_digests(
         _time_varying_drift()
     )
     cases["episode/resnet50-shaped-gaussian"] = lambda tmp: _episode_digests(
-        _ragged_scenario(resnet50_shaped(), "resnet50-ragged", "gaussian")
-    )
-    cases["episode/resnet50-shaped-elementwise"] = lambda tmp: _episode_digests(
-        _ragged_scenario(resnet50_shaped(), "resnet50-ragged", "elementwise")
+        _ragged_scenario(resnet50_shaped(), "resnet50-ragged")
     )
     cases["episode/odd-widths-gaussian"] = lambda tmp: _episode_digests(
-        _ragged_scenario(_odd_width_network(), "odd-widths", "gaussian")
-    )
-    cases["episode/odd-widths-elementwise"] = lambda tmp: _episode_digests(
-        _ragged_scenario(_odd_width_network(), "odd-widths", "elementwise")
+        _ragged_scenario(_odd_width_network(), "odd-widths")
     )
     # the bundled chains, whose layer costs every latency figure derives from
     for n in SYNTHETIC_LAYERS:

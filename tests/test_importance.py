@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from ttasched.errors import InputError
 from ttasched.importance import (
-    KL_MODES,
     VARIANCE_FLOOR,
     Embedding,
     EmbeddingHistory,
@@ -81,29 +80,10 @@ class TestEmbeddingValidation:
             Embedding(np.array([float("inf"), 1.0]))
 
 
-class TestElementwiseMode:
-    def test_positive_on_distinct_vectors(self):
-        a = layer_importance(gauss((1.0, 1.0)), gauss((1.0, 3.0)), "elementwise")
-        assert a > 0.0
-
-    def test_shift_invariance_of_softmax_normalization(self):
-        # adding one constant to both raw vectors leaves the softmax mix,
-        # and therefore the divergence, unchanged
-        h = gauss((1.0, 2.0), (-0.5, 0.3))
-        e = gauss((0.2, 1.0), (1.5, 0.8))
-        base = layer_importance(h, e, "elementwise")
-        h2 = Embedding(h.values + 2.5)
-        e2 = Embedding(e.values + 2.5)
-        # mean slots may go anywhere; variance slots must stay non-negative,
-        # which +2.5 preserves
-        assert layer_importance(h2, e2, "elementwise") == pytest.approx(base, rel=1e-9)
-
-
 class TestLayerImportance:
-    def test_identical_embeddings_zero_both_modes(self):
+    def test_identical_embeddings_zero(self):
         e = gauss((0.3, 1.7), (-2.0, 0.4))
-        assert layer_importance(e, e, "gaussian") == 0.0
-        assert layer_importance(e, e, "elementwise") == 0.0
+        assert layer_importance(e, e) == 0.0
 
     def test_unit_mean_shift(self):
         a = layer_importance(gauss((0.0, 1.0)), gauss((1.0, 1.0)))
@@ -117,18 +97,13 @@ class TestLayerImportance:
         with pytest.raises(InputError, match="mismatch"):
             layer_importance(gauss((0, 1)), gauss((0, 1), (0, 1)))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InputError):
-            layer_importance(gauss((0, 1)), gauss((0, 1)), mode="wasserstein")
-
     def test_non_negativity_fuzz(self):
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             k = int(rng.integers(1, 5))
             h = gauss(*[(rng.normal(0, 3), rng.uniform(0, 4)) for _ in range(k)])
             e = gauss(*[(rng.normal(0, 3), rng.uniform(0, 4)) for _ in range(k)])
-            mode = "gaussian" if rng.random() < 0.5 else "elementwise"
-            assert layer_importance(h, e, mode) >= 0.0
+            assert layer_importance(h, e) >= 0.0
 
     def test_mean_approach_never_increases_divergence(self):
         # pulling the current means toward the history means, variances
@@ -385,28 +360,13 @@ def reference_gaussian_kl(h: np.ndarray, c: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def reference_softmax(v: np.ndarray) -> np.ndarray:
-    shifted = v - np.max(v)
-    e = np.exp(shifted)
-    return e / np.sum(e)
-
-
-def reference_elementwise_kl(h: np.ndarray, c: np.ndarray) -> float:
-    p = reference_softmax(h)
-    q = reference_softmax(c)
-    return float(np.sum(p * np.log(p / q)))
-
-
-def reference_layer_importance(h: np.ndarray, c: np.ndarray, mode: str) -> float:
-    if mode == "gaussian":
-        value = reference_gaussian_kl(h, c)
-    else:
-        value = reference_elementwise_kl(h, c)
+def reference_layer_importance(h: np.ndarray, c: np.ndarray) -> float:
+    value = reference_gaussian_kl(h, c)
     return value if value > 0.0 else 0.0
 
 
-def reference_adaptation_loss(hs, cs, mode: str) -> float:
-    return sum(reference_layer_importance(h, c, mode) for h, c in zip(hs, cs))
+def reference_adaptation_loss(hs, cs) -> float:
+    return sum(reference_layer_importance(h, c) for h, c in zip(hs, cs))
 
 
 def reference_update(hs, cs, alpha: float):
@@ -435,11 +395,10 @@ WIDTH_CASES = {
 
 
 class TestStackedKernelMatchesReference:
-    @pytest.mark.parametrize("mode", KL_MODES)
     @pytest.mark.parametrize("case", sorted(WIDTH_CASES))
-    def test_bit_identical_to_per_layer_loop(self, case, mode):
+    def test_bit_identical_to_per_layer_loop(self, case):
         widths = WIDTH_CASES[case]
-        rng = np.random.default_rng(sum(widths) + len(mode))
+        rng = np.random.default_rng(sum(widths))
         for trial in range(20):
             hs = random_layers(rng, widths)
             cs = random_layers(rng, widths)
@@ -448,13 +407,13 @@ class TestStackedKernelMatchesReference:
             history = Embedding(np.concatenate(hs), widths)
             current = Embedding(np.concatenate(cs), widths)
 
-            got = layer_divergences(history, current, mode)
-            want = [reference_layer_importance(h, c, mode) for h, c in zip(hs, cs)]
+            got = layer_divergences(history, current)
+            want = [reference_layer_importance(h, c) for h, c in zip(hs, cs)]
             assert got.tolist() == want
 
-            loss = adaptation_loss(history, current, mode)
-            assert loss == reference_adaptation_loss(hs, cs, mode)
-            assert adaptation_loss(list(history), list(current), mode) == loss
+            loss = adaptation_loss(history, current)
+            assert loss == reference_adaptation_loss(hs, cs)
+            assert adaptation_loss(list(history), list(current)) == loss
 
             alpha = float(rng.uniform(0.0, 1.0))
             blended = update_history(EmbeddingHistory(history, alpha=alpha), current)
@@ -462,10 +421,9 @@ class TestStackedKernelMatchesReference:
                 assert layer.values.tolist() == want_values.tolist()
 
             for layer in range(len(widths)):
-                assert layer_importance(history[layer], current[layer], mode) == want[layer]
+                assert layer_importance(history[layer], current[layer]) == want[layer]
 
-    @pytest.mark.parametrize("mode", KL_MODES)
-    def test_assess_matches_per_layer_loop(self, mode):
+    def test_assess_matches_per_layer_loop(self):
         from ttasched.presets import resnet50_shaped
 
         network = resnet50_shaped()
@@ -480,15 +438,13 @@ class TestStackedKernelMatchesReference:
             widths=widths,
         )
         vector, _ = assess(
-            network, EmbeddingHistory(Embedding(np.concatenate(hs), widths)), current, mode
+            network, EmbeddingHistory(Embedding(np.concatenate(hs), widths)), current
         )
         n = network.n_layers
         want = np.zeros(n + 1)
         for layer in network.layers:
             if layer.has_params:
-                want[n - layer.id] = reference_layer_importance(
-                    hs[layer.id], cs[layer.id], mode
-                )
+                want[n - layer.id] = reference_layer_importance(hs[layer.id], cs[layer.id])
         assert vector.a.tolist() == want.tolist()
         assert vector.a[n - 1] == 0.0  # the parameter-free pooling layer
 

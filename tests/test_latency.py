@@ -22,11 +22,12 @@ from ttasched.latency import (
     profile_from_document,
     profile_to_document,
 )
-from ttasched.network import LayerSpec, Network
+from ttasched.network import LayerSpec, Network, UpdateStrategy
 from ttasched.presets import (
     demo_device,
     demo_edge_device,
     offline_from_costs,
+    recovery_network,
     resnet50_shaped,
     resource_conditions,
     synthetic_network,
@@ -634,6 +635,39 @@ class TestBuildProfileMatchesReference:
         assert np.array_equal(table.scales(state), combined)
         with pytest.raises(ValueError):
             table.scales(state)[1] = 0.0
+
+    def test_plan_cache_is_capped_and_rebuilds_evicted_plans(self, monkeypatch):
+        import dataclasses
+
+        import ttasched.latency as latency
+        from ttasched.pipeline import execute_ground_truth
+
+        monkeypatch.setattr(latency, "_STEP_LISTS", 4)
+        network = recovery_network(10)  # every layer selectable
+        device = demo_edge_device()
+        table = LatencyTable(network, offline_from_costs(network, device), device)
+        trace = StateTrace.constant(resource_conditions()["combined"])
+
+        def run(strategy):
+            return execute_ground_truth(
+                table, trace, strategy, jitter_eps=0.05, rng=np.random.default_rng(3)
+            )
+
+        first = UpdateStrategy(10, (2, 5, 9))
+        plan = table._plan(first)
+        result = run(first)
+        for k in range(1, 11):
+            run(UpdateStrategy(10, tuple(range(1, k + 1))))
+            assert len(table._steps) <= 4
+        assert (10, first.selected) not in table._steps
+        rebuilt = table._plan(first)
+        assert rebuilt is not plan
+        assert rebuilt[0] == plan[0]
+        for got, want in zip(rebuilt[1:], plan[1:]):
+            assert np.array_equal(got, want)
+        again = run(first)
+        for f in dataclasses.fields(result):
+            assert np.array_equal(getattr(again, f.name), getattr(result, f.name))
 
     def test_offline_profile_holds_read_only_copies(self):
         t_f = np.array([0.0, 1.0])

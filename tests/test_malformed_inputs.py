@@ -186,14 +186,11 @@ def _run(argv: list) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-def _run_edited(tmp, command, name, path, value) -> tuple[int, str]:
-    """Run ``command`` on the valid input files, the document of ``name``
-    edited at ``path`` (see ``_edited``); return its exit code and stderr.
-    It must exit 0 with output free of NaN and infinities, or exit 2 with
-    one ``error:`` line."""
-    files, argv = COMMANDS[command]
+def _write_inputs(tmp, command, name=None, path=(), value=None) -> dict:
+    """Write the valid input files of ``command``, the document of ``name``
+    edited at ``path`` (see ``_edited``); return their paths by name."""
     paths = {}
-    for file in files:
+    for file in COMMANDS[command][0]:
         document = DOCUMENTS[file]
         if file == name:
             document = _edited(document, path, value)
@@ -203,8 +200,16 @@ def _run_edited(tmp, command, name, path, value) -> tuple[int, str]:
             text = json.dumps(document)
         paths[file] = str(Path(tmp) / file)
         Path(paths[file]).write_text(text)
+    return paths
+
+
+def _run_edited(tmp, command, name, path, value) -> tuple[int, str]:
+    """Run ``command`` on its input files as ``_write_inputs`` writes them;
+    return its exit code and stderr. It must exit 0 with output free of NaN
+    and infinities, or exit 2 with one ``error:`` line."""
+    paths = _write_inputs(tmp, command, name, path, value)
     out = str(Path(tmp) / "out.json")
-    rc, _, err = _run(argv(paths) + ["--out", out])
+    rc, _, err = _run(COMMANDS[command][1](paths) + ["--out", out])
     assert rc in (0, 2), err
     if rc == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -315,3 +320,43 @@ def test_repeated_layers_exit_2_naming_the_layer(
 ):
     rc, err = _run_edited(tmp_path, command, name, path, value)
     assert (rc, err) == (2, f"error: {named}\n")
+
+
+NOT_JSON = {
+    "truncated": b'{"a": [1.0,',
+    "empty": b"",
+    "bad-utf8": b"\xff\xfe{}",
+}
+
+
+@pytest.mark.parametrize("content", sorted(NOT_JSON))
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("schedule", "importance.json"),
+        ("schedule", "profile.json"),
+        ("predict", "network.json"),
+        ("predict", "offline_profile.json"),
+        ("predict", "device.json"),
+        ("predict", "trace.json"),
+        ("simulate", "scenario.json"),
+        ("simulate", "network.json"),  # referenced by the scenario
+        ("assess", "history.jsonl"),
+        ("assess", "current.jsonl"),
+    ],
+)
+def test_input_file_that_is_not_json_exits_2(command, name, content, tmp_path):
+    paths = _write_inputs(tmp_path, command)
+    Path(paths[name]).write_bytes(NOT_JSON[content])
+    argv = COMMANDS[command][1](paths)
+    rc, _, err = _run(argv + ["--out", str(tmp_path / "out.json")])
+    if not name.endswith(".jsonl"):
+        prefix = f"error: {paths[name]}: invalid JSON ("
+    elif content == "empty":
+        # a JSON-lines file of no lines holds no records
+        prefix = "error: stats file contains no records\n"
+    else:
+        # undecodable bytes read as U+FFFD, which is not JSON
+        prefix = "error: stats line 1: invalid JSON ("
+    assert rc == 2, err
+    assert err.startswith(prefix) and err.count("\n") == 1, err

@@ -7,8 +7,9 @@ sorted keys, ``allow_nan=False``). The two must agree byte for byte, and
 both must refuse NaN and infinities. ``report_csv`` must agree with
 ``csv.writer`` over the records' rows, which writes NaN and infinities, and
 ``report_texts`` with the two writers. A float or int subclass is written as
-``json`` writes it; any other value in a number field, or a selection that
-is not a tuple, is ``json``'s TypeError from every writer.
+``json`` writes it; any other value in a number field, a selection that is
+not a tuple, or a flag that is not a bool, is ``json``'s TypeError from
+every writer.
 """
 
 import builtins
@@ -191,8 +192,13 @@ def test_numpy_floats_are_written_as_floats():
 
 @pytest.mark.parametrize(
     "fields",
-    [{"selected": [2, 5]}, {"loss_before": 'a "quoted", name'}],
-    ids=["list-selection", "string"],
+    [
+        {"selected": [2, 5]},
+        {"loss_before": 'a "quoted", name'},
+        {"budget_clipped": 1},
+        {"budget_clipped": np.True_},
+    ],
+    ids=["list-selection", "string", "int-flag", "numpy-bool-flag"],
 )
 def test_other_value_types_are_a_type_error_from_every_writer(fields):
     report = _report([_record(), _record(index=1, **fields)])
