@@ -16,9 +16,7 @@ from .importance import (
     adaptation_loss,
     assess,
     assessment_flops,
-    embed,
     layer_divergences,
-    layer_importance,
     update_history,
 )
 from .latency import (
@@ -108,12 +106,10 @@ __all__ = [
     "build_profile",
     "certify",
     "derive_costs",
-    "embed",
     "eta",
     "execute_ground_truth",
     "generate_batch",
     "layer_divergences",
-    "layer_importance",
     "load_network",
     "load_network_file",
     "load_scenario_file",

@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .errors import InputError, json_text, read_json
-from .importance import EmbeddingHistory, assess, load_stats_file
+from .importance import Embedding, EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
     load_device_file,
@@ -51,14 +51,13 @@ def _dump_json(document: dict, out: str) -> None:
 def cmd_assess(args) -> int:
     history_stats = load_stats_file(args.history)
     current_stats = load_stats_file(args.current)
-    if len(history_stats) != len(current_stats):
-        first = min(len(history_stats), len(current_stats))
+    n_history, n = history_stats.n_layers, current_stats.n_layers
+    if n_history != n:
         raise InputError(
-            f"layer {first}: present in one stats file but not the other "
-            f"({len(history_stats)} history vs {len(current_stats)} current layers)"
+            f"layer {min(n_history, n)}: present in one stats file but not the "
+            f"other ({n_history} history vs {n} current layers)"
         )
     network = load_network_file(args.network) if args.network else None
-    n = len(current_stats)
     if network is not None and network.n_layers != n:
         raise InputError(
             f"network has {network.n_layers} layers, stats cover {n}"
@@ -68,7 +67,7 @@ def cmd_assess(args) -> int:
             raise InputError(
                 f"layer {layer_id}: history has {h} channels, current has {e}"
             )
-    history = EmbeddingHistory.seed(history_stats)
+    history = EmbeddingHistory.seed(Embedding.from_stats(history_stats))
     vector, _ = assess(network, history, current_stats)
     _dump_json({"a": vector.a[1:].tolist()}, args.out)
     return 0
@@ -141,8 +140,16 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is an InputError, reported on one ``error:`` line
+    like any other invalid input, not after a usage banner."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttasched",
         description="Sparse layer-update scheduling and pipeline simulation",
     )
@@ -195,8 +202,8 @@ _parser = lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

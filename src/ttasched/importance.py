@@ -8,7 +8,8 @@ environment has drifted away from, i.e. a layer worth updating.
 
 Statistics, embeddings and histories cover a whole chain at once: one flat
 per-channel array over all layers in forward order, with the per-layer
-channel widths beside it. A one-layer object is the case of a single width.
+channel widths beside it. There is no per-layer object: a layer is a slice
+of the flat arrays, and a one-layer chain is the case of a single width.
 Every divergence goes through one kernel, ``layer_divergences``, which
 computes all channels' terms in one elementwise pass and reduces them per
 layer as row sums of a (layers x width) block, one block per distinct width.
@@ -115,37 +116,14 @@ def _layer_sums(terms: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-class _Chain:
-    """Layer access shared by the chain types: ``len`` is the layer count,
-    an index gives a one-layer object and a slice a shorter chain."""
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.widths)
-
-    def __len__(self) -> int:
-        return len(self.widths)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self.widths)))
-
-    def __getitem__(self, key):
-        layers = range(len(self.widths))[key]
-        if isinstance(layers, range):
-            return type(self).concat([self[i] for i in layers])
-        lo, hi = _offsets(self.widths)[layers : layers + 2]
-        return self._layer(layers, lo, hi)
-
-
 @dataclass(frozen=True, init=False)
-class FeatureStats(_Chain):
+class FeatureStats:
     """Channel-wise first and second moments of one batch's outputs over a
     chain of layers, in forward order.
 
     ``means`` and ``variances`` hold every layer's channels back to back;
     layer ``i`` covers ``widths[i]`` channels and saw ``sample_counts[i]``
-    samples per channel. Indexing by layer gives one-layer objects, slicing
-    gives a shorter chain. ``sample_count`` may be one count for every layer
+    samples per channel. ``sample_count`` may be one count for every layer
     or one per layer; ``widths=None`` makes a single layer.
     """
 
@@ -195,28 +173,19 @@ class FeatureStats(_Chain):
 
     @property
     def channels(self) -> int:
-        """Channels over all layers (a one-layer object's width)."""
+        """Channels over all layers."""
         return self.means.size
 
     @property
-    def sample_count(self) -> int:
-        """The sample count of a one-layer object."""
-        if len(self.sample_counts) != 1:
-            raise InputError("stats cover several layers; use sample_counts")
-        return self.sample_counts[0]
-
-    def _layer(self, layer: int, lo: int, hi: int) -> "FeatureStats":
-        return FeatureStats(
-            self.means[lo:hi], self.variances[lo:hi], self.sample_counts[layer]
-        )
+    def n_layers(self) -> int:
+        return len(self.widths)
 
 
 @dataclass(frozen=True)
-class Embedding(_Chain):
+class Embedding:
     """Interleaved [mean, variance] pairs, one pair per channel, over a
     chain of layers in forward order; layer ``i`` covers ``widths[i]``
-    channels (``None``: one layer). Indexing by layer gives one-layer
-    embeddings."""
+    channels (``None``: one layer)."""
 
     values: np.ndarray
     widths: tuple[int, ...] | None = None
@@ -234,11 +203,6 @@ class Embedding(_Chain):
         object.__setattr__(self, "widths", widths)
 
     @property
-    def channels(self) -> int:
-        """Channels over all layers (a one-layer embedding's width)."""
-        return self.values.size // 2
-
-    @property
     def means(self) -> np.ndarray:
         return self.values[0::2]
 
@@ -254,53 +218,9 @@ class Embedding(_Chain):
         values[1::2] = stats.variances
         return _derived(cls, values=values, widths=stats.widths)
 
-    @classmethod
-    def concat(cls, parts: Sequence["Embedding"]) -> "Embedding":
-        """Stack per-layer (or per-segment) embeddings into one chain."""
-        if not parts:
-            raise InputError("embedding must cover at least one layer")
-        return cls(
-            np.concatenate([p.values for p in parts]),
-            sum((p.widths for p in parts), ()),
-        )
-
-    def _layer(self, layer: int, lo: int, hi: int) -> "Embedding":
-        return Embedding(self.values[2 * lo : 2 * hi])
-
-
-def embed(source) -> Embedding:
-    """Embed raw per-channel samples of one layer, or precomputed
-    FeatureStats.
-
-    Raw input is a 2-D array-like of shape (channels, samples) or a sequence
-    of per-channel sample vectors. Variances are population variances
-    (divide by N, not N-1).
-    """
-    if isinstance(source, FeatureStats):
-        return Embedding.from_stats(source)
-    if isinstance(source, Embedding):
-        return source
-    rows = [np.asarray(row, dtype=float) for row in source]
-    if not rows:
-        raise InputError("no channels to embed")
-    values = np.empty(2 * len(rows))
-    for c, row in enumerate(rows):
-        if row.size == 0:
-            raise InputError(f"channel {c} has no samples")
-        if not np.all(np.isfinite(row)):
-            raise InputError(f"channel {c} contains non-finite samples")
-        mu = float(np.mean(row))
-        values[2 * c] = mu
-        values[2 * c + 1] = float(np.mean((row - mu) ** 2))
-    return Embedding(values)
-
-
-def _chain(layers) -> Embedding:
-    """One chain embedding from a chain object or a sequence of per-layer
-    sources (embeddings, stats or raw samples), in forward order."""
-    if isinstance(layers, (Embedding, FeatureStats)):
-        return embed(layers)
-    return Embedding.concat([embed(layer) for layer in layers])
+    @property
+    def n_layers(self) -> int:
+        return len(self.widths)
 
 
 def layer_divergences(history: Embedding, current: Embedding) -> np.ndarray:
@@ -324,52 +244,35 @@ def layer_divergences(history: Embedding, current: Embedding) -> np.ndarray:
     return np.where(sums > 0.0, sums, 0.0)
 
 
-def layer_importance(history: Embedding, current: Embedding) -> float:
-    """Divergence of a one-layer current embedding from its history."""
-    divergences = layer_divergences(history, current)
-    if divergences.size != 1:
-        raise InputError("layer_importance scores one layer; use layer_divergences")
-    return float(divergences[0])
-
-
 @dataclass(frozen=True)
 class EmbeddingHistory:
     """The tracked history embedding of every layer, with its blending
-    rate. ``embeddings`` is one chain embedding; index it by layer."""
+    rate. ``embeddings`` is one chain embedding."""
 
     embeddings: Embedding
     alpha: float = DEFAULT_ALPHA
-    batches_seen: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "embeddings", _chain(self.embeddings))
         if not (0.0 <= self.alpha <= 1.0):
             raise InputError("alpha must lie in [0, 1]")
-        if self.batches_seen < 1:
-            raise InputError("batches_seen must be >= 1")
 
     @property
     def n_layers(self) -> int:
         return self.embeddings.n_layers
 
     @classmethod
-    def seed(cls, currents, alpha: float = DEFAULT_ALPHA) -> "EmbeddingHistory":
+    def seed(cls, current: Embedding, alpha: float = DEFAULT_ALPHA) -> EmbeddingHistory:
         """Start a history from the first observed batch, taken verbatim."""
-        return cls(embeddings=currents, alpha=alpha)
+        return cls(embeddings=current, alpha=alpha)
 
     def storage_bytes(self, scalar_width: int = 4) -> int:
         return self.embeddings.values.size * scalar_width
 
 
-def update_history(history: EmbeddingHistory, currents) -> EmbeddingHistory:
+def update_history(history: EmbeddingHistory, current: Embedding) -> EmbeddingHistory:
     """Blend the current batch into the history, weight ``alpha`` on the new
     environment."""
-    current = _chain(currents)
     past = history.embeddings
-    if current.n_layers != past.n_layers:
-        raise InputError(
-            f"history covers {past.n_layers} layers, got {current.n_layers}"
-        )
     if current.widths != past.widths:
         raise InputError("embedding shape changed between batches")
     a = history.alpha
@@ -383,21 +286,13 @@ def update_history(history: EmbeddingHistory, currents) -> EmbeddingHistory:
         EmbeddingHistory,
         embeddings=_derived(Embedding, values=values, widths=past.widths),
         alpha=a,
-        batches_seen=history.batches_seen + 1,
     )
 
 
-def adaptation_loss(histories, currents) -> float:
+def adaptation_loss(history: Embedding, current: Embedding) -> float:
     """Sum of per-layer divergences over all layers, the adaptation objective."""
-    histories = _chain(histories)
-    currents = _chain(currents)
-    if histories.n_layers != currents.n_layers:
-        raise InputError(
-            f"layer count mismatch: {histories.n_layers} history vs "
-            f"{currents.n_layers} current"
-        )
     # the Python floats added layer by layer in forward order
-    return _ordered_sum(layer_divergences(histories, currents).tolist())
+    return _ordered_sum(layer_divergences(history, current).tolist())
 
 
 @dataclass(frozen=True)
@@ -430,16 +325,9 @@ class ImportanceVector:
         return self.a.size - 1
 
 
-def _stats_chain(stats) -> FeatureStats:
-    if isinstance(stats, FeatureStats):
-        return stats
-    return FeatureStats.concat(list(stats))
-
-
-def assessment_flops(stats) -> float:
+def assessment_flops(stats: FeatureStats) -> float:
     """Analytic op count of one assessment pass (moment extraction + KL)
     over the layers the stats cover."""
-    stats = _stats_chain(stats)
     total = 0.0
     for n_c, samples in zip(stats.widths, stats.sample_counts):
         total += n_c * (
@@ -451,7 +339,7 @@ def assessment_flops(stats) -> float:
 
 
 def assess(
-    network: Network | None, history: EmbeddingHistory, current_stats
+    network: Network | None, history: EmbeddingHistory, stats: FeatureStats
 ) -> tuple[ImportanceVector, float]:
     """Score every layer against the history.
 
@@ -460,7 +348,6 @@ def assess(
     channel counts and parameter-free layers are forced to 0; without one
     (``None``) every layer is scored.
     """
-    stats = _stats_chain(current_stats)
     n = network.n_layers if network is not None else stats.n_layers
     if history.n_layers != n:
         raise InputError(
@@ -519,6 +406,11 @@ def load_stats_lines(text: str) -> FeatureStats:
 
 
 def load_stats_file(path) -> FeatureStats:
-    # undecodable bytes read as U+FFFD, which then fails to parse as JSON
-    with open(path, errors="replace") as fh:
-        return load_stats_lines(fh.read())
+    """The stats in the file at ``path``; a fault in it is an InputError
+    naming the file."""
+    try:
+        # undecodable bytes read as U+FFFD, which then fails to parse as JSON
+        with open(path, errors="replace") as fh:
+            return load_stats_lines(fh.read())
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

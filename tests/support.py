@@ -1,9 +1,10 @@
 """Helpers that only the tests and the fixture generator call.
 
-The calibration fit of the process-switch slope, the JSON-lines writer of
-feature statistics, the shift-recovery experiment behind acceptance
-criterion 6, the statistics of one batch through the ResNet-50-shaped
-chain and a time-varying state trace. The package itself never calls them.
+The calibration fit of the process-switch slope, the per-layer split of a
+flat chain array, the JSON-lines writer of feature statistics, the
+shift-recovery experiment behind acceptance criterion 6, the statistics of
+one batch through the ResNet-50-shaped chain and a time-varying state
+trace. The package itself never calls them.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from ttasched.errors import InputError, _ordered_sum, json_text
-from ttasched.importance import EmbeddingHistory, FeatureStats, assess
+from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, assess
 from ttasched.latency import StateTrace
 from ttasched.pipeline import ModelResponseState, Shift, gaussian_environment, generate_batch
 from ttasched.presets import recovery_network, resnet50_shaped, resource_conditions
@@ -39,20 +40,32 @@ def calibrate_proc_overhead(samples) -> float:
     return k
 
 
-def stats_to_lines(stats) -> str:
+def split_layers(flat, widths) -> list:
+    """The per-layer pieces of a flat chain array laid out by ``widths``:
+    per-channel values (stats) or interleaved pairs (embeddings)."""
+    per_channel = flat.size // sum(widths)
+    return np.split(flat, per_channel * np.cumsum(widths)[:-1])
+
+
+def stats_to_lines(stats: FeatureStats) -> str:
     """``stats`` as the JSON-lines text that ``load_stats_lines`` reads."""
+    layers = zip(
+        split_layers(stats.means, stats.widths),
+        split_layers(stats.variances, stats.widths),
+        stats.sample_counts,
+    )
     return "".join(
         json_text(
             {
                 "layer_id": layer_id,
-                "means": [float(x) for x in st.means],
-                "vars": [float(x) for x in st.variances],
-                "samples": st.sample_count,
+                "means": [float(x) for x in means],
+                "vars": [float(x) for x in variances],
+                "samples": samples,
             },
             indent=None,
             sort_keys=False,
         )
-        for layer_id, st in enumerate(stats)
+        for layer_id, (means, variances, samples) in enumerate(layers)
     )
 
 
@@ -85,7 +98,9 @@ def importance_recovery_rate(
             batch_size=batch_size,
         )
         model = ModelResponseState.from_environment(env)
-        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        history = EmbeddingHistory.seed(
+            Embedding.from_stats(generate_batch(env, model, 0, rng))
+        )
         vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
         order = np.argsort(vector.a[1:])[::-1] + 1  # backward indices, best first
         top = {n_layers - int(b) for b in order[:shifted_layers]}

@@ -16,7 +16,7 @@ from ttasched.errors import read_json
 from ttasched.importance import (
     Embedding,
     EmbeddingHistory,
-    layer_importance,
+    layer_divergences,
     update_history,
     assessment_flops,
 )
@@ -208,7 +208,7 @@ def test_criterion_7_assessment_overhead_arithmetic(capsys):
     flops = assessment_flops(stats)
     assert 0.05e9 <= flops <= 0.8e9
 
-    history = EmbeddingHistory.seed(stats)
+    history = EmbeddingHistory.seed(Embedding.from_stats(stats))
     stored = history.storage_bytes(scalar_width=4)
     reported_kb = 8.6e3
     assert reported_kb / 4 <= stored <= reported_kb * 4
@@ -243,20 +243,20 @@ def test_criterion_9_invariant_suites(capsys):
                 np.column_stack((rng.normal(0, 3, k), rng.uniform(0, 4, k)))
             )
         )
-        assert layer_importance(mk(), mk()) >= 0.0
+        assert layer_divergences(mk(), mk())[0] >= 0.0
 
     # EMA containment
     seed_emb = Embedding(np.array([0.0, 1.0]))
-    h = EmbeddingHistory.seed([seed_emb], alpha=0.25)
+    h = EmbeddingHistory.seed(seed_emb, alpha=0.25)
     lo = seed_emb.values.copy()
     hi = seed_emb.values.copy()
     for _ in range(200):
         vals = np.array([rng.normal(0, 5), rng.uniform(0, 6)])
         lo = np.minimum(lo, vals)
         hi = np.maximum(hi, vals)
-        h = update_history(h, [Embedding(vals)])
-        assert np.all(h.embeddings[0].values >= lo - 1e-12)
-        assert np.all(h.embeddings[0].values <= hi + 1e-12)
+        h = update_history(h, Embedding(vals))
+        assert np.all(h.embeddings.values >= lo - 1e-12)
+        assert np.all(h.embeddings.values <= hi + 1e-12)
 
     # deepest-layer dominance, exhaustive to N=10
     from tests.test_network import all_selectable_network, random_dyadic_profile

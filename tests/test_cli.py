@@ -1033,6 +1033,25 @@ class TestOneLineErrors:
         err = self.run_main(["simulate", path, "--out", str(tmp_path / "r.json")], capsys)
         assert "environment.shifts[0]: unknown fields ['var_scal']" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "scenario.json", "--alpha", "0.1"],
+             "unrecognized arguments: --alpha 0.1"),
+            (["assess", "--current", "current.jsonl"],
+             "the following arguments are required: --history"),
+            (["schedule", "--importance", "i.json", "--profile", "p.json",
+              "--sigma", "abc"],
+             "argument --sigma: invalid float value: 'abc'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["removed-alpha", "missing-history", "non-numeric-sigma", "no-subcommand"],
+    )
+    def test_argument_error_is_one_line_without_usage(self, argv, message, capsys):
+        # returned from main as exit 2, not raised as SystemExit after a
+        # usage banner
+        assert self.run_main(argv, capsys) == f"error: {message}\n"
+
 
 class TestOracleCheckCommand:
     def test_small_run_reports_matches(self, capsys):
@@ -1071,6 +1090,12 @@ class TestOracleCheckCommand:
 
 
 class TestEntryPoint:
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ttasched")
+
     def test_module_invocation(self, fixtures_dir):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)

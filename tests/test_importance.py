@@ -14,9 +14,7 @@ from ttasched.importance import (
     ImportanceVector,
     adaptation_loss,
     assess,
-    embed,
     layer_divergences,
-    layer_importance,
     load_stats_lines,
     update_history,
 )
@@ -28,42 +26,28 @@ from ttasched.pipeline import (
     generate_batch,
 )
 
-from support import stats_to_lines
+from support import split_layers, stats_to_lines
 
 
-def gauss(*pairs):
+def gauss(*pairs, widths=None):
     values = []
     for mu, var in pairs:
         values.extend([mu, var])
-    return Embedding(np.array(values, dtype=float))
+    return Embedding(np.array(values, dtype=float), widths)
+
+
+def score(history, current):
+    """The divergence of a one-layer current embedding from its history."""
+    return float(layer_divergences(history, current)[0])
 
 
 class TestEmbed:
-    def test_constant_channel_has_zero_variance(self):
-        e = embed([[5.0, 5.0, 5.0]])
-        assert e.values.tolist() == [5.0, 0.0]
-
-    def test_population_variance(self):
-        e = embed([[1.0, 3.0]])
-        assert e.values.tolist() == [2.0, 1.0]
-
-    def test_two_channels_interleave(self):
-        e = embed([[0.0, 0.0], [1.0, -1.0]])
-        assert e.values.tolist() == [0.0, 0.0, 0.0, 1.0]
-
-    def test_empty_channel_rejected(self):
-        with pytest.raises(InputError, match="no samples"):
-            embed([[]])
-
-    def test_nan_rejected(self):
-        with pytest.raises(InputError, match="non-finite"):
-            embed([[1.0, float("nan")]])
-
     def test_from_stats_matches_raw(self):
+        # the samples [1, 3] have mean 2 and population variance 1
         stats = FeatureStats(
             means=np.array([2.0]), variances=np.array([1.0]), sample_count=2
         )
-        assert embed(stats).values.tolist() == embed([[1.0, 3.0]]).values.tolist()
+        assert Embedding.from_stats(stats).values.tolist() == [2.0, 1.0]
 
 
 class TestEmbeddingValidation:
@@ -83,19 +67,19 @@ class TestEmbeddingValidation:
 class TestLayerImportance:
     def test_identical_embeddings_zero(self):
         e = gauss((0.3, 1.7), (-2.0, 0.4))
-        assert layer_importance(e, e) == 0.0
+        assert score(e, e) == 0.0
 
     def test_unit_mean_shift(self):
-        a = layer_importance(gauss((0.0, 1.0)), gauss((1.0, 1.0)))
+        a = score(gauss((0.0, 1.0)), gauss((1.0, 1.0)))
         assert a == pytest.approx(0.5, abs=1e-5)
 
     def test_variance_inflation(self):
-        a = layer_importance(gauss((0.0, 1.0)), gauss((0.0, 4.0)))
+        a = score(gauss((0.0, 1.0)), gauss((0.0, 4.0)))
         assert a == pytest.approx(math.log(2.0) + 1.0 / 8.0 - 0.5, abs=1e-5)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError, match="mismatch"):
-            layer_importance(gauss((0, 1)), gauss((0, 1), (0, 1)))
+            score(gauss((0, 1)), gauss((0, 1), (0, 1)))
 
     def test_non_negativity_fuzz(self):
         rng = np.random.default_rng(5)
@@ -103,19 +87,19 @@ class TestLayerImportance:
             k = int(rng.integers(1, 5))
             h = gauss(*[(rng.normal(0, 3), rng.uniform(0, 4)) for _ in range(k)])
             e = gauss(*[(rng.normal(0, 3), rng.uniform(0, 4)) for _ in range(k)])
-            assert layer_importance(h, e) >= 0.0
+            assert score(h, e) >= 0.0
 
     def test_mean_approach_never_increases_divergence(self):
         # pulling the current means toward the history means, variances
         # fixed, shrinks the divergence monotonically
         h = gauss((1.0, 2.0), (-3.0, 0.5))
         e = gauss((4.0, 2.0), (2.0, 0.5))
-        previous = layer_importance(h, e)
+        previous = score(h, e)
         for t in np.linspace(0.1, 1.0, 10):
             mixed_means = t * h.means + (1 - t) * e.means
             values = e.values.copy()
             values[0::2] = mixed_means
-            current = layer_importance(h, Embedding(values))
+            current = score(h, Embedding(values))
             assert current < previous
             previous = current
         assert previous == 0.0
@@ -130,7 +114,7 @@ class TestIdentityOfIndiscernibles:
             vals[0::2] = rng.normal(0, 2, k)
             vals[1::2] = rng.uniform(0.1, 3, k)
             e = Embedding(vals)
-            assert layer_importance(e, Embedding(vals.copy())) == 0.0
+            assert score(e, Embedding(vals.copy())) == 0.0
 
     def test_distinct_embeddings_positive(self):
         rng = np.random.default_rng(8)
@@ -141,7 +125,7 @@ class TestIdentityOfIndiscernibles:
             vals[1::2] = rng.uniform(0.1, 3, k)
             bumped = vals.copy()
             bumped[int(rng.integers(0, 2 * k))] += 1e-6
-            a = layer_importance(Embedding(vals), Embedding(bumped))
+            a = score(Embedding(vals), Embedding(bumped))
             assert a > 0.0
 
     def test_zero_score_implies_equal_coordinates(self):
@@ -157,7 +141,7 @@ class TestIdentityOfIndiscernibles:
             else:
                 other = vals + rng.normal(0, 0.1, 2 * k)
                 other[1::2] = np.abs(other[1::2]) + 0.05
-            a = layer_importance(Embedding(vals), Embedding(other))
+            a = score(Embedding(vals), Embedding(other))
             if a == 0.0:
                 zeros_seen += 1
                 assert np.max(np.abs(vals - other)) <= 1e-12
@@ -166,32 +150,31 @@ class TestIdentityOfIndiscernibles:
 
 class TestHistory:
     def test_alpha_one_adopts_current(self):
-        h = EmbeddingHistory.seed([gauss((0.0, 1.0))], alpha=1.0)
-        h2 = update_history(h, [gauss((3.0, 2.0))])
-        assert h2.embeddings[0].values.tolist() == [3.0, 2.0]
+        h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=1.0)
+        h2 = update_history(h, gauss((3.0, 2.0)))
+        assert h2.embeddings.values.tolist() == [3.0, 2.0]
 
     def test_alpha_zero_keeps_history(self):
-        h = EmbeddingHistory.seed([gauss((0.0, 1.0))], alpha=0.0)
-        h2 = update_history(h, [gauss((3.0, 2.0))])
-        assert h2.embeddings[0].values.tolist() == [0.0, 1.0]
+        h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=0.0)
+        h2 = update_history(h, gauss((3.0, 2.0)))
+        assert h2.embeddings.values.tolist() == [0.0, 1.0]
 
     def test_tenth_alpha_blend(self):
-        h = EmbeddingHistory.seed([gauss((0.0, 1.0))], alpha=0.1)
-        h2 = update_history(h, [gauss((10.0, 1.0))])
-        assert h2.embeddings[0].means[0] == pytest.approx(1.0)
-        assert h2.batches_seen == 2
+        h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=0.1)
+        h2 = update_history(h, gauss((10.0, 1.0)))
+        assert h2.embeddings.means[0] == pytest.approx(1.0)
 
     def test_shape_change_rejected(self):
-        h = EmbeddingHistory.seed([gauss((0.0, 1.0))])
+        h = EmbeddingHistory.seed(gauss((0.0, 1.0)))
         with pytest.raises(InputError):
-            update_history(h, [gauss((0.0, 1.0), (1.0, 1.0))])
+            update_history(h, gauss((0.0, 1.0), (1.0, 1.0)))
 
     def test_containment_property(self):
         # every history coordinate stays within the range of everything it
         # has ever absorbed, including the seed
         rng = np.random.default_rng(9)
         seed_emb = gauss((0.0, 1.0), (2.0, 0.5))
-        h = EmbeddingHistory.seed([seed_emb], alpha=0.3)
+        h = EmbeddingHistory.seed(seed_emb, alpha=0.3)
         lo = seed_emb.values.copy()
         hi = seed_emb.values.copy()
         for _ in range(100):
@@ -200,30 +183,32 @@ class TestHistory:
             vals[1::2] = rng.uniform(0, 6, 2)
             lo = np.minimum(lo, vals)
             hi = np.maximum(hi, vals)
-            h = update_history(h, [Embedding(vals)])
-            assert np.all(h.embeddings[0].values >= lo - 1e-12)
-            assert np.all(h.embeddings[0].values <= hi + 1e-12)
+            h = update_history(h, Embedding(vals))
+            assert np.all(h.embeddings.values >= lo - 1e-12)
+            assert np.all(h.embeddings.values <= hi + 1e-12)
 
 
 class TestAdaptationLoss:
     def test_identical_layers_zero(self):
-        es = [gauss((0.0, 1.0)), gauss((2.0, 3.0))]
+        es = gauss((0.0, 1.0), (2.0, 3.0), widths=(1, 1))
         assert adaptation_loss(es, es) == 0.0
 
     def test_additive_over_layers(self):
-        hs = [gauss((0.0, 1.0)), gauss((0.0, 1.0))]
-        cs = [gauss((1.0, 1.0)), gauss((0.0, 4.0))]
-        expected = layer_importance(hs[0], cs[0]) + layer_importance(hs[1], cs[1])
+        hs = gauss((0.0, 1.0), (0.0, 1.0), widths=(1, 1))
+        cs = gauss((1.0, 1.0), (0.0, 4.0), widths=(1, 1))
+        expected = score(gauss((0.0, 1.0)), gauss((1.0, 1.0))) + score(
+            gauss((0.0, 1.0)), gauss((0.0, 4.0))
+        )
         assert adaptation_loss(hs, cs) == pytest.approx(expected)
         assert adaptation_loss(hs, cs) == pytest.approx(0.5 + 0.3181, abs=1e-3)
 
     def test_single_layer_degenerates_to_layer_importance(self):
         h, c = gauss((0.0, 1.0)), gauss((1.0, 1.0))
-        assert adaptation_loss([h], [c]) == layer_importance(h, c)
+        assert adaptation_loss(h, c) == score(h, c)
 
     def test_layer_count_mismatch_rejected(self):
         with pytest.raises(InputError):
-            adaptation_loss([gauss((0, 1))], [gauss((0, 1)), gauss((0, 1))])
+            adaptation_loss(gauss((0, 1)), gauss((0, 1), (0, 1), widths=(1, 1)))
 
 
 def make_env(network, shifts=(), batch_size=8):
@@ -261,7 +246,7 @@ class TestAssess:
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(0)
         stats = generate_batch(env, model, 0, rng, exact=True)
-        history = EmbeddingHistory.seed(stats)
+        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
         vector, _ = assess(network, history, stats)
         assert vector.total == 0.0
 
@@ -272,7 +257,9 @@ class TestAssess:
         )
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(1)
-        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        history = EmbeddingHistory.seed(
+            Embedding.from_stats(generate_batch(env, model, 0, rng))
+        )
         vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
         order = np.argsort(vector.a[1:])[::-1] + 1
         top_forward = {10 - int(b) for b in order[:2]}
@@ -285,7 +272,9 @@ class TestAssess:
         env = make_env(network)
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(2)
-        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        history = EmbeddingHistory.seed(
+            Embedding.from_stats(generate_batch(env, model, 0, rng))
+        )
         vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
         for layer in network.layers:
             if not layer.has_params:
@@ -298,16 +287,17 @@ class TestAssess:
         rng = np.random.default_rng(3)
         stats = generate_batch(env, model, 0, rng)
         shifted = generate_batch(env, model, 1, rng)
-        history = EmbeddingHistory.seed(stats)
+        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
         base, _ = assess(network, history, shifted)
 
         perm = np.random.default_rng(4).permutation(8)
+        index = np.concatenate([perm, 8 + perm])  # within each layer
         permute = lambda st: FeatureStats(
-            means=st.means[perm], variances=st.variances[perm],
-            sample_count=st.sample_count,
+            means=st.means[index], variances=st.variances[index],
+            sample_count=st.sample_counts, widths=st.widths,
         )
-        history_p = EmbeddingHistory.seed([permute(s) for s in stats])
-        permuted, _ = assess(network, history_p, [permute(s) for s in shifted])
+        history_p = EmbeddingHistory.seed(Embedding.from_stats(permute(stats)))
+        permuted, _ = assess(network, history_p, permute(shifted))
         assert np.allclose(base.a, permuted.a)
 
     def test_missing_layer_stats_rejected(self):
@@ -316,27 +306,28 @@ class TestAssess:
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(5)
         stats = generate_batch(env, model, 0, rng)
-        history = EmbeddingHistory.seed(stats)
+        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
+        last = stats.widths[-1]
+        head = FeatureStats(
+            stats.means[:-last], stats.variances[:-last],
+            stats.sample_counts[:-1], stats.widths[:-1],
+        )
         with pytest.raises(InputError, match="layers"):
-            assess(network, history, stats[:-1])
+            assess(network, history, head)
 
 
 class TestStatsFiles:
     def test_round_trip(self):
-        stats = [
-            FeatureStats(
-                means=np.array([1.0, 2.0]),
-                variances=np.array([0.5, 0.25]),
-                sample_count=16,
-            ),
-            FeatureStats(
-                means=np.array([0.0]), variances=np.array([1.0]), sample_count=4
-            ),
-        ]
+        stats = FeatureStats(
+            means=np.array([1.0, 2.0, 0.0]),
+            variances=np.array([0.5, 0.25, 1.0]),
+            sample_count=(16, 4),
+            widths=(2, 1),
+        )
         again = load_stats_lines(stats_to_lines(stats))
-        assert len(again) == 2
-        assert again[0].means.tolist() == [1.0, 2.0]
-        assert again[1].sample_count == 4
+        assert again.n_layers == 2
+        assert split_layers(again.means, again.widths)[0].tolist() == [1.0, 2.0]
+        assert again.sample_counts[1] == 4
 
     def test_gap_in_layer_ids_rejected(self):
         text = '{"layer_id": 0, "means": [0], "vars": [1], "samples": 2}\n' \
@@ -413,15 +404,15 @@ class TestStackedKernelMatchesReference:
 
             loss = adaptation_loss(history, current)
             assert loss == reference_adaptation_loss(hs, cs)
-            assert adaptation_loss(list(history), list(current)) == loss
 
             alpha = float(rng.uniform(0.0, 1.0))
             blended = update_history(EmbeddingHistory(history, alpha=alpha), current)
-            for layer, want_values in zip(blended.embeddings, reference_update(hs, cs, alpha)):
-                assert layer.values.tolist() == want_values.tolist()
+            got_layers = split_layers(blended.embeddings.values, widths)
+            for got_values, want_values in zip(got_layers, reference_update(hs, cs, alpha)):
+                assert got_values.tolist() == want_values.tolist()
 
             for layer in range(len(widths)):
-                assert layer_importance(history[layer], current[layer]) == want[layer]
+                assert score(Embedding(hs[layer]), Embedding(cs[layer])) == want[layer]
 
     def test_assess_matches_per_layer_loop(self):
         from ttasched.presets import resnet50_shaped
@@ -478,14 +469,6 @@ class TestStackedValidation:
         with pytest.raises(InputError, match="finite|non-negative"):
             FeatureStats(means, variances, sample_count=4, widths=widths)
 
-    def test_per_layer_raw_samples_rejected_when_non_finite(self):
-        h = EmbeddingHistory(Embedding(np.ones(10), (2, 3)))
-        bad = [[[0.0, 1.0], [1.0, 2.0]], [[0.0], [float("nan")], [1.0]]]
-        with pytest.raises(InputError, match="non-finite"):
-            update_history(h, bad)
-        with pytest.raises(InputError, match="non-finite"):
-            adaptation_loss(h.embeddings, bad)
-
     def test_sampled_batch_with_overflowing_variance_rejected(self):
         network = recovery_network(3, channels=4)
         env = make_env(network)
@@ -518,29 +501,20 @@ class TestChainObjects:
         stats = FeatureStats(
             np.arange(6.0), np.arange(6.0) + 1.0, sample_count=(4, 5, 6), widths=widths
         )
-        assert len(stats) == 3 and stats.channels == 6
-        assert stats[1].means.tolist() == [2.0] and stats[1].sample_count == 5
-        assert stats[-1].variances.tolist() == [4.0, 5.0, 6.0]
-        tail = stats[1:]
-        assert tail.widths == (1, 3) and tail.sample_counts == (5, 6)
-        again = FeatureStats.concat(list(stats))
+        assert stats.n_layers == 3 and stats.channels == 6
+        head = FeatureStats(np.arange(3.0), np.arange(3.0) + 1.0, (4, 5), (2, 1))
+        tail = FeatureStats(np.arange(3.0, 6.0), np.arange(4.0, 7.0), 6)
+        again = FeatureStats.concat([head, tail])
         assert again.widths == widths and again.means.tolist() == stats.means.tolist()
-        with pytest.raises(InputError, match="sample_counts"):
-            stats.sample_count
+        assert again.sample_counts == stats.sample_counts
 
         emb = Embedding.from_stats(stats)
-        assert emb.widths == widths and len(emb) == 3
-        assert emb[2].means.tolist() == [3.0, 4.0, 5.0]
-        assert Embedding.concat(list(emb)).values.tolist() == emb.values.tolist()
-        with pytest.raises(IndexError):
-            emb[3]
+        assert emb.widths == widths and emb.n_layers == 3
 
     def test_history_seeds_from_stats_or_per_layer_list(self):
         stats = FeatureStats(np.zeros(5), np.ones(5), 8, widths=(2, 3))
-        a = EmbeddingHistory.seed(stats)
-        b = EmbeddingHistory.seed(list(stats))
-        assert a.embeddings.widths == b.embeddings.widths == (2, 3)
-        assert a.embeddings.values.tolist() == b.embeddings.values.tolist()
+        a = EmbeddingHistory.seed(Embedding.from_stats(stats))
+        assert a.embeddings.widths == (2, 3)
         assert a.storage_bytes(4) == 40
 
     def test_stats_file_loads_as_one_chain(self):

@@ -354,9 +354,19 @@ def test_input_file_that_is_not_json_exits_2(command, name, content, tmp_path):
         prefix = f"error: {paths[name]}: invalid JSON ("
     elif content == "empty":
         # a JSON-lines file of no lines holds no records
-        prefix = "error: stats file contains no records\n"
+        prefix = f"error: {paths[name]}: stats file contains no records\n"
     else:
         # undecodable bytes read as U+FFFD, which is not JSON
-        prefix = "error: stats line 1: invalid JSON ("
+        prefix = f"error: {paths[name]}: stats line 1: invalid JSON ("
     assert rc == 2, err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_bad_current_stats_file_names_the_current_path(tmp_path):
+    # assess reads two stats files; the message names the one at fault
+    paths = _write_inputs(tmp_path, "assess")
+    Path(paths["current.jsonl"]).write_bytes(NOT_JSON["truncated"])
+    rc, _, err = _run(COMMANDS["assess"][1](paths))
+    assert rc == 2
+    assert err.startswith(f"error: {paths['current.jsonl']}: stats line 1: "), err
+    assert paths["history.jsonl"] not in err and err.count("\n") == 1, err

@@ -37,7 +37,7 @@ from ttasched.presets import (
 )
 
 from scalar_latency import blend, factors, split
-from support import cycling_trace
+from support import cycling_trace, split_layers
 
 
 def simple_env(network, shifts=(), batch_size=8, positions=None):
@@ -245,10 +245,15 @@ class TestEnvironmentEpochs:
             stats = generate_batch(env, model, batch_index, rng)
             want = reference_generate_batch(env, model, batch_index, ref_rng)
             assert stats.widths == env.channels
-            for layer, (mu, var, n) in zip(stats, want):
-                assert layer.means.tolist() == mu.tolist()
-                assert layer.variances.tolist() == var.tolist()
-                assert layer.sample_count == n
+            layers = zip(
+                split_layers(stats.means, stats.widths),
+                split_layers(stats.variances, stats.widths),
+                stats.sample_counts,
+            )
+            for (means, variances, count), (mu, var, n) in zip(layers, want):
+                assert means.tolist() == mu.tolist()
+                assert variances.tolist() == var.tolist()
+                assert count == n
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_sampled_stats_follow_their_laws_over_a_ragged_chain(self):
@@ -379,8 +384,8 @@ class TestGenerateBatch:
         model = ModelResponseState.from_environment(env)
         stats = generate_batch(env, model, 0, np.random.default_rng(0))
         se = 1.0 / math.sqrt(10_000)
-        for st in stats:
-            assert np.all(np.abs(st.means) <= 3 * se)
+        for means in split_layers(stats.means, stats.widths):
+            assert np.all(np.abs(means) <= 3 * se)
 
     def test_shift_appears_only_on_targeted_layers(self):
         net = recovery_network(8, channels=4)
@@ -395,13 +400,13 @@ class TestGenerateBatch:
         before = generate_batch(env, model, 4, rng)
         after = generate_batch(env, model, 5, rng)
         se = 1.0 / math.sqrt(64 * 4)
-        for i, st in enumerate(before):
-            assert np.all(np.abs(st.means) < 6 * se)
-        for i, st in enumerate(after):
+        for i, means in enumerate(split_layers(before.means, before.widths)):
+            assert np.all(np.abs(means) < 6 * se)
+        for i, means in enumerate(split_layers(after.means, after.widths)):
             if i in (3, 7):
-                assert np.all(st.means > 2.0 - 6 * se)
+                assert np.all(means > 2.0 - 6 * se)
             else:
-                assert np.all(np.abs(st.means) < 6 * se)
+                assert np.all(np.abs(means) < 6 * se)
 
     def test_same_seed_identical(self):
         net = recovery_network(3)
@@ -409,9 +414,14 @@ class TestGenerateBatch:
         model = ModelResponseState.from_environment(env)
         a = generate_batch(env, model, 0, np.random.default_rng(9))
         b = generate_batch(env, model, 0, np.random.default_rng(9))
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.means, sb.means)
-            assert np.array_equal(sa.variances, sb.variances)
+        for sa, sb in zip(
+            split_layers(a.means, a.widths), split_layers(b.means, b.widths)
+        ):
+            assert np.array_equal(sa, sb)
+        for sa, sb in zip(
+            split_layers(a.variances, a.widths), split_layers(b.variances, b.widths)
+        ):
+            assert np.array_equal(sa, sb)
 
     def test_statistics_follow_their_sampling_distribution(self):
         # one channel over 2000 batches of n = 4 * 3 samples from N(1.5, 2):
@@ -428,7 +438,7 @@ class TestGenerateBatch:
         )
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(5)
-        batches = [generate_batch(env, model, 0, rng)[0] for _ in range(2000)]
+        batches = [generate_batch(env, model, 0, rng) for _ in range(2000)]
         means = np.array([b.means[0] for b in batches])
         varis = np.array([b.variances[0] for b in batches])
         n = 12
@@ -442,18 +452,24 @@ class TestGenerateBatch:
         net = recovery_network(3, channels=4)
         env = simple_env(net, batch_size=1, positions=(1, 1, 1))
         model = ModelResponseState.from_environment(env)
-        for st in generate_batch(env, model, 0, np.random.default_rng(2)):
-            assert st.sample_count == 1
-            assert np.all(st.variances == 0.0)
-            assert np.all(st.means != 0.0)
+        stats = generate_batch(env, model, 0, np.random.default_rng(2))
+        for means, variances, count in zip(
+            split_layers(stats.means, stats.widths),
+            split_layers(stats.variances, stats.widths),
+            stats.sample_counts,
+        ):
+            assert count == 1
+            assert np.all(variances == 0.0)
+            assert np.all(means != 0.0)
 
     def test_exact_mode_reports_distribution_parameters(self):
         net = recovery_network(2)
         env = simple_env(net)
         model = ModelResponseState.from_environment(env)
         stats = generate_batch(env, model, 0, np.random.default_rng(0), exact=True)
-        assert np.all(stats[0].means == 0.0)
-        assert np.all(stats[0].variances == 1.0)
+        first = layer_slice(env, 0)
+        assert np.all(stats.means[first] == 0.0)
+        assert np.all(stats.variances[first] == 1.0)
 
 
 class TestReusePlan:
@@ -1080,7 +1096,6 @@ class TestTrustedDerivations:
         built = EmbeddingHistory(
             Embedding(0.25 * second.values + 0.75 * first.values, first.widths),
             alpha=0.25,
-            batches_seen=2,
         )
         _same_object(got, built)
 
@@ -1243,7 +1258,7 @@ class TestApplyUpdate:
         span = layer_slice(env, 1)
         assert np.allclose(updated.means[span], em[span])
         obs = observed_embeddings(env, updated, 0)
-        assert np.allclose(obs[1].means, 0.0)
+        assert np.allclose(obs.means[span], 0.0)
 
     def test_half_gain_halves_gap(self):
         net = recovery_network(2)
