@@ -5,7 +5,8 @@ memory-traffic figures, and demonstrates why the deepest selected layer,
 not the number of selected layers, dominates the cost of a sparse update.
 """
 
-from ttasched import UpdateStrategy, load_network, strategy_cost
+from ttasched import UpdateStrategy, load_network
+from ttasched.network import closed_form_cost
 from ttasched.presets import uniform_profile
 
 document = {
@@ -53,12 +54,9 @@ profile = uniform_profile(n)
 deep_only = UpdateStrategy(n, (n,))
 shallow_four = UpdateStrategy(n, (1, 2, 3, 4))
 
-from ttasched.presets import recovery_network
-
-wide = recovery_network(n)
 print("\nuniform per-layer costs, 10-layer chain:")
 for name, strat in (("deepest layer only", deep_only), ("four nearest output", shallow_four)):
-    cost = strategy_cost(wide, strat, profile)
+    cost = closed_form_cost(profile, strat.selected)
     print(
         f"  {name:<22} layers={len(strat.selected)}  backward={cost.t_backward:5.1f} ms"
         f"  reforward={cost.t_reforward:5.1f} ms  total={cost.t_total_extra:5.1f} ms"

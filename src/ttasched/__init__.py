@@ -40,7 +40,6 @@ from .network import (
     derive_costs,
     load_network,
     load_network_file,
-    strategy_cost,
 )
 from .pipeline import (
     ControllerConfig,
@@ -120,6 +119,5 @@ __all__ = [
     "run_episode",
     "sigma_controller",
     "solve_dp",
-    "strategy_cost",
     "update_history",
 ]

@@ -49,26 +49,10 @@ def _dump_json(document: dict, out: str) -> None:
 
 
 def cmd_assess(args) -> int:
-    history_stats = load_stats_file(args.history)
-    current_stats = load_stats_file(args.current)
-    n_history, n = history_stats.n_layers, current_stats.n_layers
-    if n_history != n:
-        raise InputError(
-            f"layer {min(n_history, n)}: present in one stats file but not the "
-            f"other ({n_history} history vs {n} current layers)"
-        )
+    history = EmbeddingHistory.seed(Embedding.from_stats(load_stats_file(args.history)))
+    current = Embedding.from_stats(load_stats_file(args.current))
     network = load_network_file(args.network) if args.network else None
-    if network is not None and network.n_layers != n:
-        raise InputError(
-            f"network has {network.n_layers} layers, stats cover {n}"
-        )
-    for layer_id, (h, e) in enumerate(zip(history_stats.widths, current_stats.widths)):
-        if h != e:
-            raise InputError(
-                f"layer {layer_id}: history has {h} channels, current has {e}"
-            )
-    history = EmbeddingHistory.seed(Embedding.from_stats(history_stats))
-    vector, _ = assess(network, history, current_stats)
+    vector, _ = assess(network, history, current)
     _dump_json({"a": vector.a[1:].tolist()}, args.out)
     return 0
 

@@ -99,8 +99,8 @@ def reject_unknown(obj: dict, known, what: str) -> None:
         raise InputError(f"{what}: unknown fields {sorted(unknown)}")
 
 
-def json_text(document, indent: int | None = 2, sort_keys: bool = True) -> str:
-    """``document`` as JSON text ending in a newline. NaN and infinities
-    have no JSON form, so a document holding one is a ValueError rather
-    than an output that other readers reject."""
-    return json.dumps(document, indent=indent, sort_keys=sort_keys, allow_nan=False) + "\n"
+def json_text(document) -> str:
+    """``document`` as JSON text, indented by 2 with sorted keys, ending in
+    a newline. NaN and infinities have no JSON form, so a document holding
+    one is a ValueError rather than an output that other readers reject."""
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"

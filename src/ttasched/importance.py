@@ -223,16 +223,24 @@ class Embedding:
         return len(self.widths)
 
 
+def _split_mismatch(name: str, widths: tuple[int, ...], current: tuple[int, ...]) -> str:
+    """The message for a current chain split into layers other than
+    ``name``'s, naming the first layer at fault."""
+    for layer, (w, c) in enumerate(zip(widths, current)):
+        if w != c:
+            return f"layer {layer}: {name} has {w} channels, current has {c}"
+    return (
+        f"layer {min(len(widths), len(current))}: {name} has {len(widths)} "
+        f"layers, current has {len(current)}"
+    )
+
+
 def layer_divergences(history: Embedding, current: Embedding) -> np.ndarray:
     """Per-layer Gaussian KL of the current embedding from the history
     embedding, in forward order."""
     widths = history.widths
     if widths != current.widths:
-        raise InputError(
-            f"embedding length mismatch: history {history.values.size} values "
-            f"over {len(widths)} layers, current {current.values.size} over "
-            f"{len(current.widths)}"
-        )
+        raise InputError(_split_mismatch("history", widths, current.widths))
     sh2 = history.variances + VARIANCE_FLOOR
     se2 = current.variances + VARIANCE_FLOOR
     dmu = history.means - current.means
@@ -265,8 +273,9 @@ class EmbeddingHistory:
         """Start a history from the first observed batch, taken verbatim."""
         return cls(embeddings=current, alpha=alpha)
 
-    def storage_bytes(self, scalar_width: int = 4) -> int:
-        return self.embeddings.values.size * scalar_width
+    def storage_bytes(self) -> int:
+        """Bytes of the history held as fp32, as the paper stores it."""
+        return self.embeddings.values.size * 4
 
 
 def update_history(history: EmbeddingHistory, current: Embedding) -> EmbeddingHistory:
@@ -339,35 +348,28 @@ def assessment_flops(stats: FeatureStats) -> float:
 
 
 def assess(
-    network: Network | None, history: EmbeddingHistory, stats: FeatureStats
+    network: Network | None, history: EmbeddingHistory, current: Embedding
 ) -> tuple[ImportanceVector, float]:
-    """Score every layer against the history.
+    """Score every layer of the current batch against the history: the
+    batch's one divergence pass.
 
-    Returns the backward-indexed importance vector and the analytic op count
-    of the assessment. With a network, the stats must match its layers'
-    channel counts and parameter-free layers are forced to 0; without one
-    (``None``) every layer is scored.
+    Returns the backward-indexed importance vector and the batch's
+    adaptation loss against the history, summed from the same divergences
+    (``adaptation_loss(history.embeddings, current)``, bit for bit). With a
+    network, the current chain must match its layers' channel counts and
+    parameter-free layers are forced to 0; without one (``None``) every
+    layer is scored.
     """
-    n = network.n_layers if network is not None else stats.n_layers
-    if history.n_layers != n:
-        raise InputError(
-            f"history covers {history.n_layers} layers, network has {n}"
-        )
-    if stats.n_layers != n:
-        raise InputError(f"stats cover {stats.n_layers} layers, network has {n}")
     if network is not None:
-        for layer, width in zip(network.layers, stats.widths):
-            if width != layer.channels:
-                raise InputError(
-                    f"layer {layer.id}: stats cover {width} channels, "
-                    f"layer has {layer.channels}"
-                )
-    divergences = layer_divergences(history.embeddings, Embedding.from_stats(stats))
-    a = np.zeros(n + 1)
+        widths = tuple(layer.channels for layer in network.layers)
+        if current.widths != widths:
+            raise InputError(_split_mismatch("network", widths, current.widths))
+    divergences = layer_divergences(history.embeddings, current)
+    a = np.zeros(divergences.size + 1)
     a[1:] = divergences[::-1]
     if network is not None:
         a[~network.selectable] = 0.0
-    return ImportanceVector(a=a), assessment_flops(stats)
+    return ImportanceVector(a=a), _ordered_sum(divergences.tolist())
 
 
 _STATS_FIELDS = frozenset({"layer_id", "means", "vars", "samples"})

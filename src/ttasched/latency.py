@@ -308,7 +308,7 @@ class LatencyTable:
     for its blend weight ``w = eta / (eta + 1)`` (None: compute-bound), a
     scale between ``min(p1, p2)`` and ``max(p1, p2)``. ``factors(state)``
     is ``(p1, p2)`` and ``scales(state)`` every layer's scale under
-    ``state``; both are kept for the last state. ``steps(strategy)`` is the
+    ``state``; both are kept for the last state. ``_plan(strategy)`` is the
     executor's run list of a strategy, built once per strategy.
     """
 
@@ -347,20 +347,16 @@ class LatencyTable:
         self._scales: np.ndarray | None = None
         self._steps: dict = {}
 
-    def steps(self, strategy: UpdateStrategy) -> tuple:
-        """The runs of the validated ``strategy`` in execution order, as
-        ``(slot, t_off, w)``: the run's position ``phase * (n + 1) + b`` in
-        the executor's flat output (phases forward, weight gradient,
-        activation gradient, reforward, for backward index b), its offline
-        latency and its layer's blend weight. The order is the one
-        ``pipeline.execute_ground_truth`` documents."""
-        return self._plan(strategy)[0]
-
     def _plan(self, strategy: UpdateStrategy) -> tuple:
-        """``(steps, slots, layers, t_off)``: ``steps(strategy)``, and the
-        same runs as three read-only arrays, each run's slot, its layer's
-        backward index b and its offline latency; built once per strategy
-        and independent of the state."""
+        """``(steps, slots, layers, t_off)`` of the validated ``strategy``,
+        built once per strategy and independent of the state. ``steps`` are
+        its runs in execution order, as ``(slot, t_off, w)``: the run's
+        position ``phase * (n + 1) + b`` in the executor's flat output
+        (phases forward, weight gradient, activation gradient, reforward,
+        for backward index b), its offline latency and its layer's blend
+        weight, in the order ``pipeline.execute_ground_truth`` documents.
+        The same runs follow as three read-only arrays: each run's slot,
+        its layer's backward index b and its offline latency."""
         key = (strategy.n_layers, strategy.selected)
         plan = self._steps.get(key)
         if plan is None:

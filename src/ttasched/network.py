@@ -190,9 +190,6 @@ class Network:
     def backward_index(self, layer_id: int) -> int:
         return self.n_layers - layer_id
 
-    def forward_id(self, b: int) -> int:
-        return self.n_layers - b
-
     def layer_by_backward(self, b: int) -> LayerSpec:
         if not 1 <= b <= self.n_layers:
             raise InputError(f"backward index {b} out of range 1..{self.n_layers}")
@@ -225,13 +222,6 @@ class UpdateStrategy:
     @property
     def is_empty(self) -> bool:
         return not self.selected
-
-    def to_vector(self) -> tuple[int, ...]:
-        """0/1 vector indexed by backward index; slot 0 is padding."""
-        vec = [0] * (self.n_layers + 1)
-        for b in self.selected:
-            vec[b] = 1
-        return tuple(vec)
 
     def validate_against(self, network: Network) -> None:
         if self.n_layers != network.n_layers:
@@ -291,24 +281,6 @@ def closed_form_cost(profile, selected: tuple[int, ...]) -> StrategyCost:
     (``errors._derived``): its two fields are sums of floats."""
     t_backward, t_reforward = closed_form_parts(profile, selected)
     return _derived(StrategyCost, t_backward=t_backward, t_reforward=t_reforward)
-
-
-def strategy_cost(network: Network, strategy: UpdateStrategy, profile) -> StrategyCost:
-    """Closed-form cost of a strategy, validated against its network.
-
-    Backward time is the weight-gradient time of every selected layer plus
-    the activation-gradient chain down to (but excluding) the deepest
-    selection; reforward time re-executes every layer from the deepest
-    selection to the output. ``profile`` is a ``latency.LatencyProfile`` (or
-    anything exposing ``t_dw``, ``cum_dx`` and ``cum_re`` 1-based arrays).
-    """
-    n = network.n_layers
-    if profile.n_layers != n:
-        raise InputError(
-            f"profile covers {profile.n_layers} layers, network has {n}"
-        )
-    strategy.validate_against(network)
-    return closed_form_cost(profile, strategy.selected)
 
 
 def load_network(document: dict) -> Network:

@@ -53,7 +53,6 @@ from .importance import (
     Embedding,
     EmbeddingHistory,
     FeatureStats,
-    ImportanceVector,
     _check_widths,
     _offsets,
     adaptation_loss,
@@ -770,7 +769,6 @@ def _replay_full_updates(
 def run_episode(scenario: Scenario) -> EpisodeReport:
     """Simulate one episode and its full-update replay baseline."""
     network = scenario.network
-    n = network.n_layers
     seq = np.random.SeedSequence(scenario.seed)
     rng_env, rng_exec, rng_replay = (np.random.default_rng(s) for s in seq.spawn(3))
 
@@ -809,12 +807,9 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
         stats = generate_batch(env, model, i, rng_env, exact=scenario.exact_stats)
         embeddings = Embedding.from_stats(stats)
         if history is None:
+            # batch 0 scores against its own seed: every divergence is 0
             history = EmbeddingHistory.seed(embeddings, alpha=scenario.alpha)
-            vector = ImportanceVector(a=np.zeros(n + 1))
-            flops = assessment_flops(stats)
-        else:
-            vector, flops = assess(network, history, stats)
-        loss_before = adaptation_loss(history.embeddings, embeddings)
+        vector, loss_before = assess(network, history, embeddings)
 
         state = scenario.trace.state_at(start)
         profile = build_profile(network, scenario.offline, scenario.device, state)
@@ -868,7 +863,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
                 importance_total=vector.total,
                 importance_captured=sched.achieved_importance,
                 capture_ratio=capture,
-                assess_flops=flops,
+                assess_flops=assessment_flops(stats),
                 predicted_f_ms=profile.t_f_total,
                 predicted_b_ms=sched.predicted_extra.t_backward,
                 predicted_re_ms=sched.predicted_extra.t_reforward,

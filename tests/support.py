@@ -7,11 +7,12 @@ one batch through the ResNet-50-shaped chain and a time-varying state
 trace. The package itself never calls them.
 """
 
+import json
 import math
 
 import numpy as np
 
-from ttasched.errors import InputError, _ordered_sum, json_text
+from ttasched.errors import InputError, _ordered_sum
 from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, assess
 from ttasched.latency import StateTrace
 from ttasched.pipeline import ModelResponseState, Shift, gaussian_environment, generate_batch
@@ -55,16 +56,16 @@ def stats_to_lines(stats: FeatureStats) -> str:
         stats.sample_counts,
     )
     return "".join(
-        json_text(
+        json.dumps(
             {
                 "layer_id": layer_id,
                 "means": [float(x) for x in means],
                 "vars": [float(x) for x in variances],
                 "samples": samples,
             },
-            indent=None,
-            sort_keys=False,
+            allow_nan=False,
         )
+        + "\n"
         for layer_id, (means, variances, samples) in enumerate(layers)
     )
 
@@ -101,7 +102,8 @@ def importance_recovery_rate(
         history = EmbeddingHistory.seed(
             Embedding.from_stats(generate_batch(env, model, 0, rng))
         )
-        vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
+        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        vector, _ = assess(network, history, current)
         order = np.argsort(vector.a[1:])[::-1] + 1  # backward indices, best first
         top = {n_layers - int(b) for b in order[:shifted_layers]}
         if top == set(targets):

@@ -21,7 +21,7 @@ from ttasched.importance import (
     assessment_flops,
 )
 from ttasched.latency import build_profile, eta
-from ttasched.network import UpdateStrategy, strategy_cost
+from ttasched.network import UpdateStrategy, closed_form_cost
 from ttasched.pipeline import report_json, run_episode
 from ttasched.presets import (
     demo_edge_device,
@@ -209,7 +209,7 @@ def test_criterion_7_assessment_overhead_arithmetic(capsys):
     assert 0.05e9 <= flops <= 0.8e9
 
     history = EmbeddingHistory.seed(Embedding.from_stats(stats))
-    stored = history.storage_bytes(scalar_width=4)
+    stored = history.storage_bytes()
     reported_kb = 8.6e3
     assert reported_kb / 4 <= stored <= reported_kb * 4
     with capsys.disabled():
@@ -259,15 +259,14 @@ def test_criterion_9_invariant_suites(capsys):
         assert np.all(h.embeddings.values <= hi + 1e-12)
 
     # deepest-layer dominance, exhaustive to N=10
-    from tests.test_network import all_selectable_network, random_dyadic_profile
+    from tests.test_network import random_dyadic_profile
 
     for n in range(2, 11):
-        net = all_selectable_network(n)
         profile = random_dyadic_profile(rng, n)
         by_deepest = {}
         for r in range(1, n + 1):
             for combo in itertools.combinations(range(1, n + 1), r):
-                cost = strategy_cost(net, UpdateStrategy(n, combo), profile)
+                cost = closed_form_cost(profile, combo)
                 dx_term = cost.t_backward - sum(profile.t_dw[b] for b in combo)
                 by_deepest.setdefault(combo[-1], set()).add(
                     (round(cost.t_reforward, 9), round(dx_term, 9))

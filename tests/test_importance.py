@@ -78,7 +78,7 @@ class TestLayerImportance:
         assert a == pytest.approx(math.log(2.0) + 1.0 / 8.0 - 0.5, abs=1e-5)
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError, match="mismatch"):
+        with pytest.raises(InputError, match="layer 0: history has 1 channels, current has 2"):
             score(gauss((0, 1)), gauss((0, 1), (0, 1)))
 
     def test_non_negativity_fuzz(self):
@@ -246,8 +246,8 @@ class TestAssess:
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(0)
         stats = generate_batch(env, model, 0, rng, exact=True)
-        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
-        vector, _ = assess(network, history, stats)
+        embedding = Embedding.from_stats(stats)
+        vector, _ = assess(network, EmbeddingHistory.seed(embedding), embedding)
         assert vector.total == 0.0
 
     def test_shifted_layers_rank_first(self):
@@ -260,7 +260,8 @@ class TestAssess:
         history = EmbeddingHistory.seed(
             Embedding.from_stats(generate_batch(env, model, 0, rng))
         )
-        vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
+        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        vector, _ = assess(network, history, current)
         order = np.argsort(vector.a[1:])[::-1] + 1
         top_forward = {10 - int(b) for b in order[:2]}
         assert top_forward == {3, 7}
@@ -275,7 +276,8 @@ class TestAssess:
         history = EmbeddingHistory.seed(
             Embedding.from_stats(generate_batch(env, model, 0, rng))
         )
-        vector, _ = assess(network, history, generate_batch(env, model, 1, rng))
+        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        vector, _ = assess(network, history, current)
         for layer in network.layers:
             if not layer.has_params:
                 assert vector.a[network.backward_index(layer.id)] == 0.0
@@ -288,7 +290,7 @@ class TestAssess:
         stats = generate_batch(env, model, 0, rng)
         shifted = generate_batch(env, model, 1, rng)
         history = EmbeddingHistory.seed(Embedding.from_stats(stats))
-        base, _ = assess(network, history, shifted)
+        base, _ = assess(network, history, Embedding.from_stats(shifted))
 
         perm = np.random.default_rng(4).permutation(8)
         index = np.concatenate([perm, 8 + perm])  # within each layer
@@ -297,7 +299,7 @@ class TestAssess:
             sample_count=st.sample_counts, widths=st.widths,
         )
         history_p = EmbeddingHistory.seed(Embedding.from_stats(permute(stats)))
-        permuted, _ = assess(network, history_p, permute(shifted))
+        permuted, _ = assess(network, history_p, Embedding.from_stats(permute(shifted)))
         assert np.allclose(base.a, permuted.a)
 
     def test_missing_layer_stats_rejected(self):
@@ -312,8 +314,55 @@ class TestAssess:
             stats.means[:-last], stats.variances[:-last],
             stats.sample_counts[:-1], stats.widths[:-1],
         )
-        with pytest.raises(InputError, match="layers"):
-            assess(network, history, head)
+        with pytest.raises(InputError, match="layer 3: network has 4 layers, current has 3"):
+            assess(network, history, Embedding.from_stats(head))
+
+
+_EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308])
+
+
+@st.composite
+def _embeddings(draw):
+    """A valid chain embedding over 1 to 6 layers, with means and variances
+    up to the largest floats and zero variances."""
+    widths = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    k = sum(widths)
+    mean = st.one_of(_EXTREME, _EXTREME.map(lambda x: -x), st.floats(-1.7e308, 1.7e308))
+    variance = st.one_of(_EXTREME, st.floats(0.0, 1.7e308))
+    values = np.empty(2 * k)
+    values[0::2] = draw(arrays(np.float64, k, elements=mean))
+    values[1::2] = draw(arrays(np.float64, k, elements=variance))
+    return Embedding(values, widths)
+
+
+class TestAssessLoss:
+    @given(e=_embeddings())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_batch_scored_against_its_own_seed_is_zero(self, e):
+        # what run_episode's first batch relies on: every divergence of an
+        # identical pair is 0.0 after the clip, overflow included
+        vector, loss = assess(None, EmbeddingHistory.seed(e), e)
+        assert vector.a.tobytes() == np.zeros(e.n_layers + 1).tobytes()
+        assert repr(loss) == "0.0"
+
+    def test_loss_is_adaptation_loss_on_the_bundled_episodes(self, monkeypatch):
+        from ttasched import pipeline
+        from ttasched.presets import controller_scenario, drift_scenario, zero_shift_scenario
+
+        scored = []
+
+        def recording(network, history, current):
+            vector, loss = assess(network, history, current)
+            scored.append((history, current, loss))
+            return vector, loss
+
+        monkeypatch.setattr(pipeline, "assess", recording)
+        for make in (drift_scenario, zero_shift_scenario, controller_scenario):
+            pipeline.run_episode(make())
+        assert len(scored) == 66
+        for history, current, loss in scored:
+            assert repr(loss) == repr(adaptation_loss(history.embeddings, current))
+        assert any(loss > 0.0 for _, _, loss in scored)
 
 
 class TestStatsFiles:
@@ -429,7 +478,9 @@ class TestStackedKernelMatchesReference:
             widths=widths,
         )
         vector, _ = assess(
-            network, EmbeddingHistory(Embedding(np.concatenate(hs), widths)), current
+            network,
+            EmbeddingHistory(Embedding(np.concatenate(hs), widths)),
+            Embedding.from_stats(current),
         )
         n = network.n_layers
         want = np.zeros(n + 1)
@@ -489,7 +540,7 @@ class TestStackedValidation:
     def test_kernel_rejects_other_layer_split(self):
         a = Embedding(np.ones(10), (2, 3))
         b = Embedding(np.ones(10), (3, 2))
-        with pytest.raises(InputError, match="mismatch"):
+        with pytest.raises(InputError, match="layer 0: history has 2 channels, current has 3"):
             layer_divergences(a, b)
         with pytest.raises(InputError, match="shape changed"):
             update_history(EmbeddingHistory(a), b)
@@ -515,7 +566,7 @@ class TestChainObjects:
         stats = FeatureStats(np.zeros(5), np.ones(5), 8, widths=(2, 3))
         a = EmbeddingHistory.seed(Embedding.from_stats(stats))
         assert a.embeddings.widths == (2, 3)
-        assert a.storage_bytes(4) == 40
+        assert a.storage_bytes() == 40
 
     def test_stats_file_loads_as_one_chain(self):
         text = (

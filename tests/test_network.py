@@ -8,9 +8,9 @@ from ttasched.network import (
     LayerSpec,
     Network,
     UpdateStrategy,
+    closed_form_cost,
     derive_costs,
     load_network,
-    strategy_cost,
 )
 from ttasched.presets import uniform_profile
 
@@ -349,22 +349,19 @@ def all_selectable_network(n):
 
 class TestStrategyCost:
     def test_single_output_layer(self):
-        net = all_selectable_network(3)
-        cost = strategy_cost(net, UpdateStrategy(3, (1,)), uniform_profile(3))
+        cost = closed_form_cost(uniform_profile(3), UpdateStrategy(3, (1,)).selected)
         assert cost.t_backward == 1.0
         assert cost.t_reforward == 1.0
         assert cost.t_total_extra == 2.0
 
     def test_spanning_selection(self):
-        net = all_selectable_network(3)
-        cost = strategy_cost(net, UpdateStrategy(3, (1, 3)), uniform_profile(3))
+        cost = closed_form_cost(uniform_profile(3), UpdateStrategy(3, (1, 3)).selected)
         assert cost.t_backward == 4.0
         assert cost.t_reforward == 3.0
         assert cost.t_total_extra == 7.0
 
     def test_empty_strategy_is_free(self):
-        net = all_selectable_network(3)
-        cost = strategy_cost(net, UpdateStrategy(3, ()), uniform_profile(3))
+        cost = closed_form_cost(uniform_profile(3), UpdateStrategy(3, ()).selected)
         assert (cost.t_backward, cost.t_reforward, cost.t_total_extra) == (0, 0, 0)
 
     def test_selecting_param_free_layer_rejected(self):
@@ -376,12 +373,12 @@ class TestStrategyCost:
         )
         net = Network(name="mixed", layers=layers)
         with pytest.raises(InputError, match="parameter-free"):
-            strategy_cost(net, UpdateStrategy(2, (1,)), uniform_profile(2))
+            UpdateStrategy(2, (1,)).validate_against(net)
 
     def test_length_mismatch_rejected(self):
         net = all_selectable_network(3)
-        with pytest.raises(InputError):
-            strategy_cost(net, UpdateStrategy(4, (1,)), uniform_profile(4))
+        with pytest.raises(InputError, match="strategy covers 4 layers, network has 3"):
+            UpdateStrategy(4, (1,)).validate_against(net)
 
     def test_out_of_range_backward_index_rejected(self):
         with pytest.raises(InputError, match="1.."):
@@ -391,7 +388,6 @@ class TestStrategyCost:
         strat = UpdateStrategy(5, (4, 1))
         assert strat.selected == (1, 4)  # normalized ascending
         assert strat.deepest == 4
-        assert strat.to_vector() == (0, 1, 0, 0, 1, 0)
 
 
 def random_dyadic_profile(rng, n):
@@ -415,12 +411,11 @@ class TestCostProperties:
         # deepest selection, never on which shallower layers join it
         rng = np.random.default_rng(11)
         for n in range(2, 11):
-            net = all_selectable_network(n)
             profile = random_dyadic_profile(rng, n)
             by_deepest = {}
             for r in range(1, n + 1):
                 for combo in itertools.combinations(range(1, n + 1), r):
-                    cost = strategy_cost(net, UpdateStrategy(n, combo), profile)
+                    cost = closed_form_cost(profile, combo)
                     d = combo[-1]
                     dx_term = cost.t_backward - sum(profile.t_dw[b] for b in combo)
                     by_deepest.setdefault(d, set()).add(
@@ -432,7 +427,6 @@ class TestCostProperties:
     def test_adding_a_layer_never_reduces_cost(self):
         rng = np.random.default_rng(12)
         n = 9
-        net = all_selectable_network(n)
         profile = random_dyadic_profile(rng, n)
         for _ in range(300):
             size = int(rng.integers(0, n))
@@ -441,8 +435,8 @@ class TestCostProperties:
             if extra in base:
                 continue
             grown = tuple(sorted(base + (extra,)))
-            c0 = strategy_cost(net, UpdateStrategy(n, base), profile)
-            c1 = strategy_cost(net, UpdateStrategy(n, grown), profile)
+            c0 = closed_form_cost(profile, UpdateStrategy(n, base).selected)
+            c1 = closed_form_cost(profile, UpdateStrategy(n, grown).selected)
             assert c1.t_backward >= c0.t_backward
             assert c1.t_reforward >= c0.t_reforward
             assert c1.t_total_extra >= c0.t_total_extra
@@ -451,8 +445,7 @@ class TestCostProperties:
         # with uniform per-layer costs, updating only the layer furthest
         # from the output is no cheaper than updating the four nearest ones
         for n in range(8, 16):
-            net = all_selectable_network(n)
             profile = uniform_profile(n)
-            deep = strategy_cost(net, UpdateStrategy(n, (n,)), profile)
-            shallow = strategy_cost(net, UpdateStrategy(n, (1, 2, 3, 4)), profile)
+            deep = closed_form_cost(profile, (n,))
+            shallow = closed_form_cost(profile, (1, 2, 3, 4))
             assert deep.t_total_extra >= shallow.t_total_extra

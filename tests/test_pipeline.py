@@ -7,7 +7,7 @@ import pytest
 from ttasched.errors import InputError, TraceExhausted
 from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
 from ttasched.latency import COMPUTE_BOUND, LatencyTable, OfflineProfile, StateTrace, _table_for
-from ttasched.network import UpdateStrategy, strategy_cost
+from ttasched.network import UpdateStrategy, closed_form_cost
 from ttasched import pipeline
 from ttasched.pipeline import (
     BatchRecord,
@@ -526,8 +526,8 @@ class TestExecuteGroundTruth:
         trace = StateTrace.constant(self.state)
         selectable = self.network.selectable_backward()
         chosen = UpdateStrategy(9, selectable[:2])
-        steps = table.steps(chosen)
-        assert table.steps(UpdateStrategy(9, selectable[:2])) is steps
+        steps = table._plan(chosen)[0]
+        assert table._plan(UpdateStrategy(9, selectable[:2]))[0] is steps
         # a strategy that fails validation is refused on every call, and a
         # cached selection does not stand for one over another layer count
         frozen = next(b for b in range(1, 10) if b not in selectable)
@@ -543,7 +543,7 @@ class TestExecuteGroundTruth:
         profile = build_profile(self.network, self.offline, self.device, self.state)
         full = UpdateStrategy(9, self.network.selectable_backward())
         execd = self.run(full)
-        cost = strategy_cost(self.network, full, profile)
+        cost = closed_form_cost(profile, full.selected)
         assert execd.t_b_total == pytest.approx(cost.t_backward, rel=1e-12)
         assert execd.t_re_total == pytest.approx(cost.t_reforward, rel=1e-12)
         assert execd.t_f_total == pytest.approx(profile.t_f_total, rel=1e-12)
@@ -618,7 +618,7 @@ def reference_execute(network, offline, device, state_at, strategy, deepest,
             dx_exec[b] = run(b, dx_off)
         if b in strategy.selected:
             dw_exec[b] = run(b, dw_off)
-    for forward_id in range(network.forward_id(deepest), n) if deepest else ():
+    for forward_id in range(n - deepest, n) if deepest else ():
         b = network.backward_index(forward_id)
         re_exec[b] = run(b, float(offline.t_re[b]))
     return (f_exec, dw_exec, dx_exec, re_exec), now
@@ -1011,7 +1011,7 @@ class TestExecutorArrayPath(ExecutorHarness):
         full = self.strategy
         n = self.network.n_layers
         steps, slots, layers, t_off = table._plan(full)
-        assert table.steps(full) is steps
+        assert table._plan(full)[0] is steps
         assert slots.tolist() == [slot for slot, _, _ in steps]
         assert layers.tolist() == [slot % (n + 1) for slot, _, _ in steps]
         assert t_off.tolist() == [t for _, t, _ in steps]
@@ -1428,7 +1428,6 @@ class TestRunEpisode:
 
     def test_latency_identity_against_cost_model(self):
         from ttasched.latency import build_profile
-        from ttasched.network import strategy_cost as cost_fn
 
         scenario = dataclasses.replace(drift_scenario(), jitter_eps=0.0)
         report = run_episode(scenario)
@@ -1439,8 +1438,7 @@ class TestRunEpisode:
             resource_conditions()["offline"],
         )
         for rec in report.records:
-            strategy = UpdateStrategy(scenario.network.n_layers, rec.selected)
-            cost = cost_fn(scenario.network, strategy, profile)
+            cost = closed_form_cost(profile, rec.selected)
             assert rec.executed_b_ms == pytest.approx(cost.t_backward, rel=1e-9, abs=1e-12)
             assert rec.executed_re_ms == pytest.approx(cost.t_reforward, rel=1e-9, abs=1e-12)
             assert rec.executed_total_ms == pytest.approx(

@@ -374,7 +374,7 @@ class TestChainConsistency:
     def test_backtracked_strategy_cost_is_the_closed_form(self):
         # every backtracked optimum's predicted cost is the closed form of
         # its strategy; budgets swept so each subset size wins somewhere
-        from ttasched.network import strategy_cost
+        from ttasched.network import closed_form_cost
         from tests.test_network import all_selectable_network, random_dyadic_profile
 
         rng = np.random.default_rng(43)
@@ -387,7 +387,8 @@ class TestChainConsistency:
             extra = profile.t_b_total + profile.t_re_total
             for frac in np.linspace(0.1, 1.0, 8):
                 result = solve_dp(imp, profile, config_for_budget(profile, frac * extra))
-                closed = strategy_cost(net, result.strategy, profile)
+                result.strategy.validate_against(net)
+                closed = closed_form_cost(profile, result.strategy.selected)
                 assert result.predicted_extra.t_total_extra == closed.t_total_extra
 
 

@@ -7,7 +7,8 @@ name ``cli`` imports, ``report_texts``. The benchmark's decision recorder
 replace exactly these names, so counting wrappers on them must see every
 call, in this order. The tracer also counts the trace reads through
 ``StateTrace.state_at`` and the layer runs in the executor's four phase
-arrays.
+arrays. Each batch is embedded once and scored once: ``assess`` returns
+the loss before the update from the divergences it scored.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ttasched import cli, latency, pipeline
+from ttasched import cli, importance, latency, pipeline
 from ttasched.presets import drift_scenario
 
 from support import cycling_trace
@@ -39,14 +40,29 @@ def test_run_episode_calls_each_stage_by_its_pipeline_name(monkeypatch):
     calls = []
     _count(monkeypatch, pipeline, STAGES, calls)
     pipeline.run_episode(scenario)
-    # batch 0 seeds the history and is not assessed; every batch then
-    # decides and executes; on the one-record trace the full-update replay
-    # is one array block, with no executor call
-    first = ["generate_batch", "build_profile", "solve_dp", "execute_ground_truth"]
-    later = ["generate_batch", "assess", "build_profile", "solve_dp", "execute_ground_truth"]
-    batches = scenario.batches
-    expected = first + later * (batches - 1)
-    assert calls == expected
+    # batch 0 seeds the history and is assessed against it like every later
+    # batch; on the one-record trace the full-update replay is one array
+    # block, with no executor call
+    assert calls == list(STAGES) * scenario.batches
+
+
+def test_each_batch_is_embedded_once_and_scored_once(monkeypatch):
+    # one divergence pass per batch in assess, which also gives the loss
+    # before the update, and one for the loss after it
+    scenario = drift_scenario()
+    calls = []
+    _count(monkeypatch, importance, ("layer_divergences",), calls)
+    from_stats = importance.Embedding.from_stats.__func__
+
+    def counting(cls, stats):
+        calls.append("from_stats")
+        return from_stats(cls, stats)
+
+    monkeypatch.setattr(importance.Embedding, "from_stats", classmethod(counting))
+    pipeline.run_episode(scenario)
+    assert scenario.batches == 24
+    assert calls.count("layer_divergences") == 2 * scenario.batches == 48
+    assert calls.count("from_stats") == scenario.batches == 24
 
 
 def test_trace_is_read_only_through_state_at(monkeypatch):

@@ -17,6 +17,15 @@ alternating order. With ``--workload drift24`` (the default) a pair times:
 The two sides must write the same report JSON and CSV, byte for byte; the
 tool stops at the first pair where they do not.
 
+With ``--workload deep96`` each side builds the benchmark's deep96 scenario
+from its own modules, as ``Deep96.setup`` and ``deep96_trace`` in
+``benchmarks/workloads.py`` build it: ``synthetic_network(96)``, 16
+sequential batches and a time-varying state trace drawn from ``--seed``, the
+only workload whose executor walks a trace with records ahead. A pair times
+``run_episode`` plus ``report_json`` for one seed, and replays one recorded
+episode's decisions as drift24 does. The two sides must return the same
+report JSON, byte for byte.
+
 With ``--workload oracle14`` each side draws the same ``certify``-style
 instance stream from its own ``scheduler.random_instance`` (4 to 14 layers,
 dyadic and float instances alternating), and a pair times one instance's
@@ -80,22 +89,26 @@ class DriftSide:
         self.latency = module("latency")
         self.importance = module("importance")
         self.scheduler = module("scheduler")
-        presets = module("presets")
-        root = workdir / label
-        self.scenario_path = presets.write_fixture_tree(root)["scenario_drift.json"]
-        self.report = str(root / "report.json")
-        self.csv = str(root / "report.csv")
-        self.decisions = self.record(seed)
+        self.presets = module("presets")
+        self.setup(workdir / label, seed)
+        self.decisions = self.record(self.scenario(seed))
         self.op_ns: list[int] = []
         self.decide_ns: list[int] = []
 
-    def record(self, seed: int) -> list:
-        """The ``(assess, build_profile, solve_dp)`` arguments of every
-        decision of one drift episode, as ``run_episode`` made them."""
-        pipeline = self.pipeline
-        scenario = dataclasses.replace(
-            pipeline.load_scenario_file(self.scenario_path), seed=seed
+    def setup(self, root: Path, seed: int) -> None:
+        self.scenario_path = self.presets.write_fixture_tree(root)["scenario_drift.json"]
+        self.report = str(root / "report.json")
+        self.csv = str(root / "report.csv")
+
+    def scenario(self, seed: int):
+        return dataclasses.replace(
+            self.pipeline.load_scenario_file(self.scenario_path), seed=seed
         )
+
+    def record(self, scenario) -> list:
+        """The ``(assess, build_profile, solve_dp)`` arguments of every
+        decision of one episode, as ``run_episode`` made them."""
+        pipeline = self.pipeline
         originals = {n: getattr(pipeline, n) for n in ("assess", "build_profile", "solve_dp")}
         decisions, pending = [], {}
 
@@ -120,7 +133,8 @@ class DriftSide:
                 setattr(pipeline, name, original)
         return decisions
 
-    def op(self, seed: int) -> None:
+    def op(self, seed: int) -> tuple[bytes, ...]:
+        """Time one operation; returns the report JSON and CSV it wrote."""
         start = time.perf_counter_ns()
         code = self.cli.main(
             ["simulate", self.scenario_path, "--out", self.report, "--csv", self.csv,
@@ -129,6 +143,7 @@ class DriftSide:
         self.op_ns.append(time.perf_counter_ns() - start)
         if code != 0:
             raise SystemExit(f"{self.label}: simulate exited with {code}")
+        return Path(self.report).read_bytes(), Path(self.csv).read_bytes()
 
     def replay(self) -> list[int]:
         """Time every recorded decision once; returns the times."""
@@ -144,11 +159,10 @@ class DriftSide:
         self.decide_ns.extend(times)
         return times
 
-    def pair(self, k: int) -> tuple[int, float, tuple[bytes, bytes]]:
+    def pair(self, k: int) -> tuple[int, float, tuple[bytes, ...]]:
         """One pair's side: the operation's time, the median decision time
-        of the replay, and the report JSON and CSV the operation wrote."""
-        self.op(self.seed + k)
-        written = (Path(self.report).read_bytes(), Path(self.csv).read_bytes())
+        of the replay, and the reports the operation wrote."""
+        written = self.op(self.seed + k)
         return self.op_ns[-1], statistics.median(self.replay()), written
 
     @staticmethod
@@ -166,6 +180,80 @@ class DriftSide:
 
     def describe(self) -> str:
         return f"{len(self.decisions)} decisions replayed per side per pair"
+
+
+class Deep96Side(DriftSide):
+    """One source tree: its deep96 scenario, the episode operation on it
+    and one recorded episode's decisions."""
+
+    N_LAYERS = 96
+    BATCHES = 16
+
+    def setup(self, root: Path, seed: int) -> None:
+        presets, latency, pipeline = self.presets, self.latency, self.pipeline
+        network = presets.synthetic_network(self.N_LAYERS)
+        device = presets.demo_edge_device()
+        offline = presets.offline_from_costs(network, device)
+        # a sequential batch finishes within one full update under the
+        # slowest state (plus jitter) after it starts
+        worst = latency.build_profile(
+            network, offline, device,
+            latency.SystemState(n=3, tem_on=device.dvfs[-1][0], phi=0.3),
+        )
+        horizon = self.BATCHES * (float(np.sum(offline.t_f)) + 1.1 * worst.t_total)
+        n = self.N_LAYERS
+        environment = pipeline.EnvironmentSpec(
+            channels=tuple(layer.channels for layer in network.layers),
+            positions=(4,) * n,
+            base_means=tuple(np.zeros(layer.channels) for layer in network.layers),
+            base_vars=tuple(np.ones(layer.channels) for layer in network.layers),
+            shifts=(
+                pipeline.Shift(
+                    batch_index=3, layers=tuple(range(n // 2, n, 5)), mean_offset_sigmas=2.0
+                ),
+            ),
+            batch_size=8,
+        )
+        self.base = pipeline.Scenario(
+            name="deep96",
+            mode="sequential",
+            seed=seed,
+            batches=self.BATCHES,
+            environment=environment,
+            network=network,
+            offline=offline,
+            device=device,
+            trace=self.trace(np.random.default_rng(seed), device, horizon),
+            sigma=0.6,
+            adaptation_gain=0.5,
+            jitter_eps=0.02,
+        )
+
+    def trace(self, rng: np.random.Generator, device, horizon_ms: float):
+        """A state record every 8 ms over the episode: contention 0..3, a
+        DVFS temperature and a cache-hit rate in [0.3, 1]."""
+        temps = [t for t, _ in device.dvfs]
+        count = int(horizon_ms // 8.0) + 1
+        n = rng.integers(0, 4, count)
+        tem = rng.integers(0, len(temps), count)
+        phi = rng.uniform(0.3, 1.0, count)
+        state = self.latency.SystemState
+        records = tuple(
+            (8.0 * i, state(n=int(n[i]), tem_on=temps[tem[i]], phi=float(phi[i])))
+            for i in range(count)
+        )
+        return self.latency.StateTrace(records=records, horizon_ms=8.0 * (count - 1))
+
+    def scenario(self, seed: int):
+        return dataclasses.replace(self.base, seed=seed)
+
+    def op(self, seed: int) -> tuple[bytes]:
+        """Time one episode and its report; returns the report JSON."""
+        scenario = self.scenario(seed)
+        start = time.perf_counter_ns()
+        text = self.pipeline.report_json(self.pipeline.run_episode(scenario))
+        self.op_ns.append(time.perf_counter_ns() - start)
+        return (text.encode(),)
 
 
 class OracleSide:
@@ -220,7 +308,7 @@ class OracleSide:
         )
 
 
-SIDES = {"drift24": DriftSide, "oracle14": OracleSide}
+SIDES = {"drift24": DriftSide, "deep96": Deep96Side, "oracle14": OracleSide}
 
 
 def main(argv=None) -> int:
@@ -243,7 +331,7 @@ def main(argv=None) -> int:
             kind("change", args.change_src, Path(tmp), args.seed),
         ]
         parent, change = sides
-        if kind is DriftSide and len(parent.decisions) != len(change.decisions):
+        if issubclass(kind, DriftSide) and len(parent.decisions) != len(change.decisions):
             raise SystemExit("the two trees record different decision counts")
         for side in sides:  # warm both sides before timing
             side.pair(0)
