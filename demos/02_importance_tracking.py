@@ -1,7 +1,7 @@
 """Layer importance from channel-statistic drift.
 
-Embeds feature batches as interleaved channel (mean, variance) vectors,
-scores drift with Gaussian KL divergence against a tracked history, and
+Embeds feature batches as their channels' means and variances, scores
+drift with Gaussian KL divergence against a tracked history, and
 shows the exponential history absorbing a persistent shift. A chain of
 layers is one stacked embedding, scored layer by layer in one call.
 """
@@ -20,19 +20,17 @@ rng = np.random.default_rng(0)
 
 
 def embed(samples, widths=None):
-    """Channel means and population variances (divide by N) of a
-    (channels x samples) array, interleaved into one embedding."""
-    values = np.empty(2 * samples.shape[0])
-    values[0::2] = samples.mean(axis=1)
-    values[1::2] = samples.var(axis=1)
-    return Embedding(values, widths)
+    """The embedding of a (channels x samples) array: its channel means and
+    population variances (divide by N)."""
+    return Embedding(samples.mean(axis=1), samples.var(axis=1), widths)
 
 
 # one layer, four channels, 256 samples per channel
 clean_samples = rng.normal(0.0, 1.0, size=(4, 256))
 clean = embed(clean_samples)
-print("clean batch embedding (mean, var interleaved):")
-print(" ", np.round(clean.values, 3))
+print("clean batch embedding:")
+print("  means:    ", np.round(clean.means, 3))
+print("  variances:", np.round(clean.variances, 3))
 
 # the same distribution again: divergence sits at the sampling-noise floor;
 # a one-layer chain has one divergence

@@ -11,7 +11,6 @@ from .errors import InputError, TraceExhausted
 from .importance import (
     Embedding,
     EmbeddingHistory,
-    FeatureStats,
     ImportanceVector,
     adaptation_loss,
     assess,
@@ -78,7 +77,6 @@ __all__ = [
     "EmbeddingHistory",
     "EnvironmentSpec",
     "EpisodeReport",
-    "FeatureStats",
     "ImportanceVector",
     "InputError",
     "LatencyProfile",

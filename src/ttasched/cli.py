@@ -16,7 +16,7 @@ import sys
 from functools import lru_cache
 
 from .errors import InputError, json_text, read_json
-from .importance import Embedding, EmbeddingHistory, assess, load_stats_file
+from .importance import EmbeddingHistory, assess, load_stats_file
 from .latency import (
     build_profile,
     load_device_file,
@@ -49,8 +49,8 @@ def _dump_json(document: dict, out: str) -> None:
 
 
 def cmd_assess(args) -> int:
-    history = EmbeddingHistory.seed(Embedding.from_stats(load_stats_file(args.history)))
-    current = Embedding.from_stats(load_stats_file(args.current))
+    history = EmbeddingHistory.seed(load_stats_file(args.history))
+    current = load_stats_file(args.current)
     network = load_network_file(args.network) if args.network else None
     vector, _ = assess(network, history, current)
     _dump_json({"a": vector.a[1:].tolist()}, args.out)

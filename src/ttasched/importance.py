@@ -1,18 +1,20 @@
 """Backpropagation-free layer importance.
 
-Each layer's output distribution is summarized by an interleaved vector of
-channel-wise means and population variances. Importance is the divergence of
-the current batch's embedding from an exponentially tracked history
-embedding: large divergence marks a layer whose behaviour the new
-environment has drifted away from, i.e. a layer worth updating.
+Each layer's output distribution is summarized by its channel-wise means
+and population variances. Importance is the divergence of the current
+batch's embedding from an exponentially tracked history embedding: large
+divergence marks a layer whose behaviour the new environment has drifted
+away from, i.e. a layer worth updating.
 
-Statistics, embeddings and histories cover a whole chain at once: one flat
-per-channel array over all layers in forward order, with the per-layer
-channel widths beside it. There is no per-layer object: a layer is a slice
-of the flat arrays, and a one-layer chain is the case of a single width.
-Every divergence goes through one kernel, ``layer_divergences``, which
-computes all channels' terms in one elementwise pass and reduces them per
-layer as row sums of a (layers x width) block, one block per distinct width.
+An ``Embedding`` covers a whole chain at once: two flat per-channel arrays,
+means and variances, over all layers in forward order, with the per-layer
+channel widths beside them. It is the one type for a chain's moments: a
+sampled batch, a stats file, a noise-free observation and a tracked history
+are each one. There is no per-layer object: a layer is a slice of the flat
+arrays, and a one-layer chain is the case of a single width. Every
+divergence goes through one kernel, ``layer_divergences``, which computes
+all channels' terms in one elementwise pass and reduces them per layer as
+row sums of a (layers x width) block, one block per distinct width.
 
 The divergence treats each channel's (mean, variance) pair as a Gaussian
 and sums closed-form Gaussian KL over the layer's channels; it is
@@ -21,8 +23,8 @@ well-defined for arbitrary real means.
 Public constructors validate; derivations from validated objects use the
 trusted path. A constructor called with outside values checks every width,
 shape, sign and finiteness fact. An object derived from objects that were
-already checked (an embedding from stats, a blended history) is built by
-``errors._derived``, which skips those checks; the derivation keeps one
+already checked (a blended history, a stats file's stacked layers) is built
+by ``errors._derived``, which skips those checks; the derivation keeps one
 check only where its arithmetic can first make a value go bad, such as an
 overflow in a blend.
 """
@@ -116,107 +118,32 @@ def _layer_sums(terms: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, init=False)
-class FeatureStats:
-    """Channel-wise first and second moments of one batch's outputs over a
-    chain of layers, in forward order.
-
-    ``means`` and ``variances`` hold every layer's channels back to back;
-    layer ``i`` covers ``widths[i]`` channels and saw ``sample_counts[i]``
-    samples per channel. ``sample_count`` may be one count for every layer
-    or one per layer; ``widths=None`` makes a single layer.
-    """
+@dataclass(frozen=True)
+class Embedding:
+    """Channel-wise means and population variances over a chain of layers
+    in forward order: ``means`` and ``variances`` hold every layer's
+    channels back to back, and layer ``i`` covers ``widths[i]`` channels
+    (``None``: one layer)."""
 
     means: np.ndarray
     variances: np.ndarray
-    sample_counts: tuple[int, ...]
-    widths: tuple[int, ...]
+    widths: tuple[int, ...] | None = None
 
-    def __init__(self, means, variances, sample_count, widths=None):
-        means = np.ascontiguousarray(means, dtype=float)
-        variances = np.ascontiguousarray(variances, dtype=float)
+    def __post_init__(self):
+        means = np.ascontiguousarray(self.means, dtype=float)
+        variances = np.ascontiguousarray(self.variances, dtype=float)
         if means.ndim != 1 or means.shape != variances.shape:
             raise InputError("means and variances must be 1-D and equal length")
         if means.size == 0:
             raise InputError("stats must cover at least one channel")
-        widths = _check_widths(widths, means.size)
+        widths = _check_widths(self.widths, means.size)
         if not (np.isfinite(means).all() and np.isfinite(variances).all()):
             raise InputError("stats must be finite")
         if (variances < 0).any():
             raise InputError("variances must be non-negative")
-        if isinstance(sample_count, (Sequence, np.ndarray)):
-            counts = tuple(int(s) for s in sample_count)
-            if len(counts) != len(widths):
-                raise InputError(
-                    f"{len(counts)} sample counts for {len(widths)} layers"
-                )
-        else:
-            counts = (int(sample_count),) * len(widths)
-        if min(counts) < 1:
-            raise InputError("sample_count must be >= 1")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "sample_counts", counts)
         object.__setattr__(self, "widths", widths)
-
-    @classmethod
-    def concat(cls, parts: Sequence["FeatureStats"]) -> "FeatureStats":
-        """Stack per-layer (or per-segment) stats into one chain."""
-        if not parts:
-            raise InputError("stats must cover at least one layer")
-        return cls(
-            means=np.concatenate([p.means for p in parts]),
-            variances=np.concatenate([p.variances for p in parts]),
-            sample_count=sum((p.sample_counts for p in parts), ()),
-            widths=sum((p.widths for p in parts), ()),
-        )
-
-    @property
-    def channels(self) -> int:
-        """Channels over all layers."""
-        return self.means.size
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.widths)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Interleaved [mean, variance] pairs, one pair per channel, over a
-    chain of layers in forward order; layer ``i`` covers ``widths[i]``
-    channels (``None``: one layer)."""
-
-    values: np.ndarray
-    widths: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0 or values.size % 2 != 0:
-            raise InputError("embedding must be a non-empty even-length vector")
-        widths = _check_widths(self.widths, values.size // 2)
-        if not np.isfinite(values).all():
-            raise InputError("embedding must be finite")
-        if (values[1::2] < 0).any():
-            raise InputError("variance slots must be non-negative")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "widths", widths)
-
-    @property
-    def means(self) -> np.ndarray:
-        return self.values[0::2]
-
-    @property
-    def variances(self) -> np.ndarray:
-        return self.values[1::2]
-
-    @classmethod
-    def from_stats(cls, stats: FeatureStats) -> "Embedding":
-        # the stats' moments are finite with non-negative variances
-        values = np.empty(2 * stats.channels)
-        values[0::2] = stats.means
-        values[1::2] = stats.variances
-        return _derived(cls, values=values, widths=stats.widths)
 
     @property
     def n_layers(self) -> int:
@@ -275,7 +202,7 @@ class EmbeddingHistory:
 
     def storage_bytes(self) -> int:
         """Bytes of the history held as fp32, as the paper stores it."""
-        return self.embeddings.values.size * 4
+        return 2 * self.embeddings.means.size * 4
 
 
 def update_history(history: EmbeddingHistory, current: Embedding) -> EmbeddingHistory:
@@ -283,19 +210,17 @@ def update_history(history: EmbeddingHistory, current: Embedding) -> EmbeddingHi
     environment."""
     past = history.embeddings
     if current.widths != past.widths:
-        raise InputError("embedding shape changed between batches")
+        raise InputError(_split_mismatch("history", past.widths, current.widths))
     a = history.alpha
     # a blend of non-negative variances with alpha in [0, 1] stays
     # non-negative, but two huge values may round past the largest float
     with np.errstate(over="ignore"):
-        values = a * current.values + (1.0 - a) * past.values
-    if not np.isfinite(values).all():
+        means = a * current.means + (1.0 - a) * past.means
+        variances = a * current.variances + (1.0 - a) * past.variances
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
         raise InputError("embedding must be finite")
-    return _derived(
-        EmbeddingHistory,
-        embeddings=_derived(Embedding, values=values, widths=past.widths),
-        alpha=a,
-    )
+    blended = _derived(Embedding, means=means, variances=variances, widths=past.widths)
+    return _derived(EmbeddingHistory, embeddings=blended, alpha=a)
 
 
 def adaptation_loss(history: Embedding, current: Embedding) -> float:
@@ -334,11 +259,13 @@ class ImportanceVector:
         return self.a.size - 1
 
 
-def assessment_flops(stats: FeatureStats) -> float:
+def assessment_flops(widths: Sequence[int], sample_counts: Sequence[int]) -> float:
     """Analytic op count of one assessment pass (moment extraction + KL)
-    over the layers the stats cover."""
+    over a chain whose layer ``i`` has ``widths[i]`` channels of
+    ``sample_counts[i]`` samples each; it depends on the chain's shape
+    alone, so an episode prices it once."""
     total = 0.0
-    for n_c, samples in zip(stats.widths, stats.sample_counts):
+    for n_c, samples in zip(widths, sample_counts):
         total += n_c * (
             _EXTRACT_OPS_PER_SAMPLE * samples
             + _EXTRACT_OPS_PER_CHANNEL
@@ -375,9 +302,10 @@ def assess(
 _STATS_FIELDS = frozenset({"layer_id", "means", "vars", "samples"})
 
 
-def load_stats_lines(text: str) -> FeatureStats:
+def load_stats_lines(text: str) -> Embedding:
     """Parse JSON-lines feature stats (one record per layer) into one
-    forward-ordered chain."""
+    forward-ordered chain. Each record's ``samples`` must be an integer
+    >= 1; the chain keeps the moments only."""
     records = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -391,23 +319,31 @@ def load_stats_lines(text: str) -> FeatureStats:
         rec = convert(dict, rec, what)
         reject_unknown(rec, _STATS_FIELDS, what)
         layer_id = convert(int, rec.get("layer_id"), f"{what}: layer_id")
-        stats = FeatureStats(
-            means=convert(list[float], rec.get("means"), f"{what}: means"),
-            variances=convert(list[float], rec.get("vars"), f"{what}: vars"),
-            sample_count=convert(int, rec.get("samples"), f"{what}: samples"),
-        )
+        means = convert(list[float], rec.get("means"), f"{what}: means")
+        variances = convert(list[float], rec.get("vars"), f"{what}: vars")
+        samples = convert(int, rec.get("samples"), f"{what}: samples")
+        layer = Embedding(means, variances)
+        if samples < 1:
+            raise InputError("sample_count must be >= 1")
         if layer_id in records:
             raise InputError(f"{what}: duplicate layer {layer_id}")
-        records[layer_id] = stats
+        records[layer_id] = layer
     if not records:
         raise InputError("stats file contains no records")
     n = len(records)
     if set(records) != set(range(n)):
         raise InputError("stats layer ids must be contiguous from 0")
-    return FeatureStats.concat([records[i] for i in range(n)])
+    layers = [records[i] for i in range(n)]
+    # each layer was validated as it was read
+    return _derived(
+        Embedding,
+        means=np.concatenate([l.means for l in layers]),
+        variances=np.concatenate([l.variances for l in layers]),
+        widths=sum((l.widths for l in layers), ()),
+    )
 
 
-def load_stats_file(path) -> FeatureStats:
+def load_stats_file(path) -> Embedding:
     """The stats in the file at ``path``; a fault in it is an InputError
     naming the file."""
     try:

@@ -52,7 +52,6 @@ from .errors import (
 from .importance import (
     Embedding,
     EmbeddingHistory,
-    FeatureStats,
     _check_widths,
     _offsets,
     adaptation_loss,
@@ -291,8 +290,8 @@ def observed_params(
     environment."""
     env_means, env_vars = env.params_at(batch_index)
     base_means, base_vars = env._epochs[0]
-    # extreme parameters overflow to inf or nan, which FeatureStats and
-    # Embedding reject
+    # extreme parameters overflow to inf or nan, which generate_batch and
+    # observed_embeddings reject
     with np.errstate(over="ignore", invalid="ignore"):
         return (
             base_means + (env_means - model.means),
@@ -305,13 +304,10 @@ def observed_embeddings(
 ) -> Embedding:
     """Noise-free chain embedding of the observed distributions."""
     means, varis = observed_params(env, model, batch_index)
-    values = np.empty(2 * means.size)
-    values[0::2] = means
-    values[1::2] = varis
     # the variances are products and quotients of positive ones
-    if not np.isfinite(values).all():
+    if not (np.isfinite(means).all() and np.isfinite(varis).all()):
         raise InputError("embedding must be finite")
-    return _derived(Embedding, values=values, widths=env.channels)
+    return _derived(Embedding, means=means, variances=varis, widths=env.channels)
 
 
 def generate_batch(
@@ -320,8 +316,9 @@ def generate_batch(
     batch_index: int,
     rng: np.random.Generator,
     exact: bool = False,
-) -> FeatureStats:
-    """Sample one batch's channel statistics over the chain.
+) -> Embedding:
+    """Sample one batch's channel statistics over the chain, as the
+    embedding that ``assess`` scores.
 
     Each channel of a layer sees ``n = batch_size * positions`` Gaussian
     samples, but only their mean and population variance are reported, so
@@ -351,16 +348,10 @@ def generate_batch(
             var = var * chi2 / n
     # the variances are non-negative: products and quotients of the
     # environment's and the model's positive variances and of chi-square
-    # draws; the widths and counts are the environment's
+    # draws; the widths are the environment's
     if not (np.isfinite(mu).all() and np.isfinite(var).all()):
         raise InputError("stats must be finite")
-    return _derived(
-        FeatureStats,
-        means=mu,
-        variances=var,
-        sample_counts=env.sample_counts,
-        widths=env.channels,
-    )
+    return _derived(Embedding, means=mu, variances=var, widths=env.channels)
 
 
 @dataclass(frozen=True)
@@ -793,6 +784,8 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
     running: deque[tuple[int, float]] = deque()
     latest = -1  # the last batch whose adaptation has finished
     records: list[BatchRecord] = []
+    # the assessment's op count depends on the chain's shape alone
+    assess_flops = assessment_flops(env.channels, env.sample_counts)
 
     for i in range(scenario.batches):
         arrival = i * inter
@@ -804,8 +797,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
                 latest = running.popleft()[0]
             staleness = i - 1 - latest
 
-        stats = generate_batch(env, model, i, rng_env, exact=scenario.exact_stats)
-        embeddings = Embedding.from_stats(stats)
+        embeddings = generate_batch(env, model, i, rng_env, exact=scenario.exact_stats)
         if history is None:
             # batch 0 scores against its own seed: every divergence is 0
             history = EmbeddingHistory.seed(embeddings, alpha=scenario.alpha)
@@ -863,7 +855,7 @@ def run_episode(scenario: Scenario) -> EpisodeReport:
                 importance_total=vector.total,
                 importance_captured=sched.achieved_importance,
                 capture_ratio=capture,
-                assess_flops=assessment_flops(stats),
+                assess_flops=assess_flops,
                 predicted_f_ms=profile.t_f_total,
                 predicted_b_ms=sched.predicted_extra.t_backward,
                 predicted_re_ms=sched.predicted_extra.t_reforward,

@@ -46,8 +46,8 @@ def write_assess_stats(out: Path) -> None:
     rng = np.random.default_rng(2024)
     history = generate_batch(env, model, 0, rng)
     current = generate_batch(env, model, 1, rng)
-    (out / "stats_history.jsonl").write_text(stats_to_lines(history))
-    (out / "stats_current.jsonl").write_text(stats_to_lines(current))
+    (out / "stats_history.jsonl").write_text(stats_to_lines(history, env.sample_counts))
+    (out / "stats_current.jsonl").write_text(stats_to_lines(current, env.sample_counts))
     (out / "network_recovery10.json").write_text(
         json_text(network_to_document(network))
     )

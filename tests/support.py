@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ttasched.errors import InputError, _ordered_sum
-from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, assess
+from ttasched.importance import Embedding, EmbeddingHistory, assess
 from ttasched.latency import StateTrace
 from ttasched.pipeline import ModelResponseState, Shift, gaussian_environment, generate_batch
 from ttasched.presets import recovery_network, resnet50_shaped, resource_conditions
@@ -43,17 +43,20 @@ def calibrate_proc_overhead(samples) -> float:
 
 def split_layers(flat, widths) -> list:
     """The per-layer pieces of a flat chain array laid out by ``widths``:
-    per-channel values (stats) or interleaved pairs (embeddings)."""
+    per-channel values, or a fixed number of values per channel, such as
+    [mean, variance] pairs."""
     per_channel = flat.size // sum(widths)
     return np.split(flat, per_channel * np.cumsum(widths)[:-1])
 
 
-def stats_to_lines(stats: FeatureStats) -> str:
-    """``stats`` as the JSON-lines text that ``load_stats_lines`` reads."""
+def stats_to_lines(stats: Embedding, sample_counts) -> str:
+    """``stats`` as the JSON-lines text that ``load_stats_lines`` reads;
+    layer ``i`` saw ``sample_counts[i]`` samples per channel."""
     layers = zip(
         split_layers(stats.means, stats.widths),
         split_layers(stats.variances, stats.widths),
-        stats.sample_counts,
+        sample_counts,
+        strict=True,
     )
     return "".join(
         json.dumps(
@@ -99,10 +102,8 @@ def importance_recovery_rate(
             batch_size=batch_size,
         )
         model = ModelResponseState.from_environment(env)
-        history = EmbeddingHistory.seed(
-            Embedding.from_stats(generate_batch(env, model, 0, rng))
-        )
-        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        current = generate_batch(env, model, 1, rng)
         vector, _ = assess(network, history, current)
         order = np.argsort(vector.a[1:])[::-1] + 1  # backward indices, best first
         top = {n_layers - int(b) for b in order[:shifted_layers]}
@@ -111,17 +112,14 @@ def importance_recovery_rate(
     return hits / trials
 
 
-def resnet50_batch_stats(batch_size: int = 16) -> FeatureStats:
+def resnet50_batch_stats(batch_size: int = 16) -> tuple[Embedding, list[int]]:
     """Unit-Gaussian channel statistics for one batch through the shaped
-    chain, sized by each layer's spatial extent."""
+    chain, and each layer's sample count per channel, sized by its spatial
+    extent."""
     net = resnet50_shaped()
     widths = tuple(layer.channels for layer in net.layers)
-    return FeatureStats(
-        means=np.zeros(sum(widths)),
-        variances=np.ones(sum(widths)),
-        sample_count=[batch_size * (l.out_elements // l.channels) for l in net.layers],
-        widths=widths,
-    )
+    stats = Embedding(np.zeros(sum(widths)), np.ones(sum(widths)), widths)
+    return stats, [batch_size * (l.out_elements // l.channels) for l in net.layers]
 
 
 def cycling_trace(scenario, until_ms: float, horizon_ms: float = math.inf) -> StateTrace:

@@ -204,11 +204,11 @@ def test_criterion_6_importance_recovery_rate(capsys, fixtures_dir):
 
 def test_criterion_7_assessment_overhead_arithmetic(capsys):
     network = resnet50_shaped()
-    stats = resnet50_batch_stats(batch_size=16)
-    flops = assessment_flops(stats)
+    stats, sample_counts = resnet50_batch_stats(batch_size=16)
+    flops = assessment_flops(stats.widths, sample_counts)
     assert 0.05e9 <= flops <= 0.8e9
 
-    history = EmbeddingHistory.seed(Embedding.from_stats(stats))
+    history = EmbeddingHistory.seed(stats)
     stored = history.storage_bytes()
     reported_kb = 8.6e3
     assert reported_kb / 4 <= stored <= reported_kb * 4
@@ -238,25 +238,21 @@ def test_criterion_9_invariant_suites(capsys):
     rng = np.random.default_rng(9)
     for _ in range(10_000):
         k = int(rng.integers(1, 5))
-        mk = lambda: Embedding(
-            np.ravel(
-                np.column_stack((rng.normal(0, 3, k), rng.uniform(0, 4, k)))
-            )
-        )
+        mk = lambda: Embedding(rng.normal(0, 3, k), rng.uniform(0, 4, k))
         assert layer_divergences(mk(), mk())[0] >= 0.0
 
     # EMA containment
-    seed_emb = Embedding(np.array([0.0, 1.0]))
+    seed_emb = Embedding(np.array([0.0]), np.array([1.0]))
     h = EmbeddingHistory.seed(seed_emb, alpha=0.25)
-    lo = seed_emb.values.copy()
-    hi = seed_emb.values.copy()
+    lo = hi = np.array([0.0, 1.0])
     for _ in range(200):
         vals = np.array([rng.normal(0, 5), rng.uniform(0, 6)])
         lo = np.minimum(lo, vals)
         hi = np.maximum(hi, vals)
-        h = update_history(h, Embedding(vals))
-        assert np.all(h.embeddings.values >= lo - 1e-12)
-        assert np.all(h.embeddings.values <= hi + 1e-12)
+        h = update_history(h, Embedding(vals[:1], vals[1:]))
+        got = np.concatenate([h.embeddings.means, h.embeddings.variances])
+        assert np.all(got >= lo - 1e-12)
+        assert np.all(got <= hi + 1e-12)
 
     # deepest-layer dominance, exhaustive to N=10
     from tests.test_network import random_dyadic_profile

@@ -121,6 +121,22 @@ class TestAssessCommand:
         err = capsys.readouterr().err
         assert "stats line 3: samples must be an integer" in err
 
+    def test_zero_samples_exits_2(self, fixtures_dir, tmp_path, capsys):
+        # a loaded file keeps no sample counts, but each must still be >= 1
+        lines = (fixtures_dir / "stats_current.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["samples"] = 0
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(
+            ["assess",
+             "--history", str(fixtures_dir / "stats_history.jsonl"),
+             "--current", str(bad), "--out", "-"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: sample_count must be >= 1\n"
+
     def test_without_network_scores_parameter_free_layers(self, fixtures_dir, tmp_path):
         # the 24-layer synthetic chain has parameter-free layers; only the
         # network zeroes them
@@ -135,7 +151,9 @@ class TestAssessCommand:
         paths = {}
         for name, index in (("h", 0), ("c", 6)):
             paths[name] = tmp_path / f"{name}.jsonl"
-            paths[name].write_text(stats_to_lines(generate_batch(env, model, index, rng)))
+            paths[name].write_text(
+                stats_to_lines(generate_batch(env, model, index, rng), env.sample_counts)
+            )
         docs = []
         for extra in ([], ["--network", str(fixtures_dir / "network.json")]):
             out = tmp_path / "imp.json"

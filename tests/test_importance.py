@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from ttasched.importance import (
     VARIANCE_FLOOR,
     Embedding,
     EmbeddingHistory,
-    FeatureStats,
     ImportanceVector,
     adaptation_loss,
     assess,
@@ -29,11 +29,19 @@ from ttasched.pipeline import (
 from support import split_layers, stats_to_lines
 
 
-def gauss(*pairs, widths=None):
-    values = []
-    for mu, var in pairs:
-        values.extend([mu, var])
-    return Embedding(np.array(values, dtype=float), widths)
+def interleaved(values, widths=None):
+    """The embedding of [mean, variance, mean, variance, ...] pairs."""
+    values = np.asarray(values, dtype=float)
+    return Embedding(values[0::2], values[1::2], widths)
+
+
+def pairs(embedding):
+    """An embedding's moments as [mean, variance, ...] pairs."""
+    return np.column_stack((embedding.means, embedding.variances)).ravel()
+
+
+def gauss(*moments, widths=None):
+    return interleaved([x for pair in moments for x in pair], widths)
 
 
 def score(history, current):
@@ -42,26 +50,32 @@ def score(history, current):
 
 
 class TestEmbed:
-    def test_from_stats_matches_raw(self):
+    def test_constructor_holds_contiguous_float_moments(self):
         # the samples [1, 3] have mean 2 and population variance 1
-        stats = FeatureStats(
-            means=np.array([2.0]), variances=np.array([1.0]), sample_count=2
-        )
-        assert Embedding.from_stats(stats).values.tolist() == [2.0, 1.0]
+        e = Embedding([2], [1])
+        assert e.means.tolist() == [2.0] and e.variances.tolist() == [1.0]
+        assert e.widths == (1,) and e.n_layers == 1
+        strided = Embedding(np.arange(6.0)[::2], np.ones(6)[::2])
+        for values in (e.means, e.variances, strided.means, strided.variances):
+            assert values.dtype == np.float64 and values.flags.c_contiguous
 
 
 class TestEmbeddingValidation:
-    def test_odd_length_rejected(self):
-        with pytest.raises(InputError, match="even-length"):
-            Embedding(np.array([1.0, 2.0, 3.0]))
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputError, match="1-D and equal length"):
+            Embedding(np.ones(2), np.ones(3))
+        with pytest.raises(InputError, match="1-D and equal length"):
+            Embedding(np.ones((2, 2)), np.ones((2, 2)))
+        with pytest.raises(InputError, match="at least one channel"):
+            Embedding(np.ones(0), np.ones(0))
 
     def test_negative_variance_slot_rejected(self):
-        with pytest.raises(InputError, match="variance slots"):
-            Embedding(np.array([0.0, -1.0]))
+        with pytest.raises(InputError, match="variances must be non-negative"):
+            Embedding(np.array([0.0]), np.array([-1.0]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError, match="finite"):
-            Embedding(np.array([float("inf"), 1.0]))
+            Embedding(np.array([float("inf")]), np.array([1.0]))
 
 
 class TestLayerImportance:
@@ -97,9 +111,7 @@ class TestLayerImportance:
         previous = score(h, e)
         for t in np.linspace(0.1, 1.0, 10):
             mixed_means = t * h.means + (1 - t) * e.means
-            values = e.values.copy()
-            values[0::2] = mixed_means
-            current = score(h, Embedding(values))
+            current = score(h, Embedding(mixed_means, e.variances))
             assert current < previous
             previous = current
         assert previous == 0.0
@@ -113,8 +125,8 @@ class TestIdentityOfIndiscernibles:
             vals = np.empty(2 * k)
             vals[0::2] = rng.normal(0, 2, k)
             vals[1::2] = rng.uniform(0.1, 3, k)
-            e = Embedding(vals)
-            assert score(e, Embedding(vals.copy())) == 0.0
+            e = interleaved(vals)
+            assert score(e, interleaved(vals.copy())) == 0.0
 
     def test_distinct_embeddings_positive(self):
         rng = np.random.default_rng(8)
@@ -125,7 +137,7 @@ class TestIdentityOfIndiscernibles:
             vals[1::2] = rng.uniform(0.1, 3, k)
             bumped = vals.copy()
             bumped[int(rng.integers(0, 2 * k))] += 1e-6
-            a = score(Embedding(vals), Embedding(bumped))
+            a = score(interleaved(vals), interleaved(bumped))
             assert a > 0.0
 
     def test_zero_score_implies_equal_coordinates(self):
@@ -141,7 +153,7 @@ class TestIdentityOfIndiscernibles:
             else:
                 other = vals + rng.normal(0, 0.1, 2 * k)
                 other[1::2] = np.abs(other[1::2]) + 0.05
-            a = score(Embedding(vals), Embedding(other))
+            a = score(interleaved(vals), interleaved(other))
             if a == 0.0:
                 zeros_seen += 1
                 assert np.max(np.abs(vals - other)) <= 1e-12
@@ -152,12 +164,12 @@ class TestHistory:
     def test_alpha_one_adopts_current(self):
         h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=1.0)
         h2 = update_history(h, gauss((3.0, 2.0)))
-        assert h2.embeddings.values.tolist() == [3.0, 2.0]
+        assert pairs(h2.embeddings).tolist() == [3.0, 2.0]
 
     def test_alpha_zero_keeps_history(self):
         h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=0.0)
         h2 = update_history(h, gauss((3.0, 2.0)))
-        assert h2.embeddings.values.tolist() == [0.0, 1.0]
+        assert pairs(h2.embeddings).tolist() == [0.0, 1.0]
 
     def test_tenth_alpha_blend(self):
         h = EmbeddingHistory.seed(gauss((0.0, 1.0)), alpha=0.1)
@@ -175,17 +187,17 @@ class TestHistory:
         rng = np.random.default_rng(9)
         seed_emb = gauss((0.0, 1.0), (2.0, 0.5))
         h = EmbeddingHistory.seed(seed_emb, alpha=0.3)
-        lo = seed_emb.values.copy()
-        hi = seed_emb.values.copy()
+        lo = pairs(seed_emb)
+        hi = pairs(seed_emb)
         for _ in range(100):
             vals = np.empty(4)
             vals[0::2] = rng.normal(0, 5, 2)
             vals[1::2] = rng.uniform(0, 6, 2)
             lo = np.minimum(lo, vals)
             hi = np.maximum(hi, vals)
-            h = update_history(h, Embedding(vals))
-            assert np.all(h.embeddings.values >= lo - 1e-12)
-            assert np.all(h.embeddings.values <= hi + 1e-12)
+            h = update_history(h, interleaved(vals))
+            assert np.all(pairs(h.embeddings) >= lo - 1e-12)
+            assert np.all(pairs(h.embeddings) <= hi + 1e-12)
 
 
 class TestAdaptationLoss:
@@ -245,8 +257,7 @@ class TestAssess:
         env = make_env(network)
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(0)
-        stats = generate_batch(env, model, 0, rng, exact=True)
-        embedding = Embedding.from_stats(stats)
+        embedding = generate_batch(env, model, 0, rng, exact=True)
         vector, _ = assess(network, EmbeddingHistory.seed(embedding), embedding)
         assert vector.total == 0.0
 
@@ -257,10 +268,8 @@ class TestAssess:
         )
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(1)
-        history = EmbeddingHistory.seed(
-            Embedding.from_stats(generate_batch(env, model, 0, rng))
-        )
-        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        current = generate_batch(env, model, 1, rng)
         vector, _ = assess(network, history, current)
         order = np.argsort(vector.a[1:])[::-1] + 1
         top_forward = {10 - int(b) for b in order[:2]}
@@ -273,10 +282,8 @@ class TestAssess:
         env = make_env(network)
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(2)
-        history = EmbeddingHistory.seed(
-            Embedding.from_stats(generate_batch(env, model, 0, rng))
-        )
-        current = Embedding.from_stats(generate_batch(env, model, 1, rng))
+        history = EmbeddingHistory.seed(generate_batch(env, model, 0, rng))
+        current = generate_batch(env, model, 1, rng)
         vector, _ = assess(network, history, current)
         for layer in network.layers:
             if not layer.has_params:
@@ -289,17 +296,14 @@ class TestAssess:
         rng = np.random.default_rng(3)
         stats = generate_batch(env, model, 0, rng)
         shifted = generate_batch(env, model, 1, rng)
-        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
-        base, _ = assess(network, history, Embedding.from_stats(shifted))
+        history = EmbeddingHistory.seed(stats)
+        base, _ = assess(network, history, shifted)
 
         perm = np.random.default_rng(4).permutation(8)
         index = np.concatenate([perm, 8 + perm])  # within each layer
-        permute = lambda st: FeatureStats(
-            means=st.means[index], variances=st.variances[index],
-            sample_count=st.sample_counts, widths=st.widths,
-        )
-        history_p = EmbeddingHistory.seed(Embedding.from_stats(permute(stats)))
-        permuted, _ = assess(network, history_p, Embedding.from_stats(permute(shifted)))
+        permute = lambda e: Embedding(e.means[index], e.variances[index], e.widths)
+        history_p = EmbeddingHistory.seed(permute(stats))
+        permuted, _ = assess(network, history_p, permute(shifted))
         assert np.allclose(base.a, permuted.a)
 
     def test_missing_layer_stats_rejected(self):
@@ -308,14 +312,11 @@ class TestAssess:
         model = ModelResponseState.from_environment(env)
         rng = np.random.default_rng(5)
         stats = generate_batch(env, model, 0, rng)
-        history = EmbeddingHistory.seed(Embedding.from_stats(stats))
+        history = EmbeddingHistory.seed(stats)
         last = stats.widths[-1]
-        head = FeatureStats(
-            stats.means[:-last], stats.variances[:-last],
-            stats.sample_counts[:-1], stats.widths[:-1],
-        )
+        head = Embedding(stats.means[:-last], stats.variances[:-last], stats.widths[:-1])
         with pytest.raises(InputError, match="layer 3: network has 4 layers, current has 3"):
-            assess(network, history, Embedding.from_stats(head))
+            assess(network, history, head)
 
 
 _EXTREME = st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7e308])
@@ -329,10 +330,9 @@ def _embeddings(draw):
     k = sum(widths)
     mean = st.one_of(_EXTREME, _EXTREME.map(lambda x: -x), st.floats(-1.7e308, 1.7e308))
     variance = st.one_of(_EXTREME, st.floats(0.0, 1.7e308))
-    values = np.empty(2 * k)
-    values[0::2] = draw(arrays(np.float64, k, elements=mean))
-    values[1::2] = draw(arrays(np.float64, k, elements=variance))
-    return Embedding(values, widths)
+    means = draw(arrays(np.float64, k, elements=mean))
+    variances = draw(arrays(np.float64, k, elements=variance))
+    return Embedding(means, variances, widths)
 
 
 class TestAssessLoss:
@@ -367,16 +367,15 @@ class TestAssessLoss:
 
 class TestStatsFiles:
     def test_round_trip(self):
-        stats = FeatureStats(
+        stats = Embedding(
             means=np.array([1.0, 2.0, 0.0]),
             variances=np.array([0.5, 0.25, 1.0]),
-            sample_count=(16, 4),
             widths=(2, 1),
         )
-        again = load_stats_lines(stats_to_lines(stats))
+        again = load_stats_lines(stats_to_lines(stats, (16, 4)))
         assert again.n_layers == 2
         assert split_layers(again.means, again.widths)[0].tolist() == [1.0, 2.0]
-        assert again.sample_counts[1] == 4
+        assert again.variances.tolist() == [0.5, 0.25, 1.0]
 
     def test_gap_in_layer_ids_rejected(self):
         text = '{"layer_id": 0, "means": [0], "vars": [1], "samples": 2}\n' \
@@ -444,8 +443,8 @@ class TestStackedKernelMatchesReference:
             cs = random_layers(rng, widths)
             if trial == 0:
                 cs = [h.copy() for h in hs]  # every divergence exactly 0
-            history = Embedding(np.concatenate(hs), widths)
-            current = Embedding(np.concatenate(cs), widths)
+            history = interleaved(np.concatenate(hs), widths)
+            current = interleaved(np.concatenate(cs), widths)
 
             got = layer_divergences(history, current)
             want = [reference_layer_importance(h, c) for h, c in zip(hs, cs)]
@@ -456,12 +455,12 @@ class TestStackedKernelMatchesReference:
 
             alpha = float(rng.uniform(0.0, 1.0))
             blended = update_history(EmbeddingHistory(history, alpha=alpha), current)
-            got_layers = split_layers(blended.embeddings.values, widths)
+            got_layers = split_layers(pairs(blended.embeddings), widths)
             for got_values, want_values in zip(got_layers, reference_update(hs, cs, alpha)):
                 assert got_values.tolist() == want_values.tolist()
 
             for layer in range(len(widths)):
-                assert score(Embedding(hs[layer]), Embedding(cs[layer])) == want[layer]
+                assert score(interleaved(hs[layer]), interleaved(cs[layer])) == want[layer]
 
     def test_assess_matches_per_layer_loop(self):
         from ttasched.presets import resnet50_shaped
@@ -471,16 +470,13 @@ class TestStackedKernelMatchesReference:
         rng = np.random.default_rng(17)
         hs = random_layers(rng, widths)
         cs = random_layers(rng, widths)
-        current = FeatureStats(
+        current = Embedding(
             means=np.concatenate([c[0::2] for c in cs]),
             variances=np.concatenate([c[1::2] for c in cs]),
-            sample_count=64,
             widths=widths,
         )
         vector, _ = assess(
-            network,
-            EmbeddingHistory(Embedding(np.concatenate(hs), widths)),
-            Embedding.from_stats(current),
+            network, EmbeddingHistory(interleaved(np.concatenate(hs), widths)), current
         )
         n = network.n_layers
         want = np.zeros(n + 1)
@@ -508,17 +504,24 @@ class TestStackedValidation:
         slot, value = self.BAD[bad]
         values[2 * sum(widths[:layer]) + 2 * (widths[layer] - 1) + slot] = value
         with pytest.raises(InputError, match="finite|non-negative"):
-            Embedding(values, widths)
+            interleaved(values, widths)
 
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_feature_stats_reject_bad_channel(self, bad):
+        # a stats file whose chain's channel 11 (layer 1, channel 8) is bad
         widths = (3, 9, 1)
         means = np.zeros(13)
         variances = np.ones(13)
         slot, value = self.BAD[bad]
         (means if slot == 0 else variances)[11] = value
+        layers = zip(split_layers(means, widths), split_layers(variances, widths))
+        text = "".join(
+            json.dumps({"layer_id": i, "means": m.tolist(), "vars": v.tolist(), "samples": 4})
+            + "\n"
+            for i, (m, v) in enumerate(layers)
+        )
         with pytest.raises(InputError, match="finite|non-negative"):
-            FeatureStats(means, variances, sample_count=4, widths=widths)
+            load_stats_lines(text)
 
     def test_sampled_batch_with_overflowing_variance_rejected(self):
         network = recovery_network(3, channels=4)
@@ -531,40 +534,22 @@ class TestStackedValidation:
 
     def test_widths_must_cover_the_arrays(self):
         with pytest.raises(InputError, match="cover"):
-            Embedding(np.ones(10), (2, 2))
+            Embedding(np.ones(5), np.ones(5), (2, 2))
         with pytest.raises(InputError, match="at least one channel"):
-            FeatureStats(np.zeros(3), np.ones(3), 2, widths=(3, 0))
-        with pytest.raises(InputError, match="sample counts"):
-            FeatureStats(np.zeros(3), np.ones(3), (2, 2), widths=(3,))
+            Embedding(np.zeros(3), np.ones(3), widths=(3, 0))
 
     def test_kernel_rejects_other_layer_split(self):
-        a = Embedding(np.ones(10), (2, 3))
-        b = Embedding(np.ones(10), (3, 2))
+        a = Embedding(np.ones(5), np.ones(5), (2, 3))
+        b = Embedding(np.ones(5), np.ones(5), (3, 2))
         with pytest.raises(InputError, match="layer 0: history has 2 channels, current has 3"):
             layer_divergences(a, b)
-        with pytest.raises(InputError, match="shape changed"):
+        with pytest.raises(InputError, match="layer 0: history has 2 channels, current has 3"):
             update_history(EmbeddingHistory(a), b)
 
 
 class TestChainObjects:
-    def test_layers_index_slice_and_concat(self):
-        widths = (2, 1, 3)
-        stats = FeatureStats(
-            np.arange(6.0), np.arange(6.0) + 1.0, sample_count=(4, 5, 6), widths=widths
-        )
-        assert stats.n_layers == 3 and stats.channels == 6
-        head = FeatureStats(np.arange(3.0), np.arange(3.0) + 1.0, (4, 5), (2, 1))
-        tail = FeatureStats(np.arange(3.0, 6.0), np.arange(4.0, 7.0), 6)
-        again = FeatureStats.concat([head, tail])
-        assert again.widths == widths and again.means.tolist() == stats.means.tolist()
-        assert again.sample_counts == stats.sample_counts
-
-        emb = Embedding.from_stats(stats)
-        assert emb.widths == widths and emb.n_layers == 3
-
     def test_history_seeds_from_stats_or_per_layer_list(self):
-        stats = FeatureStats(np.zeros(5), np.ones(5), 8, widths=(2, 3))
-        a = EmbeddingHistory.seed(Embedding.from_stats(stats))
+        a = EmbeddingHistory.seed(Embedding(np.zeros(5), np.ones(5), widths=(2, 3)))
         assert a.embeddings.widths == (2, 3)
         assert a.storage_bytes() == 40
 
@@ -574,9 +559,11 @@ class TestChainObjects:
             '{"layer_id": 0, "means": [0], "vars": [2], "samples": 2}\n'
         )
         stats = load_stats_lines(text)
-        assert stats.widths == (1, 3) and stats.sample_counts == (2, 3)
+        assert stats.widths == (1, 3) and stats.n_layers == 2
         assert stats.means.tolist() == [0.0, 1.0, 2.0, 3.0]
-        assert load_stats_lines(stats_to_lines(stats)).means.tolist() == stats.means.tolist()
+        assert stats.variances.tolist() == [2.0, 1.0, 1.0, 1.0]
+        again = load_stats_lines(stats_to_lines(stats, (2, 3)))
+        assert again.means.tolist() == stats.means.tolist()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -585,7 +572,5 @@ class TestChainObjects:
     def test_non_numeric_stats_field_is_input_error(self, field, value):
         rec = {"layer_id": 0, "means": [0.0], "vars": [1.0], "samples": 2}
         rec[field] = value
-        import json
-
         with pytest.raises(InputError, match=f"line 1: {field}"):
             load_stats_lines(json.dumps(rec) + "\n")

@@ -66,7 +66,7 @@ def _valid_documents() -> dict:
     model = ModelResponseState.from_environment(env)
     rng = np.random.default_rng(0)
     stats = [
-        [json.loads(line) for line in stats_to_lines(batch).splitlines()]
+        [json.loads(line) for line in stats_to_lines(batch, env.sample_counts).splitlines()]
         for batch in (generate_batch(env, model, i, rng) for i in (0, 1))
     ]
     profile = build_profile(network, offline, device, resource_conditions()["combined"])

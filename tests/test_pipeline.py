@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ttasched.errors import InputError, TraceExhausted
-from ttasched.importance import Embedding, EmbeddingHistory, FeatureStats, update_history
+from ttasched.importance import Embedding, EmbeddingHistory, update_history
 from ttasched.latency import COMPUTE_BOUND, LatencyTable, OfflineProfile, StateTrace, _table_for
 from ttasched.network import UpdateStrategy, closed_form_cost
 from ttasched import pipeline
@@ -248,7 +248,7 @@ class TestEnvironmentEpochs:
             layers = zip(
                 split_layers(stats.means, stats.widths),
                 split_layers(stats.variances, stats.widths),
-                stats.sample_counts,
+                env.sample_counts,
             )
             for (means, variances, count), (mu, var, n) in zip(layers, want):
                 assert means.tolist() == mu.tolist()
@@ -456,7 +456,7 @@ class TestGenerateBatch:
         for means, variances, count in zip(
             split_layers(stats.means, stats.widths),
             split_layers(stats.variances, stats.widths),
-            stats.sample_counts,
+            env.sample_counts,
         ):
             assert count == 1
             assert np.all(variances == 0.0)
@@ -1036,7 +1036,7 @@ def _same_object(derived, built):
         if isinstance(value, np.ndarray):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert np.array_equal(got, value), name
-        elif isinstance(value, (Embedding, FeatureStats)):
+        elif isinstance(value, Embedding):
             _same_object(got, value)
         else:
             assert type(got) is type(value) and got == value, name
@@ -1066,18 +1066,12 @@ class TestTrustedDerivations:
     @pytest.mark.parametrize("exact", [False, True])
     def test_sampled_stats(self, exact):
         stats = generate_batch(self.env, self.model, 1, np.random.default_rng(3), exact)
-        built = FeatureStats(
-            stats.means.copy(), stats.variances.copy(), self.env.sample_counts,
-            self.env.channels,
-        )
+        built = Embedding(stats.means.copy(), stats.variances.copy(), self.env.channels)
         _same_object(stats, built)
-        _same_object(Embedding.from_stats(stats), Embedding(
-            np.column_stack([stats.means, stats.variances]).ravel(), stats.widths
-        ))
 
     def test_observed_embedding(self):
         got = observed_embeddings(self.env, self.model, 1)
-        _same_object(got, Embedding(got.values.copy(), self.env.channels))
+        _same_object(got, Embedding(got.means.copy(), got.variances.copy(), self.env.channels))
 
     def test_updated_model(self):
         means, variances = self.env.params_at(1)
@@ -1089,12 +1083,16 @@ class TestTrustedDerivations:
 
     def test_blended_history(self):
         rng = np.random.default_rng(4)
-        first = Embedding.from_stats(generate_batch(self.env, self.model, 0, rng))
-        second = Embedding.from_stats(generate_batch(self.env, self.model, 1, rng))
+        first = generate_batch(self.env, self.model, 0, rng)
+        second = generate_batch(self.env, self.model, 1, rng)
         history = EmbeddingHistory.seed(first, alpha=0.25)
         got = update_history(history, second)
         built = EmbeddingHistory(
-            Embedding(0.25 * second.values + 0.75 * first.values, first.widths),
+            Embedding(
+                0.25 * second.means + 0.75 * first.means,
+                0.25 * second.variances + 0.75 * first.variances,
+                first.widths,
+            ),
             alpha=0.25,
         )
         _same_object(got, built)

@@ -7,8 +7,10 @@ name ``cli`` imports, ``report_texts``. The benchmark's decision recorder
 replace exactly these names, so counting wrappers on them must see every
 call, in this order. The tracer also counts the trace reads through
 ``StateTrace.state_at`` and the layer runs in the executor's four phase
-arrays. Each batch is embedded once and scored once: ``assess`` returns
-the loss before the update from the divergences it scored.
+arrays. Each batch is sampled once, as the embedding it is scored by, and
+scored once: ``assess`` returns the loss before the update from the
+divergences it scored. The assessment's op count is priced once per
+episode.
 """
 
 import dataclasses
@@ -47,22 +49,18 @@ def test_run_episode_calls_each_stage_by_its_pipeline_name(monkeypatch):
 
 
 def test_each_batch_is_embedded_once_and_scored_once(monkeypatch):
-    # one divergence pass per batch in assess, which also gives the loss
-    # before the update, and one for the loss after it
+    # one sampled embedding per batch; one divergence pass per batch in
+    # assess, which also gives the loss before the update, and one for the
+    # loss after it; one op count for the episode
     scenario = drift_scenario()
     calls = []
     _count(monkeypatch, importance, ("layer_divergences",), calls)
-    from_stats = importance.Embedding.from_stats.__func__
-
-    def counting(cls, stats):
-        calls.append("from_stats")
-        return from_stats(cls, stats)
-
-    monkeypatch.setattr(importance.Embedding, "from_stats", classmethod(counting))
+    _count(monkeypatch, pipeline, ("generate_batch", "assessment_flops"), calls)
     pipeline.run_episode(scenario)
     assert scenario.batches == 24
+    assert calls.count("generate_batch") == scenario.batches == 24
     assert calls.count("layer_divergences") == 2 * scenario.batches == 48
-    assert calls.count("from_stats") == scenario.batches == 24
+    assert calls.count("assessment_flops") == 1
 
 
 def test_trace_is_read_only_through_state_at(monkeypatch):

@@ -38,7 +38,8 @@ not.
 
 It prints each side's median operation and decision times, the median of
 the per-pair ratios change/parent and how many pairs the change won. Only
-the standard library and numpy are used.
+the standard library and numpy are used. ``tests/test_tools.py`` runs it
+A/A (one tree against itself, two pairs) on every workload.
 """
 
 from __future__ import annotations
